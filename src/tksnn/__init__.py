@@ -6,13 +6,12 @@ deterministic trainer, and timestep-mismatch evaluation tooling.
 """
 
 from .autodiff import GradTape, SurrogateSpec, Tensor, backward
-from .lif import LifConfig, LifState, lif_step, reset_state
-from .network import Model, TemporalOutput, build_model, encode_static, forward_timestep, unroll
+from .lif import LifConfig, LifState, lif_sequence, lif_step, reset_state
+from .network import Model, TemporalOutput, build_model, encode_static, unroll
 from .tks import (
     AlphaSchedule,
     TeacherConfig,
     TeacherSignal,
-    aggregate_output,
     alpha_at,
     baseline_loss,
     ce_loss,

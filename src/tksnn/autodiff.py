@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DataError, DimensionError, ParameterError, TapeError
 
@@ -316,8 +317,8 @@ def spike(v: Tensor, v_th: float, s: SurrogateSpec) -> Tensor:
     """Heaviside step at v_th (1 where v >= v_th); surrogate derivative backward."""
     v_th = DTYPE(v_th)
     out = Tensor((v.data >= v_th).astype(DTYPE))
-    d = s.derivative(v.data - v_th)
-    _record(out, (v,), lambda g: (g * d,))
+    # the surrogate is evaluated only if backward reaches this node
+    _record(out, (v,), lambda g: (g * s.derivative(v.data - v_th),))
     return out
 
 
@@ -332,27 +333,31 @@ def _conv_geometry(h, w, kh, kw, stride, padding):
 
 
 def _im2col(x: np.ndarray, kh, kw, stride, padding):
+    """Patches of x [B,C,H,W] as the matmul operand [B·oh·ow, kh·kw·C].
+
+    One copy of a window view of the padded channels-last input builds it in
+    that layout (channels fastest), so the matmul reads it without a
+    transposed copy.
+    """
     b, c, h, w = x.shape
     oh, ow = _conv_geometry(h, w, kh, kw, stride, padding)
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = np.empty((b, c, kh, kw, oh, ow), dtype=DTYPE)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols, oh, ow
+    xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=DTYPE)
+    xp[:, padding : padding + h, padding : padding + w] = x.transpose(0, 2, 3, 1)
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))  # [b,oh,ow,kh,kw,c]
+    return cols.reshape(b * oh * ow, kh * kw * c), oh, ow
 
 
 def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding):
+    """Adjoint of _im2col: scatter-add [B·oh·ow, kh·kw·C] patches back to [B,C,H,W]."""
     b, c, h, w = x_shape
     oh, ow = _conv_geometry(h, w, kh, kw, stride, padding)
-    xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=DTYPE)
+    cols = cols.reshape(b, oh, ow, kh, kw, c)
+    xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=DTYPE)
     for i in range(kh):
         for j in range(kw):
-            xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, :, i, j]
-    if padding:
-        xp = xp[:, :, padding:-padding, padding:-padding]
-    return xp
+            xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, :, :, i, j]
+    return xp[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
@@ -363,18 +368,17 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     b = x.shape[0]
     co, ci, kh, kw = w.shape
     cols, oh, ow = _im2col(x.data, kh, kw, stride, padding)
-    cols2 = cols.transpose(0, 4, 5, 1, 2, 3).reshape(b * oh * ow, ci * kh * kw)
-    wmat = w.data.reshape(co, ci * kh * kw)
-    y = cols2 @ wmat.T + bias.data
+    wmat = w.data.transpose(0, 2, 3, 1).reshape(co, kh * kw * ci)  # rows match cols' layout
+    y = cols @ wmat.T
+    y += bias.data
     out = Tensor(y.reshape(b, oh, ow, co).transpose(0, 3, 1, 2))
 
     def bwd(g):
         g2 = g.transpose(0, 2, 3, 1).reshape(b * oh * ow, co)
-        dw = (g2.T @ cols2).reshape(co, ci, kh, kw)
+        dw = (g2.T @ cols).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
         db = g2.sum(axis=0)
-        dcols2 = g2 @ wmat
-        dcols = dcols2.reshape(b, oh, ow, ci, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-        dx = _col2im(dcols, x.shape, kh, kw, stride, padding)
+        # the network input has no gradient path: skip its patch gradient
+        dx = _col2im(g2 @ wmat, x.shape, kh, kw, stride, padding) if x._needs else None
         return dx, dw, db
 
     _record(out, (x, w, bias), bwd)

@@ -10,8 +10,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, prepare_sequence
-from .errors import ParameterError
+from .errors import DataError, ParameterError
 from .network import Model, unroll
+
+# float32 elements one unroll call may hold in its widest activation: an
+# unroll keeps all T steps of its samples, so this caps samples per call
+BUDGET = 2**22
 
 
 @dataclass
@@ -76,21 +80,30 @@ def per_class_accuracy(o: np.ndarray, labels: np.ndarray, class_count: int):
 
 
 def evaluate(model: Model, data: Dataset, t_test: int, batch_size: int = 256) -> EvalReport:
-    """Frozen-model evaluation at a given number of timesteps."""
+    """Frozen-model evaluation at a given number of timesteps.
+
+    Each unroll call holds all t_test steps of its samples at once, so it takes
+    max(1, min(batch_size, BUDGET // (t_test * model.widest_activation)))
+    samples: the whole batch for small models, fewer for wide or long ones.
+    Labels must name one of the model's classes.
+    """
     if t_test < 1:
         raise ParameterError("t_test must be >= 1")
+    labels = data.labels
+    if len(labels) and labels.max() >= model.class_count:
+        raise DataError(f"label {labels.max()} outside the model's {model.class_count} classes")
     n = data.inputs.shape[0]
+    per_call = max(1, min(batch_size, BUDGET // (t_test * model.widest_activation)))
     o_all = np.empty((n, model.class_count), dtype=np.float64)
     v_sum_correct = np.zeros(t_test)  # per-timestep correct counts
-    for lo in range(0, n, batch_size):
-        batch = data.inputs[lo : lo + batch_size]
-        y = data.labels[lo : lo + batch_size]
+    for lo in range(0, n, per_call):
+        batch = data.inputs[lo : lo + per_call]
+        y = labels[lo : lo + per_call]
         x_seq = prepare_sequence(batch, data.temporal, t_test)
         out = unroll(model, x_seq)  # no tape active: inference only
         o_all[lo : lo + len(batch)] = out.o.data
         pred_t = out.v.data.argmax(axis=2)  # [T, b]
         v_sum_correct += (pred_t == y[None, :]).sum(axis=1)
-    labels = data.labels
     top1 = top1_accuracy(o_all, labels)
     confidence = o_all.max(axis=1)
     correct = (o_all.argmax(axis=1) == labels).astype(np.float64)

@@ -3,7 +3,9 @@
 The finite-difference side only calls forward evaluations, so it stays an
 independent oracle for the backward rules it checks. The spike op is excluded
 here (its forward is a step function); its backward is checked against the
-closed-form surrogate derivative instead.
+closed-form surrogate derivative instead. The fused LIF op has a step function
+inside too: its backward is checked against `lif.lif_step` chained over T,
+which builds the same recurrence from ops checked here.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DTYPE, GradTape, SurrogateSpec, Tensor, backward
-from .lif import LifConfig
+from .lif import LifConfig, lif_sequence, lif_step, reset_state
 from .network import build_model, unroll
 
 
@@ -81,7 +83,37 @@ def op_checks(seed: int) -> dict[str, float]:
     out["avgpool2d"] = check_scalar_fn(
         lambda x: ad.mean(ad.mul(ad.avgpool2d(x, 2), pool_mix)), x0
     )
+    currents = rng.uniform(-0.5, 2.0, size=(6, 3, 5)).astype(DTYPE)
+    spike_mix = rng.normal(size=currents.shape).astype(DTYPE)
+    (_, fused), (_, reference) = lif_pair(
+        LifConfig(v_rest=-0.2), SurrogateSpec("triangular"), currents, spike_mix
+    )
+    out["lif_sequence"] = rel_error(fused, reference)
     return out
+
+
+def lif_pair(cfg: LifConfig, surrogate: SurrogateSpec, currents: np.ndarray,
+             spike_mix: np.ndarray):
+    """((spikes, dloss/dcurrents) from `lif_sequence`, the same from `lif_step`
+    chained over T) for loss = mean(spike_mix * spikes), currents [T,B,N]."""
+    mix = Tensor(spike_mix)
+    fused_in = Tensor(currents, requires_grad=True)
+    with GradTape() as tape:
+        fused = lif_sequence(fused_in, cfg, surrogate)
+        loss = ad.mean(ad.mul(fused, mix))
+    backward(loss, tape)
+
+    step_in = [Tensor(c, requires_grad=True) for c in currents]
+    state = reset_state(*currents.shape[1:], cfg)
+    spikes = []
+    with GradTape() as tape:
+        for x_t in step_in:
+            state, s_t = lif_step(state, x_t, cfg, surrogate)
+            spikes.append(s_t)
+        reference = ad.stack(spikes)
+        loss = ad.mean(ad.mul(reference, mix))
+    backward(loss, tape)
+    return (fused.data, fused_in.grad), (reference.data, np.stack([x.grad for x in step_in]))
 
 
 def spike_backward_check(spec: SurrogateSpec, seed: int) -> float:

@@ -1,9 +1,14 @@
 """Layer composition and temporal unrolling.
 
 A model is a stack of layers ending in a non-spiking linear readout that
-produces class logits at every timestep. Unrolling an input sequence yields
-per-timestep logits, per-timestep distributions, and the aggregated output
-(mean of the distributions over time).
+produces class logits at every timestep. Unrolling an input sequence [T,B,...]
+yields per-timestep logits, per-timestep distributions, and the aggregated
+output (mean of the distributions over time).
+
+Execution is multi-step: each stateless layer (Linear, Conv2d, AvgPool2d,
+Flatten, the readout) runs once over all T·B sample-steps, and each LIF layer
+is one `lif.lif_sequence` tape op over the whole [T,B,...] sequence. A step
+records a handful of tape nodes per layer, independent of T.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DTYPE, SurrogateSpec, Tensor
-from .errors import ContractError, DimensionError, FormatError, ParameterError
-from .lif import LifConfig, LifState, reset_state_shape, lif_step
+from .errors import DimensionError, FormatError, ParameterError
+from .lif import LifConfig, lif_sequence
 
 
 def _init_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -137,13 +142,14 @@ class Model:
         self.lif_cfg = lif_cfg
         self.seed = seed
         # shape inference also validates layer compatibility
-        self.lif_shapes = []
         shape = self.input_shape
+        widest = int(np.prod(shape))
         for layer in layers:
             shape = layer.out_shape(shape)
-            if layer.kind == "lif":
-                self.lif_shapes.append(shape)
+            widest = max(widest, int(np.prod(shape)))
         self.readout.out_shape(shape)
+        # float32 elements one sample-step needs in the largest activation
+        self.widest_activation = max(widest, readout.out_features)
 
     def parameters(self):
         out = []
@@ -157,9 +163,6 @@ class Model:
     @property
     def param_count(self) -> int:
         return sum(p.size for _, p in self.parameters())
-
-    def init_states(self, batch: int):
-        return [reset_state_shape((batch,) + s, self.lif_cfg) for s in self.lif_shapes]
 
     def zero_grad(self):
         for _, p in self.parameters():
@@ -194,42 +197,20 @@ def build_model(preset: str, input_shape, class_count: int, lif_cfg: LifConfig,
                  class_count=class_count, lif_cfg=lif_cfg, seed=seed)
 
 
-def forward_timestep(model: Model, x_t: Tensor, states: list[LifState]):
-    """One pass through all layers; returns readout logits and advanced states."""
-    if len(states) != len(model.lif_shapes):
-        raise ContractError(
-            f"expected {len(model.lif_shapes)} LIF states, got {len(states)}"
-        )
-    new_states = []
-    si = 0
-    h = x_t if isinstance(x_t, Tensor) else Tensor(x_t)
-    for layer in model.layers:
-        if layer.kind == "lif":
-            state = states[si]
-            if state.v.shape != h.shape:
-                raise ContractError(
-                    f"LIF state shape {state.v.shape} does not match activation {h.shape}"
-                )
-            state, h = lif_step(state, h, layer.cfg, model.surrogate)
-            new_states.append(state)
-            si += 1
-        else:
-            h = layer.forward(h)
-    return model.readout.forward(h), new_states
-
-
 def unroll(model: Model, inputs) -> TemporalOutput:
     """Run the full sequence [T,B,...] from fresh states; gradients flow end to end."""
     data = inputs.data if isinstance(inputs, Tensor) else np.asarray(inputs, dtype=DTYPE)
-    t_len = data.shape[0]
+    t_len, batch = data.shape[:2]
     if t_len < 1:
         raise ParameterError("unroll needs at least one timestep")
-    states = model.init_states(data.shape[1])
-    logits = []
-    for t in range(t_len):
-        q_t, states = forward_timestep(model, Tensor(data[t]), states)
-        logits.append(q_t)
-    q = ad.stack(logits)
+    h = Tensor(data.reshape((t_len * batch,) + data.shape[2:]))
+    for layer in model.layers:
+        if layer.kind == "lif":
+            currents = ad.reshape(h, (t_len, batch) + h.shape[1:])
+            h = ad.reshape(lif_sequence(currents, layer.cfg, model.surrogate), h.shape)
+        else:
+            h = layer.forward(h)
+    q = ad.reshape(model.readout.forward(h), (t_len, batch, -1))
     v = ad.softmax_temperature(q, 1.0)
     o = ad.mean(v, axis=0)
     return TemporalOutput(q=q, v=v, o=o)

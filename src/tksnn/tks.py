@@ -1,4 +1,4 @@
-"""Temporal knowledge sharing: aggregation, teacher construction, loss terms.
+"""Temporal knowledge sharing: teacher construction and loss terms.
 
 The network's per-timestep outputs are treated as sub-models of a temporal
 ensemble. Selected sub-models form a gradient-detached teacher distribution;
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DTYPE, LOG_FLOOR, Tensor
+from .autodiff import DTYPE, Tensor
 from .errors import ConfigError, ContractError, DataError, ParameterError
 
 TEACHER_MODES = ("tks", "none", "label_smoothing", "per_timestep_labels")
@@ -62,26 +62,8 @@ class AlphaSchedule:
             raise ParameterError("schedule needs at least one epoch")
 
 
-@dataclass
-class LossBreakdown:
-    l_ce: float
-    l_tks: float
-    l_final: float
-    l_sub: np.ndarray
-
-
 def _as_array(v) -> np.ndarray:
     return v.data if isinstance(v, Tensor) else np.asarray(v, dtype=DTYPE)
-
-
-def aggregate_output(q: Tensor) -> tuple[Tensor, Tensor]:
-    """Per-timestep softmax and the mean-over-time aggregate (v, o)."""
-    q = ad.as_tensor(q)
-    if q.shape[0] < 1:
-        raise ParameterError("aggregate_output needs T >= 1")
-    v = ad.softmax_temperature(q, 1.0)
-    o = ad.mean(v, axis=0)
-    return v, o
 
 
 def select_teachers(v, labels, k: int) -> np.ndarray:
@@ -148,18 +130,6 @@ def final_loss(l_ce, l_tks, alpha: float, tau: float):
         return ad.add(ad.scale(ad.as_tensor(l_ce), 1.0 - alpha),
                       ad.scale(ad.as_tensor(l_tks), alpha * tau * tau))
     return (1.0 - alpha) * l_ce + alpha * tau * tau * l_tks
-
-
-def sub_model_loss(t: int, l_ce: float, v, z: TeacherSignal, alpha: float,
-                   tau: float, t_total: int) -> float:
-    """Diagnostic per-sub-model loss: its CE share plus its teacher divergence."""
-    if not 0 <= t < t_total:
-        raise ParameterError(f"timestep {t} outside [0,{t_total})")
-    if not 0.0 <= alpha <= 1.0:
-        raise ParameterError(f"alpha must be in [0,1], got {alpha}")
-    va = _as_array(v)
-    ce_t = float(-(z.z * np.log(np.maximum(va[t], LOG_FLOOR))).sum(axis=1).mean())
-    return (1.0 - alpha) * l_ce / t_total + alpha * tau * tau * ce_t
 
 
 def alpha_at(epoch: int, sched: AlphaSchedule) -> float:

@@ -18,7 +18,7 @@ import numpy as np
 from . import tks
 from .autodiff import DTYPE, GradTape, SurrogateSpec, backward
 from .data import Dataset, build_dataset, prepare_sequence
-from .errors import ConfigError, ContractError, ParameterError, TrainingAbort
+from .errors import ConfigError, ContractError, DataError, ParameterError, TrainingAbort
 from .lif import LifConfig
 from .network import Model, build_model, load_checkpoint, save_checkpoint, unroll
 from .tks import AlphaSchedule, TeacherConfig
@@ -42,7 +42,7 @@ class AdamW:
     def step(self):
         for name, p in zip(self.names, self.params):
             if p.grad is None:
-                raise ContractError(f"optimizer_step before backward: no grad on {name}")
+                raise ContractError(f"AdamW.step before backward: no grad on {name}")
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
@@ -73,10 +73,6 @@ class AdamW:
         for i in range(len(self.params)):
             self.m[i] = next(it).astype(DTYPE)
             self.v[i] = next(it).astype(DTYPE)
-
-
-def optimizer_step(opt: AdamW) -> None:
-    opt.step()
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr_max: float, lr_min: float) -> float:
@@ -236,6 +232,8 @@ def train_epoch(model: Model, data: Dataset, cfg: RunConfig, epoch: int,
                 opt: AdamW, alpha: float) -> EpochReport:
     """One pass over the training set; returns mean losses and train accuracy."""
     start = time.perf_counter()
+    if data.inputs.shape[0] == 0:
+        raise DataError("the training set is empty")
     tc = cfg.teacher
     rng = np.random.default_rng([cfg.seed, epoch, 0x5EED])
     order = rng.permutation(data.inputs.shape[0])

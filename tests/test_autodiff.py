@@ -132,6 +132,22 @@ def test_spike_threshold_inclusive():
     assert np.array_equal(out.data, [1.0, 0.0, 1.0])
 
 
+def test_spike_computes_no_surrogate_without_tape(monkeypatch):
+    calls = []
+    real = SurrogateSpec.derivative
+    monkeypatch.setattr(SurrogateSpec, "derivative",
+                        lambda self, x: calls.append(1) or real(self, x))
+    v = Tensor([0.2, 0.7], requires_grad=True)
+    out = ad.spike(v, 0.5, SurrogateSpec())
+    assert np.array_equal(out.data, [0.0, 1.0])
+    assert calls == []
+    with GradTape() as tape:
+        loss = ad.mean(ad.spike(v, 0.5, SurrogateSpec()))
+    assert calls == []  # recorded, not yet evaluated
+    backward(loss, tape)
+    assert calls == [1]
+
+
 def test_spike_rectangular_backward_center_factor():
     v = Tensor([0.5], requires_grad=True)
     with GradTape() as tape:

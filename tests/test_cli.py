@@ -74,6 +74,11 @@ def test_malformed_override_exits_1(tiny_config, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+def test_empty_training_set_exits_2(tiny_config, capsys):
+    assert run(["train", "--config", str(tiny_config), "--set", "data.n_per_class=0"]) == 2
+    assert "empty" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     assert run(["train", "--config", str(tmp_path / "absent.json")]) == 1
     capsys.readouterr()

@@ -5,7 +5,8 @@ import pytest
 
 from tksnn.autodiff import SurrogateSpec
 from tksnn.data import Dataset, build_dataset
-from tksnn.errors import ParameterError
+import tksnn.evaluation as evaluation
+from tksnn.errors import DataError, ParameterError
 from tksnn.evaluation import (
     aurc,
     evaluate,
@@ -158,6 +159,35 @@ def test_evaluate_batch_size_does_not_change_results():
     assert a.top1 == b.top1
     assert a.aurc == pytest.approx(b.aurc, abs=1e-12)
     assert np.array_equal(a.confusion, b.confusion)
+
+
+def test_evaluate_samples_per_call_follow_activation_budget(monkeypatch):
+    data = small_dataset()
+    model = build_model("mlp-small", data.sample_shape, data.class_count,
+                        LifConfig(), SurrogateSpec(), seed=1)
+    assert model.widest_activation == 128  # the hidden layer
+    whole = evaluate(model, data, t_test=4)
+    sizes = []
+    real_unroll = evaluation.unroll
+    monkeypatch.setattr(evaluation, "unroll",
+                        lambda m, x: sizes.append(x.shape[1]) or real_unroll(m, x))
+    monkeypatch.setattr(evaluation, "BUDGET", 5 * 4 * 128)
+    split = evaluate(model, data, t_test=4)
+    assert sizes == [5, 5, 5, 3]
+    monkeypatch.setattr(evaluation, "BUDGET", 1)  # never fewer than one sample
+    sizes.clear()
+    evaluate(model, data, t_test=4)
+    assert sizes == [1] * 18
+    assert split.top1 == whole.top1
+    assert np.array_equal(split.confusion, whole.confusion)
+    assert np.array_equal(split.per_timestep_acc, whole.per_timestep_acc)
+
+
+def test_evaluate_rejects_labels_beyond_model_classes():
+    data = small_dataset()  # 3 classes
+    model = build_model("mlp-small", data.sample_shape, 2, LifConfig(), SurrogateSpec(), seed=0)
+    with pytest.raises(DataError):
+        evaluate(model, data, t_test=2)
 
 
 def test_sweep_contains_matched_timestep_entry():

@@ -4,7 +4,8 @@ import pytest
 from tksnn.autodiff import GradTape, SurrogateSpec, Tensor, backward
 import tksnn.autodiff as ad
 from tksnn.errors import DimensionError, ParameterError
-from tksnn.lif import LifConfig, lif_step, reset_state
+from tksnn.gradcheck import lif_pair
+from tksnn.lif import LifConfig, lif_sequence, lif_step, reset_state
 
 SUR = SurrogateSpec()
 
@@ -139,3 +140,34 @@ def test_config_validation():
         LifConfig(tau_m=1.0)
     with pytest.raises(ParameterError):
         LifConfig(v_rest=0.5, v_th=0.5)
+
+
+@pytest.mark.parametrize("kind", ["rectangular", "triangular", "piecewise_quadratic"])
+@pytest.mark.parametrize("detach", [False, True])
+@pytest.mark.parametrize("v_rest", [0.0, -0.2])
+def test_fused_sequence_matches_per_step_chain(v_rest, detach, kind):
+    rng = np.random.default_rng(7)
+    currents = rng.uniform(-0.5, 2.0, size=(8, 3, 6)).astype(np.float32)
+    mix = rng.normal(size=currents.shape).astype(np.float32)
+    cfg = LifConfig(v_rest=v_rest, detach_reset=detach)
+    (s_fused, g_fused), (s_ref, g_ref) = lif_pair(cfg, SurrogateSpec(kind), currents, mix)
+    assert np.array_equal(s_fused, s_ref)
+    assert 0 < s_ref.sum() < s_ref.size  # both firing and silent steps
+    assert np.abs(g_ref).max() > 0
+    assert np.abs(g_fused - g_ref).max() <= 1e-6 * np.abs(g_ref).max()
+
+
+def test_fused_sequence_keeps_trailing_shape_and_needs_time_axis():
+    currents = Tensor(np.full((3, 2, 4, 5, 5), 1.0, dtype=np.float32))
+    spikes = lif_sequence(currents, LifConfig(), SUR)
+    assert spikes.shape == currents.shape
+    assert np.array_equal(spikes.data[:, 0, 0, 0, 0], [1.0, 1.0, 1.0])
+    with pytest.raises(DimensionError):
+        lif_sequence(Tensor(np.ones(4)), LifConfig(), SUR)
+
+
+def test_fused_sequence_computes_no_surrogate_without_tape(monkeypatch):
+    calls = []
+    monkeypatch.setattr(SurrogateSpec, "derivative", lambda self, x: calls.append(1))
+    lif_sequence(Tensor(np.ones((4, 2, 3)), requires_grad=True), LifConfig(), SUR)
+    assert calls == []

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import tksnn.autodiff as ad
-from tksnn.autodiff import SurrogateSpec, Tensor
-from tksnn.errors import ContractError, ParameterError
+from tksnn.autodiff import SurrogateSpec
+from tksnn.errors import ParameterError
 from tksnn.lif import LifConfig
 from tksnn.network import (
     Flatten,
@@ -12,7 +12,6 @@ from tksnn.network import (
     Model,
     build_model,
     encode_static,
-    forward_timestep,
     load_checkpoint,
     save_checkpoint,
     unroll,
@@ -37,23 +36,16 @@ def identity_readout_model():
 
 def test_identity_network_logits():
     model = identity_readout_model()
-    logits, states = forward_timestep(model, Tensor([[1.0, 0.0]]), [])
-    assert np.array_equal(logits.data, [[1.0, 0.0]])
-    assert states == []
+    out = unroll(model, np.array([[[1.0, 0.0]]], dtype=np.float32))
+    assert np.array_equal(out.q.data, [[[1.0, 0.0]]])
 
 
 def test_zero_weight_network_outputs_zero():
     model = tiny_model()
     for _, p in model.parameters():
         p.data[...] = 0.0
-    logits, _ = forward_timestep(model, Tensor(np.ones((2, 8))), model.init_states(2))
-    assert not logits.data.any()
-
-
-def test_state_count_mismatch_is_contract_error():
-    model = tiny_model()
-    with pytest.raises(ContractError):
-        forward_timestep(model, Tensor(np.ones((2, 8))), [])
+    out = unroll(model, np.ones((1, 2, 8), dtype=np.float32))
+    assert not out.q.data.any()
 
 
 def test_two_layer_matches_hand_unrolled_recurrence():

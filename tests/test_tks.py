@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 import tksnn.autodiff as ad
-from tksnn.autodiff import GradTape, Tensor, backward
+from tksnn.autodiff import GradTape, SurrogateSpec, Tensor, backward
 from tksnn.errors import ConfigError, ContractError, DataError, ParameterError
+from tksnn.lif import LifConfig
+from tksnn.network import Linear, Model, unroll
 from tksnn.tks import (
     AlphaSchedule,
     TeacherConfig,
     TeacherSignal,
-    aggregate_output,
     alpha_at,
     baseline_loss,
     ce_loss,
     final_loss,
     select_teachers,
-    sub_model_loss,
     teacher_signal,
     tks_loss,
 )
@@ -37,22 +37,34 @@ def probs(*rows_per_t):
 # aggregation
 
 
+def aggregate_via_unroll(q):
+    """(v, o) of unroll on a stateless identity-readout model, so that logits = q."""
+    c = q.shape[-1]
+    readout = Linear(c, c, np.random.default_rng(0))
+    readout.w.data = np.eye(c, dtype=np.float32)
+    model = Model([], readout, SurrogateSpec(), preset="custom", input_shape=(c,),
+                  class_count=c, lif_cfg=LifConfig(), seed=0)
+    out = unroll(model, q)
+    assert np.array_equal(out.q.data, q)
+    return out.v, out.o
+
+
 def test_aggregate_identical_timesteps():
     q = np.tile(np.array([[1.0, 2.0, 0.0]], dtype=np.float32), (4, 1, 1))
-    v, o = aggregate_output(Tensor(q))
+    v, o = aggregate_via_unroll(q)
     assert np.allclose(o.data, softmax([1.0, 2.0, 0.0]), atol=1e-6)
 
 
 def test_aggregate_symmetry():
     q = np.array([[[30.0, -30.0]], [[-30.0, 30.0]]], dtype=np.float32)
-    _, o = aggregate_output(Tensor(q))
+    _, o = aggregate_via_unroll(q)
     assert np.allclose(o.data, [[0.5, 0.5]], atol=1e-6)
 
 
 def test_aggregate_matches_scalar_loop_oracle():
     rng = np.random.default_rng(11)
     q = rng.normal(size=(3, 2, 4)).astype(np.float32)
-    v, o = aggregate_output(Tensor(q))
+    v, o = aggregate_via_unroll(q)
     for b in range(2):
         for c in range(4):
             acc = 0.0
@@ -230,24 +242,6 @@ def test_final_loss_affine_identity_on_graph_tensors():
 def test_final_loss_rejects_alpha_outside_unit_interval():
     with pytest.raises(ParameterError):
         final_loss(1.0, 1.0, 1.5, 1.0)
-
-
-def test_sub_model_losses_telescope_to_ce_share():
-    rng = np.random.default_rng(5)
-    t_total = 4
-    v = softmax(rng.normal(size=(t_total, 3, 4))).astype(np.float32)
-    z = TeacherSignal(z=softmax(rng.normal(size=(3, 4))).astype(np.float32),
-                      selected=np.zeros((3, 1), dtype=int))
-    l_ce = 1.7
-    total = sum(sub_model_loss(t, l_ce, v, z, 0.0, 3.0, t_total) for t in range(t_total))
-    assert total == pytest.approx(l_ce, abs=1e-6)
-    assert sub_model_loss(0, l_ce, v, z, 0.0, 3.0, t_total) == pytest.approx(l_ce / t_total)
-
-
-def test_sub_model_loss_perfect_teacher_fit():
-    z = TeacherSignal(z=np.array([[0.0, 1.0]], dtype=np.float32), selected=np.array([[0]]))
-    v = probs([[0.0, 1.0]])
-    assert sub_model_loss(0, 2.0, v, z, 1.0, 1.0, 1) == pytest.approx(0.0, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from tksnn.autodiff import Tensor
-from tksnn.errors import ConfigError, ContractError, TrainingAbort
-from tksnn.network import load_checkpoint
+import tksnn.trainer as trainer_mod
+from tksnn.data import build_dataset
+from tksnn.errors import ConfigError, ContractError, DataError, TrainingAbort
+from tksnn.network import build_model, load_checkpoint
 from tksnn.trainer import (
     AdamW,
     DataConfig,
@@ -16,7 +18,7 @@ from tksnn.trainer import (
     config_to_dict,
     cosine_lr,
     fit,
-    optimizer_step,
+    train_epoch,
 )
 from tksnn.tks import TeacherConfig
 
@@ -51,7 +53,7 @@ def test_adamw_zero_grad_zero_decay_is_fixed_point():
     before = p.data.copy()
     for _ in range(5):
         p.grad = np.zeros(3, dtype=np.float32)
-        optimizer_step(opt)
+        opt.step()
     assert np.array_equal(p.data, before)
 
 
@@ -60,7 +62,7 @@ def test_adamw_first_step_is_nearly_lr_sized():
     p = make_param([1.0])
     opt = AdamW([("p", p)], lr=0.1, weight_decay=0.0)
     p.grad = np.array([4.0], dtype=np.float32)
-    optimizer_step(opt)
+    opt.step()
     assert p.data[0] == pytest.approx(0.9, abs=1e-6)
 
 
@@ -69,7 +71,7 @@ def test_adamw_decay_is_decoupled_from_gradient():
     p = make_param([2.0])
     opt = AdamW([("p", p)], lr=0.5, weight_decay=0.01)
     p.grad = np.zeros(1, dtype=np.float32)
-    optimizer_step(opt)
+    opt.step()
     assert p.data[0] == pytest.approx(2.0 * (1 - 0.5 * 0.01), rel=1e-6)
 
 
@@ -82,7 +84,7 @@ def test_adamw_matches_scalar_reference_update():
     ref, m, v = 0.7, 0.0, 0.0
     for t, g in enumerate(grads, start=1):
         p.grad = np.array([g], dtype=np.float32)
-        optimizer_step(opt)
+        opt.step()
         ref *= 1 - lr * wd
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
@@ -94,10 +96,10 @@ def test_adamw_clears_grads_and_requires_them():
     p = make_param([1.0])
     opt = AdamW([("p", p)], lr=0.1)
     p.grad = np.ones(1, dtype=np.float32)
-    optimizer_step(opt)
+    opt.step()
     assert p.grad is None
     with pytest.raises(ContractError):
-        optimizer_step(opt)
+        opt.step()
 
 
 def test_adamw_step_direction_opposes_gradient():
@@ -107,7 +109,7 @@ def test_adamw_step_direction_opposes_gradient():
     opt = AdamW([("p", p)], lr=0.01, weight_decay=0.0)
     g = rng.normal(size=8).astype(np.float32)
     p.grad = g.copy()
-    optimizer_step(opt)
+    opt.step()
     assert np.all(np.sign(before - p.data) == np.sign(g))
 
 
@@ -272,3 +274,26 @@ def test_training_reduces_loss(tmp_path):
     _, reports = fit(cfg)
     assert reports[-1].l_ce < reports[0].l_ce
     assert reports[-1].train_acc > 0.5
+
+
+def test_tks_step_records_constant_tape_nodes(tmp_path, monkeypatch):
+    # one mlp-small TKS step at B=32, T=10: each layer is a few tape nodes over
+    # all T steps; per-timestep recording would take about 110
+    cfg = tiny_cfg(tmp_path, t_train=10, batch_size=32,
+                   data=DataConfig(n_per_class=8, t_native=10, classes=4))
+    data = build_dataset(cfg.data, split="train")
+    model = build_model("mlp-small", data.sample_shape, 4, cfg.lif, cfg.surrogate, 0)
+    opt = AdamW(model.parameters(), lr=1e-3)
+    nodes = []
+    real_backward = trainer_mod.backward
+    monkeypatch.setattr(trainer_mod, "backward",
+                        lambda loss, tape: nodes.append(len(tape)) or real_backward(loss, tape))
+    train_epoch(model, data, cfg, 0, opt, alpha=0.5)
+    assert len(nodes) == 1
+    assert nodes[0] <= 25
+
+
+def test_empty_training_set_is_data_error(tmp_path):
+    cfg = tiny_cfg(tmp_path, data=DataConfig(n_per_class=0, t_native=4, classes=3))
+    with pytest.raises(DataError):
+        fit(cfg)
