@@ -16,12 +16,13 @@ from .tks import (
     baseline_loss,
     ce_loss,
     final_loss,
+    objective,
     select_teachers,
     teacher_signal,
     tks_loss,
 )
 from .trainer import AdamW, DataConfig, OptimConfig, RunConfig, cosine_lr, fit, train_epoch
-from .evaluation import EvalReport, aurc, evaluate, per_timestep_accuracy, timestep_sweep, top1_accuracy
+from .evaluation import EvalReport, aurc, evaluate, timestep_sweep, top1_accuracy
 from .data import (
     Dataset,
     EventStream,

@@ -47,9 +47,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self):
-        self.grad = None
-
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
 

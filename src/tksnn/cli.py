@@ -1,4 +1,4 @@
-"""Command-line entry point: train / eval / sweep / gradcheck / synth."""
+"""Command-line entry point: train / eval / sweep / gradcheck."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import json
 import sys
 
 from . import evaluation, gradcheck, trainer
-from .data import build_dataset, save_dataset, synth_temporal
+from .data import build_dataset
 from .errors import ConfigError, ParameterError, TksnnError
 from .network import load_checkpoint
 
@@ -99,13 +99,6 @@ def cmd_gradcheck(args) -> int:
     return 0 if overall < 1e-3 else 2
 
 
-def cmd_synth(args) -> int:
-    ds = synth_temporal(args.n_per_class, args.t, args.classes, args.noise, args.seed)
-    save_dataset(ds, args.out)
-    print(f"wrote {ds.inputs.shape[0]} samples to {args.out}.inputs.bin")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tksnn")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -139,14 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=int, default=10)
     p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("synth", help="write a synthetic order-encoded dataset")
-    p.add_argument("--out", required=True, help="output base path")
-    p.add_argument("--n-per-class", type=int, default=40)
-    p.add_argument("--t", type=int, default=10)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_synth)
     return parser
 
 

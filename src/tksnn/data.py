@@ -7,7 +7,6 @@ Three sources: a synthetic order-encoded temporal task, IDX image files
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -27,7 +26,6 @@ class Dataset:
     labels: np.ndarray
     class_count: int
     temporal: bool
-    split: str = "train"
 
     def __post_init__(self):
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
@@ -93,7 +91,7 @@ def class_schedules(classes: int, t_len: int) -> np.ndarray:
 
 
 def synth_temporal(n_per_class: int, t_len: int, classes: int,
-                   noise_sigma: float, seed: int, split: str = "train") -> Dataset:
+                   noise_sigma: float, seed: int) -> Dataset:
     """Order-encoded task: every class activates the same blocks, in its own order.
 
     Each frame lights exactly one feature block, so per-frame value histograms
@@ -111,8 +109,7 @@ def synth_temporal(n_per_class: int, t_len: int, classes: int,
             inputs[i, t, block * BLOCK_SIZE : (block + 1) * BLOCK_SIZE] = 1.0
     if noise_sigma > 0:
         inputs += rng.normal(0.0, noise_sigma, size=inputs.shape).astype(DTYPE)
-    return Dataset(inputs=inputs, labels=labels, class_count=classes,
-                   temporal=True, split=split)
+    return Dataset(inputs=inputs, labels=labels, class_count=classes, temporal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -241,48 +238,12 @@ def bin_events(stream: EventStream, t_len: int, width: int, height: int,
     return frames
 
 
-# ---------------------------------------------------------------------------
-# raw float container with JSON sidecar
-
-
-def save_dataset(ds: Dataset, basepath: str) -> None:
-    inputs = np.ascontiguousarray(ds.inputs, dtype="<f4")
-    labels = np.ascontiguousarray(ds.labels, dtype="<i8")
-    with open(basepath + ".inputs.bin", "wb") as f:
-        f.write(inputs.tobytes())
-    with open(basepath + ".labels.bin", "wb") as f:
-        f.write(labels.tobytes())
-    sidecar = {
-        "input_shape": list(ds.inputs.shape),
-        "input_dtype": "<f4",
-        "label_dtype": "<i8",
-        "class_count": ds.class_count,
-        "temporal": ds.temporal,
-        "split": ds.split,
-    }
-    with open(basepath + ".json", "w") as f:
-        json.dump(sidecar, f, indent=2, sort_keys=True)
-
-
-def load_dataset(basepath: str) -> Dataset:
-    with open(basepath + ".json") as f:
-        sidecar = json.load(f)
-    shape = tuple(sidecar["input_shape"])
-    inputs = np.fromfile(basepath + ".inputs.bin", dtype=sidecar["input_dtype"]).reshape(shape)
-    labels = np.fromfile(basepath + ".labels.bin", dtype=sidecar["label_dtype"])
-    if len(labels) != shape[0]:
-        raise FormatError(f"{basepath}: {len(labels)} labels for {shape[0]} samples")
-    return Dataset(inputs=inputs.astype(DTYPE), labels=labels.astype(np.int64),
-                   class_count=sidecar["class_count"], temporal=sidecar["temporal"],
-                   split=sidecar["split"])
-
-
 def build_dataset(data_cfg, split: str = "train") -> Dataset:
     """Materialize the dataset described by a DataConfig."""
     if data_cfg.kind == "synth":
         seed = data_cfg.seed if split == "train" else data_cfg.seed + 1
         return synth_temporal(data_cfg.n_per_class, data_cfg.t_native,
-                              data_cfg.classes, data_cfg.noise_sigma, seed, split=split)
+                              data_cfg.classes, data_cfg.noise_sigma, seed)
     if data_cfg.kind == "idx":
         return load_idx(data_cfg.images, data_cfg.labels)
     raise ParameterError(f"unknown data kind {data_cfg.kind!r}")

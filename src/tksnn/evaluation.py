@@ -61,11 +61,6 @@ def aurc(confidence: np.ndarray, correct: np.ndarray) -> float:
     return float(prefix_risk.mean())
 
 
-def per_timestep_accuracy(v: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Top-1 accuracy of each sub-model's own distribution, one entry per t."""
-    return np.array([top1_accuracy(v[t], labels) for t in range(v.shape[0])])
-
-
 def per_class_accuracy(o: np.ndarray, labels: np.ndarray, class_count: int):
     """Per-class conditional accuracy (NaN flags an absent class) and confusion counts."""
     labels = np.asarray(labels)

@@ -160,14 +160,6 @@ class Model:
             out.append((f"readout.{name}", p))
         return out
 
-    @property
-    def param_count(self) -> int:
-        return sum(p.size for _, p in self.parameters())
-
-    def zero_grad(self):
-        for _, p in self.parameters():
-            p.zero_grad()
-
 
 PRESETS = ("mlp-small", "cnn-small")
 
@@ -269,33 +261,37 @@ def load_checkpoint(path):
         raw = f.read()
     if raw[:4] != CKPT_MAGIC:
         raise FormatError(f"{path}: bad checkpoint magic at byte 0")
+    if len(raw) < 12:
+        raise FormatError(f"{path}: truncated fixed header at byte {len(raw)}")
     version, hlen = struct.unpack("<II", raw[4:12])
     if version != CKPT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
+    try:
+        header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
+    except ValueError as exc:  # also a header cut short by truncation
+        raise FormatError(f"{path}: header at byte 12 is not valid JSON: {exc}") from exc
     model = build_model(
         header["preset"], header["input_shape"], header["class_count"],
         LifConfig(**header["lif"]), SurrogateSpec(**header["surrogate"]), header["seed"],
     )
     off = 12 + hlen
+
+    def take(nbytes: int) -> bytes:
+        nonlocal off
+        if off + nbytes > len(raw):
+            raise FormatError(f"{path}: truncated at byte {len(raw)}, blob at {off} needs {nbytes}")
+        off += nbytes
+        return raw[off - nbytes : off]
+
     for name, p in model.parameters():
         shape = tuple(header["layer_shapes"][name])
         if shape != p.shape:
             raise FormatError(f"{path}: shape mismatch for {name}: {shape} vs {p.shape}")
-        nbytes = int(np.prod(shape)) * 4
-        if off + nbytes > len(raw):
-            raise FormatError(f"{path}: truncated at byte {off}")
-        p.data = np.frombuffer(raw[off : off + nbytes], dtype="<f4").reshape(shape).copy()
-        off += nbytes
+        p.data = np.frombuffer(take(p.size * 4), dtype="<f4").reshape(shape).copy()
     opt_state = None
     if header.get("has_optimizer"):
-        (step_count,) = struct.unpack("<Q", raw[off : off + 8])
-        off += 8
-        moments = []
-        for _, p in model.parameters():
-            for _ in range(2):
-                nbytes = p.size * 4
-                moments.append(np.frombuffer(raw[off : off + nbytes], dtype="<f4").reshape(p.shape).copy())
-                off += nbytes
+        (step_count,) = struct.unpack("<Q", take(8))
+        moments = [np.frombuffer(take(p.size * 4), dtype="<f4").reshape(p.shape).copy()
+                   for _, p in model.parameters() for _ in range(2)]
         opt_state = (step_count, moments)
     return model, header, opt_state

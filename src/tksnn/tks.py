@@ -120,16 +120,13 @@ def ce_loss(v: Tensor, labels) -> Tensor:
     return ad.neg(ad.mean(ad.log(ad.select_class(o, labels))))
 
 
-def final_loss(l_ce, l_tks, alpha: float, tau: float):
-    """Affine mix (1-alpha)*l_ce + alpha*tau^2*l_tks; works on Tensors or floats."""
+def final_loss(l_ce: Tensor, l_tks: Tensor, alpha: float, tau: float) -> Tensor:
+    """Affine mix (1-alpha)*l_ce + alpha*tau^2*l_tks of two scalar loss tensors."""
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"alpha must be in [0,1], got {alpha}")
     if tau <= 0:
         raise ParameterError(f"temperature must be positive, got {tau}")
-    if isinstance(l_ce, Tensor) or isinstance(l_tks, Tensor):
-        return ad.add(ad.scale(ad.as_tensor(l_ce), 1.0 - alpha),
-                      ad.scale(ad.as_tensor(l_tks), alpha * tau * tau))
-    return (1.0 - alpha) * l_ce + alpha * tau * tau * l_tks
+    return ad.add(ad.scale(l_ce, 1.0 - alpha), ad.scale(l_tks, alpha * tau * tau))
 
 
 def alpha_at(epoch: int, sched: AlphaSchedule) -> float:
@@ -158,3 +155,21 @@ def baseline_loss(mode: str, v: Tensor, labels, epsilon: float = 0.0) -> Tensor:
     if mode == "per_timestep_labels":
         return ad.neg(ad.mean(ad.log(ad.select_class(v, labels))))
     raise ConfigError(f"unknown baseline mode {mode!r}")
+
+
+def objective(out, labels, cfg: TeacherConfig, alpha: float):
+    """The training loss of one step for the teacher mode in cfg.
+
+    Returns (loss tensor, l_ce, l_tks). Comparison modes report their own loss
+    as l_ce and l_tks = 0. At alpha = 0 the tks loss is plain CE, with the same
+    graph as mode "none"; l_tks is still reported, computed off the tape.
+    """
+    if cfg.mode != "tks":
+        loss = baseline_loss(cfg.mode, out.v, labels, cfg.epsilon)
+        return loss, loss.item(), 0.0
+    l_ce = ce_loss(out.v, labels)
+    z = teacher_signal(out.q.data, select_teachers(out.v.data, labels, cfg.k), cfg.tau)
+    if alpha == 0.0:
+        return l_ce, l_ce.item(), tks_loss(out.v.data, z).item()
+    l_tks = tks_loss(out.v, z)
+    return final_loss(l_ce, l_tks, alpha, cfg.tau), l_ce.item(), l_tks.item()

@@ -1,4 +1,4 @@
-"""Training loop: batching, loss assembly, AdamW, LR and alpha schedules.
+"""Training loop: batching, AdamW, LR and alpha schedules.
 
 Runs are deterministic: parameter init, batch shuffling, and dataset noise all
 derive from explicit seeds, and every tensor op keeps a fixed summation order,
@@ -246,32 +246,11 @@ def train_epoch(model: Model, data: Dataset, cfg: RunConfig, epoch: int,
         y = data.labels[idx]
         with GradTape() as tape:
             out = unroll(model, x_seq)
-            l_ce_t = tks.ce_loss(out.v, y)
-            l_ce = l_ce_t.item()
-            l_tks = 0.0
-            if tc.mode == "tks":
-                sel = tks.select_teachers(out.v.data, y, tc.k)
-                z = tks.teacher_signal(out.q.data, sel, tc.tau)
-                if alpha > 0.0:
-                    l_tks_t = tks.tks_loss(out.v, z)
-                    l_tks = l_tks_t.item()
-                    loss = tks.final_loss(l_ce_t, l_tks_t, alpha, tc.tau)
-                else:
-                    # at alpha=0 the mix is pure CE; keep the graph identical
-                    # to a plain CE run so the trajectories match bit for bit
-                    l_tks = tks.tks_loss(out.v.detach(), z).item()
-                    loss = l_ce_t
-            elif tc.mode == "none":
-                loss = l_ce_t
-            else:
-                loss = tks.baseline_loss(tc.mode, out.v, y, tc.epsilon)
-                l_ce = loss.item()
-            l_final = (1.0 - alpha) * l_ce + alpha * tc.tau**2 * l_tks
-            if not math.isfinite(l_final):
-                raise TrainingAbort(
-                    f"non-finite loss at epoch {epoch} batch {bi}: "
-                    f"l_ce={l_ce} l_tks={l_tks} l_final={l_final}"
-                )
+            loss, l_ce, l_tks = tks.objective(out, y, tc, alpha)
+        if not (math.isfinite(l_ce) and math.isfinite(l_tks)):
+            raise TrainingAbort(
+                f"non-finite loss at epoch {epoch} batch {bi}: l_ce={l_ce} l_tks={l_tks}"
+            )
         backward(loss, tape)
         if cfg.optim.grad_clip > 0:
             _clip_grads(opt.params, cfg.optim.grad_clip)
@@ -301,6 +280,8 @@ def fit(cfg: RunConfig, resume: str | None = None):
     """
     cfg.validate()
     data = build_dataset(cfg.data, split="train")
+    if data.inputs.shape[0] == 0:
+        raise DataError("the training set is empty")
     os.makedirs(cfg.out_dir, exist_ok=True)
     ckpt_path = os.path.join(cfg.out_dir, "model.ckpt")
     metrics_path = os.path.join(cfg.out_dir, "metrics.jsonl")

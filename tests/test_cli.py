@@ -1,10 +1,8 @@
 import json
 
-import numpy as np
 import pytest
 
 from tksnn.cli import run
-from tksnn.data import load_dataset
 
 
 @pytest.fixture
@@ -74,9 +72,25 @@ def test_malformed_override_exits_1(tiny_config, capsys):
     assert "key=value" in capsys.readouterr().err
 
 
-def test_empty_training_set_exits_2(tiny_config, capsys):
+def test_empty_training_set_exits_2(tiny_config, tmp_path, capsys):
     assert run(["train", "--config", str(tiny_config), "--set", "data.n_per_class=0"]) == 2
     assert "empty" in capsys.readouterr().err
+    # with zero epochs no epoch runs, and still nothing is written
+    assert run(["train", "--config", str(tiny_config), "--set", "data.n_per_class=0",
+                "--set", "run.epochs=0"]) == 2
+    assert "empty" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_eval_truncated_checkpoint_exits_2(tiny_config, tmp_path, capsys):
+    assert run(["train", "--config", str(tiny_config)]) == 0
+    ckpt = tmp_path / "run" / "model.ckpt"
+    raw = ckpt.read_bytes()
+    for n in (10, 40, len(raw) - 1):
+        ckpt.write_bytes(raw[:n])
+        capsys.readouterr()
+        assert run(["eval", "--config", str(tiny_config), "--checkpoint", str(ckpt)]) == 2
+        assert "runtime failure" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):
@@ -99,16 +113,6 @@ def test_resume_flag(tiny_config, tmp_path, capsys):
     capsys.readouterr()
     lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
     assert [json.loads(l)["epoch"] for l in lines] == [0, 1, 2, 3]
-
-
-def test_synth_command_writes_loadable_dataset(tmp_path, capsys):
-    base = str(tmp_path / "ds")
-    assert run(["synth", "--out", base, "--n-per-class", "3", "--t", "4",
-                "--classes", "2", "--noise", "0.1", "--seed", "3"]) == 0
-    capsys.readouterr()
-    ds = load_dataset(base)
-    assert ds.inputs.shape == (6, 4, 16)
-    assert np.array_equal(np.bincount(ds.labels), [3, 3])
 
 
 def test_gradcheck_command_passes(capsys):

@@ -10,11 +10,9 @@ from tksnn.data import (
     bin_events,
     build_dataset,
     class_schedules,
-    load_dataset,
     load_events,
     load_idx,
     prepare_sequence,
-    save_dataset,
     save_idx,
     synth_temporal,
 )
@@ -131,7 +129,6 @@ def test_build_dataset_train_test_split_seeds():
     cfg = DataConfig(n_per_class=3, t_native=4, classes=2, noise_sigma=0.2, seed=9)
     train = build_dataset(cfg, split="train")
     test = build_dataset(cfg, split="test")
-    assert train.split == "train" and test.split == "test"
     assert not np.array_equal(train.inputs, test.inputs)
     # same schedules underneath: noiseless versions coincide
     clean_cfg = DataConfig(n_per_class=1, t_native=4, classes=2, noise_sigma=0.0, seed=9)
@@ -274,39 +271,6 @@ def test_bin_events_random_streams_conserve_counts():
         t_len = int(rng.integers(1, 9))
         frames = bin_events(stream, t_len, 4, 3)
         assert frames.sum() == n
-
-
-# ---------------------------------------------------------------------------
-# raw container
-
-
-def test_dataset_save_load_round_trip(tmp_path):
-    ds = synth_temporal(3, 4, 2, 0.2, seed=0, split="test")
-    base = str(tmp_path / "ds")
-    save_dataset(ds, base)
-    back = load_dataset(base)
-    assert np.array_equal(back.inputs, ds.inputs)
-    assert np.array_equal(back.labels, ds.labels)
-    assert back.class_count == 2 and back.temporal and back.split == "test"
-
-
-def test_dataset_save_is_byte_stable(tmp_path):
-    ds = synth_temporal(2, 4, 2, 0.1, seed=1)
-    b1, b2 = str(tmp_path / "x"), str(tmp_path / "y")
-    save_dataset(ds, b1)
-    save_dataset(load_dataset(b1), b2)
-    for ext in (".inputs.bin", ".labels.bin", ".json"):
-        assert open(b1 + ext, "rb").read() == open(b2 + ext, "rb").read()
-
-
-def test_load_dataset_label_count_mismatch(tmp_path):
-    ds = synth_temporal(2, 4, 2, 0.0, seed=0)
-    base = str(tmp_path / "ds")
-    save_dataset(ds, base)
-    with open(base + ".labels.bin", "ab") as f:
-        f.write(np.int64(1).tobytes())
-    with pytest.raises(FormatError):
-        load_dataset(base)
 
 
 def test_dataset_rejects_out_of_range_labels():

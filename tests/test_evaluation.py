@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from tksnn.autodiff import SurrogateSpec
-from tksnn.data import Dataset, build_dataset
+from tksnn.data import Dataset, build_dataset, prepare_sequence
 import tksnn.evaluation as evaluation
 from tksnn.errors import DataError, ParameterError
 from tksnn.evaluation import (
     aurc,
     evaluate,
     per_class_accuracy,
-    per_timestep_accuracy,
     timestep_sweep,
     top1_accuracy,
     write_sweep_csv,
 )
 from tksnn.lif import LifConfig
-from tksnn.network import build_model
+from tksnn.network import build_model, unroll
 from tksnn.trainer import DataConfig
 
 
@@ -64,12 +63,15 @@ def test_per_class_accuracy_absent_class_is_nan():
     assert acc[0] == 1.0 and acc[1] == 1.0 and np.isnan(acc[2])
 
 
-def test_per_timestep_accuracy_shape_and_values():
-    v = np.zeros((2, 3, 2))
-    v[0, :, 0] = 1.0  # t=0 predicts class 0 for everyone
-    v[1, :, 1] = 1.0  # t=1 predicts class 1
-    y = np.array([0, 0, 1])
-    assert np.allclose(per_timestep_accuracy(v, y), [2 / 3, 1 / 3])
+def test_per_timestep_acc_matches_whole_set_unroll_oracle():
+    data = small_dataset()
+    model = build_model("mlp-small", data.sample_shape, data.class_count,
+                        LifConfig(), SurrogateSpec(), seed=3)
+    out = unroll(model, prepare_sequence(data.inputs, data.temporal, 4))
+    hits = out.v.data.argmax(axis=2) == data.labels[None, :]  # [T, N]
+    report = evaluate(model, data, t_test=4, batch_size=5)
+    assert report.per_timestep_acc.shape == (4,)
+    assert np.array_equal(report.per_timestep_acc, hits.mean(axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 import tksnn.autodiff as ad
 from tksnn.autodiff import SurrogateSpec
-from tksnn.errors import ParameterError
+from tksnn.errors import FormatError, ParameterError
 from tksnn.lif import LifConfig
 from tksnn.network import (
     Flatten,
@@ -16,6 +18,7 @@ from tksnn.network import (
     save_checkpoint,
     unroll,
 )
+from tksnn.trainer import AdamW
 
 LIF = LifConfig()
 SUR = SurrogateSpec()
@@ -166,11 +169,36 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_truncated_checkpoint_is_format_error(tmp_path):
+    model = tiny_model()
+    opt = AdamW(model.parameters(), lr=0.01)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, model, epoch=1, optimizer=opt)
+    raw = path.read_bytes()
+    hlen = struct.unpack("<I", raw[8:12])[0]
+    params_end = 12 + hlen + sum(p.size * 4 for _, p in model.parameters())
+    cuts = (
+        10,  # fixed header
+        40,  # JSON header
+        12 + hlen - 1,  # last header byte
+        12 + hlen + 5,  # first parameter
+        params_end - 1,  # last parameter byte
+        params_end + 4,  # step count
+        params_end + 8 + 6,  # first optimizer moment
+        len(raw) - 1,  # last moment byte
+    )
+    assert 40 < 12 + hlen and params_end + 14 < len(raw)
+    for n in cuts:
+        cut = tmp_path / f"cut{n}.ckpt"
+        cut.write_bytes(raw[:n])
+        with pytest.raises(FormatError):
+            load_checkpoint(cut)
+
+
 def test_cnn_preset_builds_and_runs():
     model = build_model("cnn-small", (2, 8, 8), 5, LIF, SUR, 0)
     out = unroll(model, np.random.default_rng(0).uniform(0, 1, size=(2, 3, 2, 8, 8)).astype(np.float32))
     assert out.q.shape == (2, 3, 5)
-    assert model.param_count > 0
 
 
 def test_unknown_preset_rejected():

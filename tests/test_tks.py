@@ -5,7 +5,8 @@ import tksnn.autodiff as ad
 from tksnn.autodiff import GradTape, SurrogateSpec, Tensor, backward
 from tksnn.errors import ConfigError, ContractError, DataError, ParameterError
 from tksnn.lif import LifConfig
-from tksnn.network import Linear, Model, unroll
+from tksnn.data import prepare_sequence, synth_temporal
+from tksnn.network import Linear, Model, build_model, unroll
 from tksnn.tks import (
     AlphaSchedule,
     TeacherConfig,
@@ -14,6 +15,7 @@ from tksnn.tks import (
     baseline_loss,
     ce_loss,
     final_loss,
+    objective,
     select_teachers,
     teacher_signal,
     tks_loss,
@@ -223,9 +225,12 @@ def test_ce_loss_duplicate_sample_invariance():
 
 
 def test_final_loss_degeneracies_and_hand_value():
-    assert final_loss(1.25, 9.0, 0.0, 3.0) == pytest.approx(1.25)
-    assert final_loss(1.25, 9.0, 1.0, 1.0) == pytest.approx(9.0)
-    assert final_loss(1.0, 1.0, 0.5, 2.0) == pytest.approx(2.5)  # 0.5 + 0.5*4
+    def mix(l_ce, l_tks, alpha, tau):
+        return final_loss(Tensor(l_ce), Tensor(l_tks), alpha, tau).item()
+
+    assert mix(1.25, 9.0, 0.0, 3.0) == pytest.approx(1.25)
+    assert mix(1.25, 9.0, 1.0, 1.0) == pytest.approx(9.0)
+    assert mix(1.0, 1.0, 0.5, 2.0) == pytest.approx(2.5)  # 0.5 + 0.5*4
 
 
 def test_final_loss_affine_identity_on_graph_tensors():
@@ -241,7 +246,57 @@ def test_final_loss_affine_identity_on_graph_tensors():
 
 def test_final_loss_rejects_alpha_outside_unit_interval():
     with pytest.raises(ParameterError):
-        final_loss(1.0, 1.0, 1.5, 1.0)
+        final_loss(Tensor(1.0), Tensor(1.0), 1.5, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# objective: the loss of one training step, per teacher mode
+
+
+def objective_tape(cfg, alpha):
+    """One mlp-small step at B=32, T=10 under cfg, recorded on a tape:
+    (tape length, loss, l_ce, l_tks, outputs, labels)."""
+    data = synth_temporal(8, 10, 4, 0.3, seed=0)
+    model = build_model("mlp-small", data.sample_shape, 4, LifConfig(), SurrogateSpec(), 0)
+    with GradTape() as tape:
+        out = unroll(model, prepare_sequence(data.inputs, data.temporal, 10))
+        loss, l_ce, l_tks = objective(out, data.labels, cfg, alpha)
+    return len(tape), loss, l_ce, l_tks, out, data.labels
+
+
+def test_objective_tape_nodes_per_mode():
+    n_none = objective_tape(TeacherConfig(mode="none"), 0.0)[0]
+    assert objective_tape(TeacherConfig(mode="tks"), 0.5)[0] <= 25
+    # at alpha=0 the tks graph is exactly the plain CE graph
+    assert objective_tape(TeacherConfig(mode="tks"), 0.0)[0] == n_none
+    assert objective_tape(TeacherConfig(mode="label_smoothing"), 0.0)[0] == 16
+    assert objective_tape(TeacherConfig(mode="per_timestep_labels"), 0.0)[0] == 14
+
+
+def test_objective_tks_is_final_loss_of_ce_and_tks():
+    cfg = TeacherConfig(mode="tks", k=2, tau=3.0)
+    _, loss, l_ce, l_tks, out, y = objective_tape(cfg, 0.4)
+    ce = ce_loss(out.v, y)
+    sig = teacher_signal(out.q.data, select_teachers(out.v.data, y, cfg.k), cfg.tau)
+    distill = tks_loss(out.v, sig)
+    assert (l_ce, l_tks) == (ce.item(), distill.item())
+    assert loss.item() == final_loss(ce, distill, 0.4, cfg.tau).item()
+
+
+def test_objective_tks_at_zero_alpha_is_ce_and_still_reports_tks():
+    cfg = TeacherConfig(mode="tks", k=2, tau=3.0)
+    _, loss, l_ce, l_tks, out, y = objective_tape(cfg, 0.0)
+    sig = teacher_signal(out.q.data, select_teachers(out.v.data, y, cfg.k), cfg.tau)
+    assert loss.item() == l_ce == ce_loss(out.v, y).item()
+    assert l_tks == tks_loss(out.v, sig).item() > 0.0
+
+
+def test_objective_comparison_modes_report_own_loss_as_ce():
+    for mode in ("none", "label_smoothing", "per_timestep_labels"):
+        cfg = TeacherConfig(mode=mode, epsilon=0.1)
+        _, loss, l_ce, l_tks, out, y = objective_tape(cfg, 0.0)
+        assert l_ce == loss.item() == baseline_loss(mode, out.v, y, 0.1).item()
+        assert l_tks == 0.0
 
 
 # ---------------------------------------------------------------------------

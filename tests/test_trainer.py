@@ -294,6 +294,49 @@ def test_tks_step_records_constant_tape_nodes(tmp_path, monkeypatch):
 
 
 def test_empty_training_set_is_data_error(tmp_path):
-    cfg = tiny_cfg(tmp_path, data=DataConfig(n_per_class=0, t_native=4, classes=3))
-    with pytest.raises(DataError):
-        fit(cfg)
+    empty = DataConfig(n_per_class=0, t_native=4, classes=3)
+    for epochs in (2, 0):
+        with pytest.raises(DataError):
+            fit(tiny_cfg(tmp_path, data=empty, epochs=epochs))
+    assert not (tmp_path / "run").exists()  # no checkpoint, no metrics file
+
+
+# ---------------------------------------------------------------------------
+# gradient clipping
+
+
+def grads(*values):
+    params = [make_param(np.zeros(len(v))) for v in values]
+    for p, v in zip(params, values):
+        p.grad = np.asarray(v, dtype=np.float32)
+    return params
+
+
+def global_norm(params):
+    return math.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum()) for p in params))
+
+
+def test_clip_above_max_norm_rescales_to_max_norm_keeping_direction():
+    params = grads([3.0, -4.0], [12.0])  # global norm 13
+    before = [p.grad.copy() for p in params]
+    trainer_mod._clip_grads(params, 1.3)
+    assert global_norm(params) == pytest.approx(1.3, rel=1e-6)
+    for p, g in zip(params, before):
+        assert np.allclose(p.grad, g / 10.0, rtol=1e-6, atol=0)
+
+
+def test_clip_at_or_below_max_norm_leaves_grads_bit_unchanged():
+    for max_norm in (13.0, 20.0):
+        params = grads([3.0, -4.0], [12.0])
+        before = [p.grad.copy() for p in params]
+        trainer_mod._clip_grads(params, max_norm)
+        for p, g in zip(params, before):
+            assert np.array_equal(p.grad, g)
+
+
+def test_small_grad_clip_changes_the_trained_checkpoint(tmp_path):
+    fit(tiny_cfg(tmp_path, out_dir=str(tmp_path / "free")))
+    fit(tiny_cfg(tmp_path, out_dir=str(tmp_path / "clip"), optim=OptimConfig(grad_clip=0.05)))
+    assert (tmp_path / "free" / "model.ckpt").read_bytes() != (
+        tmp_path / "clip" / "model.ckpt"
+    ).read_bytes()
