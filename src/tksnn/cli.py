@@ -42,11 +42,7 @@ def _load_config(path: str, overrides):
         raw = json.load(f)
     # fill every section so overrides can target defaulted keys too
     resolved = trainer.config_to_dict(trainer.config_from_dict(raw))
-    for section, keys in raw.items():
-        resolved[section].update(keys)
-    _apply_overrides(resolved, overrides)
-    cfg = trainer.config_from_dict(resolved)
-    return cfg
+    return trainer.config_from_dict(_apply_overrides(resolved, overrides))
 
 
 def cmd_train(args) -> int:

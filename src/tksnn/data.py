@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import DTYPE
-from .errors import DataError, FormatError, ParameterError
+from .errors import ConfigError, DataError, FormatError, ParameterError
 from .network import encode_static
 
 
@@ -245,5 +245,8 @@ def build_dataset(data_cfg, split: str = "train") -> Dataset:
         return synth_temporal(data_cfg.n_per_class, data_cfg.t_native,
                               data_cfg.classes, data_cfg.noise_sigma, seed)
     if data_cfg.kind == "idx":
+        if split != "train":
+            raise ConfigError(f"idx data has no {split!r} split: point data.images/data.labels "
+                              "at the test files and pass --split train")
         return load_idx(data_cfg.images, data_cfg.labels)
     raise ParameterError(f"unknown data kind {data_cfg.kind!r}")

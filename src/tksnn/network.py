@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DTYPE, SurrogateSpec, Tensor
-from .errors import DimensionError, FormatError, ParameterError
+from .errors import DimensionError, FormatError, ParameterError, TksnnError
 from .lif import LifConfig, lif_sequence
 
 
@@ -109,10 +109,9 @@ class Flatten:
 
 
 class Lif:
-    kind = "lif"
+    """A spiking layer; its dynamics are the model's `lif_cfg` and `surrogate`."""
 
-    def __init__(self, cfg: LifConfig):
-        self.cfg = cfg
+    kind = "lif"
 
     def params(self):
         return []
@@ -171,15 +170,15 @@ def build_model(preset: str, input_shape, class_count: int, lif_cfg: LifConfig,
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x1217])))
     if preset == "mlp-small":
         features = int(np.prod(input_shape))
-        layers = [Flatten(), Linear(features, 128, rng), Lif(lif_cfg)]
+        layers = [Flatten(), Linear(features, 128, rng), Lif()]
         readout = Linear(128, class_count, rng)
     elif preset == "cnn-small":
         if len(input_shape) != 3:
             raise ParameterError(f"cnn-small needs [C,H,W] inputs, got {input_shape}")
         c, h, w = input_shape
         layers = [
-            Conv2d(c, 16, 3, 1, 1, rng), Lif(lif_cfg), AvgPool2d(2),
-            Conv2d(16, 32, 3, 1, 1, rng), Lif(lif_cfg), AvgPool2d(2),
+            Conv2d(c, 16, 3, 1, 1, rng), Lif(), AvgPool2d(2),
+            Conv2d(16, 32, 3, 1, 1, rng), Lif(), AvgPool2d(2),
             Flatten(),
         ]
         readout = Linear(32 * (h // 4) * (w // 4), class_count, rng)
@@ -199,7 +198,7 @@ def unroll(model: Model, inputs) -> TemporalOutput:
     for layer in model.layers:
         if layer.kind == "lif":
             currents = ad.reshape(h, (t_len, batch) + h.shape[1:])
-            h = ad.reshape(lif_sequence(currents, layer.cfg, model.surrogate), h.shape)
+            h = ad.reshape(lif_sequence(currents, model.lif_cfg, model.surrogate), h.shape)
         else:
             h = layer.forward(h)
     q = ad.reshape(model.readout.forward(h), (t_len, batch, -1))
@@ -231,9 +230,8 @@ def save_checkpoint(path, model: Model, *, epoch: int = 0, optimizer=None) -> No
         "input_shape": list(model.input_shape),
         "class_count": model.class_count,
         "layer_shapes": {name: list(p.shape) for name, p in params},
-        "lif": {"tau_m": model.lif_cfg.tau_m, "v_th": model.lif_cfg.v_th,
-                "v_rest": model.lif_cfg.v_rest, "detach_reset": model.lif_cfg.detach_reset},
-        "surrogate": {"kind": model.surrogate.kind, "width": model.surrogate.width},
+        "lif": asdict(model.lif_cfg),
+        "surrogate": asdict(model.surrogate),
         "seed": model.seed,
         "epoch": epoch,
         "has_optimizer": optimizer is not None,
@@ -270,10 +268,14 @@ def load_checkpoint(path):
         header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
     except ValueError as exc:  # also a header cut short by truncation
         raise FormatError(f"{path}: header at byte 12 is not valid JSON: {exc}") from exc
-    model = build_model(
-        header["preset"], header["input_shape"], header["class_count"],
-        LifConfig(**header["lif"]), SurrogateSpec(**header["surrogate"]), header["seed"],
-    )
+    try:  # a header that parses as JSON may still not describe a model
+        model = build_model(
+            header["preset"], header["input_shape"], header["class_count"],
+            LifConfig(**header["lif"]), SurrogateSpec(**header["surrogate"]), header["seed"],
+        )
+        shapes = {name: tuple(header["layer_shapes"][name]) for name, _ in model.parameters()}
+    except (KeyError, TypeError, ValueError, TksnnError) as exc:
+        raise FormatError(f"{path}: header does not describe a model: {exc!r}") from exc
     off = 12 + hlen
 
     def take(nbytes: int) -> bytes:
@@ -284,10 +286,10 @@ def load_checkpoint(path):
         return raw[off - nbytes : off]
 
     for name, p in model.parameters():
-        shape = tuple(header["layer_shapes"][name])
+        shape = shapes[name]
         if shape != p.shape:
             raise FormatError(f"{path}: shape mismatch for {name}: {shape} vs {p.shape}")
-        p.data = np.frombuffer(take(p.size * 4), dtype="<f4").reshape(shape).copy()
+        p.data = np.frombuffer(take(p.size * 4), dtype="<f4").reshape(p.shape).copy()
     opt_state = None
     if header.get("has_optimizer"):
         (step_count,) = struct.unpack("<Q", take(8))

@@ -91,15 +91,8 @@ def teacher_signal(q, selected: np.ndarray, tau: float) -> TeacherSignal:
     selected = np.asarray(selected, dtype=np.int64)
     if selected.ndim != 2 or selected.shape[1] < 1:
         raise ContractError("teacher selection must be a nonempty [B,k] index array")
-    if tau <= 0:
-        raise ParameterError(f"temperature must be positive, got {tau}")
-    b = qa.shape[1]
-    picked = qa[selected, np.arange(b)[:, None], :]  # [B, k, C]
-    mean_logits = picked.mean(axis=1).astype(DTYPE)
-    z = mean_logits / DTYPE(tau)
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    z = (e / e.sum(axis=1, keepdims=True)).astype(DTYPE)
+    picked = qa[selected, np.arange(qa.shape[1])[:, None], :]  # [B, k, C]
+    z = ad.softmax_temperature(Tensor(picked.mean(axis=1)), tau).data
     return TeacherSignal(z=z, selected=selected)
 
 

@@ -11,14 +11,14 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import tks
 from .autodiff import DTYPE, GradTape, SurrogateSpec, backward
 from .data import Dataset, build_dataset, prepare_sequence
-from .errors import ConfigError, ContractError, DataError, ParameterError, TrainingAbort
+from .errors import ConfigError, ContractError, DataError, TrainingAbort
 from .lif import LifConfig
 from .network import Model, build_model, load_checkpoint, save_checkpoint, unroll
 from .tks import AlphaSchedule, TeacherConfig
@@ -110,6 +110,10 @@ class DataConfig:
     images: str = ""
     labels: str = ""
 
+    def __post_init__(self):
+        if self.kind not in ("synth", "idx"):
+            raise ConfigError(f"unknown data kind {self.kind!r}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -127,7 +131,7 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "runs/default"
 
-    def validate(self):
+    def __post_init__(self):
         if self.t_train < 1:
             raise ConfigError(f"t_train must be >= 1, got {self.t_train}")
         if self.batch_size < 1:
@@ -138,64 +142,49 @@ class RunConfig:
             raise ConfigError(
                 f"teacher.k ({self.teacher.k}) cannot exceed t_train ({self.t_train})"
             )
-        if self.data.kind not in ("synth", "idx"):
-            raise ConfigError(f"unknown data kind {self.data.kind!r}")
 
 
-_SECTION_FIELDS = {
-    "model": {"preset"},
-    "lif": {"tau_m", "v_th", "v_rest", "detach_reset"},
-    "surrogate": {"kind", "width"},
-    "teacher": {"mode", "k", "tau", "epsilon"},
-    "schedule": {"alpha_start", "alpha_end"},
-    "optimizer": {"lr_max", "lr_min", "weight_decay", "beta1", "beta2", "eps", "grad_clip"},
-    "data": {"kind", "n_per_class", "t_native", "classes", "noise_sigma", "seed",
-             "images", "labels"},
-    "run": {"t_train", "epochs", "batch_size", "seed", "out_dir"},
+# Each JSON section sets either one nested config of RunConfig (named by a
+# string; its keys are that dataclass's fields) or the listed scalar fields.
+# _NESTED maps each nested field to its config class.
+_SECTIONS = {
+    "model": ("preset",),
+    "lif": "lif",
+    "surrogate": "surrogate",
+    "teacher": "teacher",
+    "schedule": ("alpha_start", "alpha_end"),
+    "optimizer": "optim",
+    "data": "data",
+    "run": ("t_train", "epochs", "batch_size", "seed", "out_dir"),
 }
+_NESTED = {f.name: f.default_factory for f in fields(RunConfig) if f.default_factory is not MISSING}
 
 
 def config_from_dict(raw: dict) -> RunConfig:
     """Parse the sectioned JSON config; unknown sections or keys are errors."""
-    for section, keys in raw.items():
-        if section not in _SECTION_FIELDS:
-            raise ConfigError(f"unknown config section {section!r}")
-        bad = set(keys) - _SECTION_FIELDS[section]
-        if bad:
-            raise ConfigError(f"unknown key(s) in [{section}]: {sorted(bad)}")
-    model = raw.get("model", {})
-    sched = raw.get("schedule", {})
-    run = raw.get("run", {})
+    kwargs = {}
     try:
-        cfg = RunConfig(
-            preset=model.get("preset", "mlp-small"),
-            lif=LifConfig(**raw.get("lif", {})),
-            surrogate=SurrogateSpec(**raw.get("surrogate", {})),
-            teacher=TeacherConfig(**raw.get("teacher", {})),
-            alpha_start=sched.get("alpha_start", 0.0),
-            alpha_end=sched.get("alpha_end", 0.7),
-            optim=OptimConfig(**raw.get("optimizer", {})),
-            data=DataConfig(**raw.get("data", {})),
-            **run,
-        )
+        for section, values in raw.items():
+            if section not in _SECTIONS:
+                raise ConfigError(f"unknown config section {section!r}")
+            target = _SECTIONS[section]
+            keys = [f.name for f in fields(_NESTED[target])] if isinstance(target, str) else target
+            bad = set(values) - set(keys)
+            if bad:
+                raise ConfigError(f"unknown key(s) in [{section}]: {sorted(bad)}")
+            if isinstance(target, str):
+                kwargs[target] = _NESTED[target](**values)
+            else:
+                kwargs.update(values)
+        return RunConfig(**kwargs)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
-    cfg.validate()
-    return cfg
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    return {
-        "model": {"preset": cfg.preset},
-        "lif": asdict(cfg.lif),
-        "surrogate": asdict(cfg.surrogate),
-        "teacher": asdict(cfg.teacher),
-        "schedule": {"alpha_start": cfg.alpha_start, "alpha_end": cfg.alpha_end},
-        "optimizer": asdict(cfg.optim),
-        "data": asdict(cfg.data),
-        "run": {"t_train": cfg.t_train, "epochs": cfg.epochs,
-                "batch_size": cfg.batch_size, "seed": cfg.seed, "out_dir": cfg.out_dir},
-    }
+    return {section: asdict(getattr(cfg, target)) if isinstance(target, str)
+            else {name: getattr(cfg, name) for name in target}
+            for section, target in _SECTIONS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -273,41 +262,43 @@ def train_epoch(model: Model, data: Dataset, cfg: RunConfig, epoch: int,
     )
 
 
+def _check_resume(model: Model, cfg: RunConfig, data: Dataset, path: str) -> None:
+    """The checkpoint must hold the model the config and training data describe."""
+    wanted = {"preset": cfg.preset, "input_shape": tuple(data.sample_shape),
+              "class_count": data.class_count, "lif_cfg": cfg.lif, "surrogate": cfg.surrogate}
+    differ = [f"{name}: checkpoint {getattr(model, name)!r}, config {value!r}"
+              for name, value in wanted.items() if getattr(model, name) != value]
+    if differ:
+        raise ConfigError(f"resume checkpoint {path} does not match the config: "
+                          + "; ".join(differ))
+
+
 def fit(cfg: RunConfig, resume: str | None = None):
     """Full training run: writes a checkpoint and one metrics record per epoch.
 
-    Returns (model, list of EpochReport).
+    Returns (model, list of EpochReport). A resume checkpoint must match the
+    config's model settings and the training data's shape and class count.
     """
-    cfg.validate()
     data = build_dataset(cfg.data, split="train")
     if data.inputs.shape[0] == 0:
         raise DataError("the training set is empty")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    ckpt_path = os.path.join(cfg.out_dir, "model.ckpt")
-    metrics_path = os.path.join(cfg.out_dir, "metrics.jsonl")
-
-    input_shape = data.sample_shape
-    start_epoch = 0
-    if resume is not None:
-        model, header, opt_state = load_checkpoint(resume)
-        start_epoch = int(header["epoch"])
-        opt = AdamW(model.parameters(), lr=cfg.optim.lr_max,
-                    weight_decay=cfg.optim.weight_decay,
-                    betas=(cfg.optim.beta1, cfg.optim.beta2), eps=cfg.optim.eps)
-        if opt_state is not None:
-            opt.load_state(*opt_state)
-        mode = "a"
-    else:
-        model = build_model(cfg.preset, input_shape, data.class_count,
+    start_epoch, opt_state = 0, None
+    if resume is None:
+        model = build_model(cfg.preset, data.sample_shape, data.class_count,
                             cfg.lif, cfg.surrogate, cfg.seed)
-        opt = AdamW(model.parameters(), lr=cfg.optim.lr_max,
-                    weight_decay=cfg.optim.weight_decay,
-                    betas=(cfg.optim.beta1, cfg.optim.beta2), eps=cfg.optim.eps)
-        mode = "w"
-
+    else:
+        model, header, opt_state = load_checkpoint(resume)
+        _check_resume(model, cfg, data, resume)
+        start_epoch = int(header["epoch"])
+    opt = AdamW(model.parameters(), lr=cfg.optim.lr_max, weight_decay=cfg.optim.weight_decay,
+                betas=(cfg.optim.beta1, cfg.optim.beta2), eps=cfg.optim.eps)
+    if opt_state is not None:
+        opt.load_state(*opt_state)
     sched = AlphaSchedule(cfg.alpha_start, cfg.alpha_end, max(cfg.epochs, 1))
+    os.makedirs(cfg.out_dir, exist_ok=True)
     reports = []
-    with open(metrics_path, mode) as metrics:
+    mode = "w" if resume is None else "a"
+    with open(os.path.join(cfg.out_dir, "metrics.jsonl"), mode) as metrics:
         for epoch in range(start_epoch, cfg.epochs):
             opt.lr = cosine_lr(epoch, cfg.epochs, cfg.optim.lr_max, cfg.optim.lr_min)
             alpha = tks.alpha_at(epoch, sched) if cfg.teacher.mode == "tks" else 0.0
@@ -315,5 +306,5 @@ def fit(cfg: RunConfig, resume: str | None = None):
             metrics.write(report.to_json() + "\n")
             metrics.flush()
             reports.append(report)
-    save_checkpoint(ckpt_path, model, epoch=cfg.epochs, optimizer=opt)
+    save_checkpoint(os.path.join(cfg.out_dir, "model.ckpt"), model, epoch=cfg.epochs, optimizer=opt)
     return model, reports

@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
 from tksnn.cli import run
+from tksnn.data import save_idx
 
 
 @pytest.fixture
@@ -93,6 +95,39 @@ def test_eval_truncated_checkpoint_exits_2(tiny_config, tmp_path, capsys):
         assert "runtime failure" in capsys.readouterr().err
 
 
+def test_eval_header_not_describing_a_model_exits_2(tiny_config, tmp_path, capsys,
+                                                   bad_header_copies):
+    assert run(["train", "--config", str(tiny_config)]) == 0
+    for defect, bad in bad_header_copies(tmp_path / "run" / "model.ckpt").items():
+        capsys.readouterr()
+        assert run(["eval", "--config", str(tiny_config), "--checkpoint", str(bad)]) == 2
+        assert "runtime failure" in capsys.readouterr().err
+
+
+def test_idx_train_then_eval_on_the_train_split(tmp_path, capsys):
+    rng = np.random.default_rng(0)
+    labels = np.arange(12) % 3
+    # static images: class c lights row c, plus noise
+    images = rng.integers(0, 60, size=(12, 4, 4)).astype(np.uint8)
+    images[np.arange(12), labels, :] = 255
+    ip, lp = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
+    save_idx(ip, lp, images, labels)
+    config = tmp_path / "idx.json"
+    config.write_text(json.dumps({
+        "teacher": {"k": 2},
+        "data": {"kind": "idx", "images": ip, "labels": lp},
+        "run": {"t_train": 3, "epochs": 2, "batch_size": 4, "out_dir": str(tmp_path / "run")},
+    }))
+    assert run(["train", "--config", str(config)]) == 0
+    ckpt = str(tmp_path / "run" / "model.ckpt")
+    capsys.readouterr()
+    assert run(["eval", "--config", str(config), "--checkpoint", ckpt, "--split", "train"]) == 0
+    assert json.loads(capsys.readouterr().out)["n_samples"] == 12
+    # there are no separate test files to score, so the default test split is refused
+    assert run(["eval", "--config", str(config), "--checkpoint", ckpt]) == 1
+    assert "--split train" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     assert run(["train", "--config", str(tmp_path / "absent.json")]) == 1
     capsys.readouterr()
@@ -113,6 +148,15 @@ def test_resume_flag(tiny_config, tmp_path, capsys):
     capsys.readouterr()
     lines = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
     assert [json.loads(l)["epoch"] for l in lines] == [0, 1, 2, 3]
+
+
+def test_resume_with_changed_lif_exits_1(tiny_config, tmp_path, capsys):
+    assert run(["train", "--config", str(tiny_config)]) == 0
+    ckpt = str(tmp_path / "run" / "model.ckpt")
+    capsys.readouterr()
+    assert run(["train", "--config", str(tiny_config), "--resume", ckpt,
+                "--set", "lif.v_th=0.6"]) == 1
+    assert "does not match the config" in capsys.readouterr().err
 
 
 def test_gradcheck_command_passes(capsys):

@@ -60,7 +60,7 @@ def test_two_layer_matches_hand_unrolled_recurrence():
     readout = Linear(1, 2, rng)
     readout.w.data = np.array([[3.0, -1.0]], dtype=np.float32)
     readout.b.data = np.array([0.5, 0.0], dtype=np.float32)
-    model = Model([hidden, Lif(LIF)], readout, SUR, preset="custom",
+    model = Model([hidden, Lif()], readout, SUR, preset="custom",
                   input_shape=(1,), class_count=2, lif_cfg=LIF, seed=0)
 
     drive = [0.4, 0.1, 0.6, 0.0]
@@ -193,6 +193,14 @@ def test_truncated_checkpoint_is_format_error(tmp_path):
         cut.write_bytes(raw[:n])
         with pytest.raises(FormatError):
             load_checkpoint(cut)
+
+
+def test_header_not_describing_a_model_is_format_error(tmp_path, bad_header_copies):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, tiny_model(), epoch=1)
+    for defect, bad in bad_header_copies(path).items():
+        with pytest.raises(FormatError, match="header does not describe a model"):
+            load_checkpoint(bad)
 
 
 def test_cnn_preset_builds_and_runs():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tksnn.autodiff import Tensor
+from tksnn.autodiff import SurrogateSpec, Tensor
 import tksnn.trainer as trainer_mod
 from tksnn.data import build_dataset
 from tksnn.errors import ConfigError, ContractError, DataError, TrainingAbort
@@ -20,6 +20,7 @@ from tksnn.trainer import (
     fit,
     train_epoch,
 )
+from tksnn.lif import LifConfig
 from tksnn.tks import TeacherConfig
 
 
@@ -158,11 +159,18 @@ def test_config_partial_sections_use_defaults():
 def test_config_validation_k_exceeds_t_train():
     with pytest.raises(ConfigError):
         config_from_dict({"teacher": {"k": 9}, "run": {"t_train": 4}})
+    # checked when the config is built, not only when it is parsed
+    with pytest.raises(ConfigError):
+        RunConfig(teacher=TeacherConfig(k=9), t_train=4)
+    with pytest.raises(ConfigError):
+        RunConfig(t_train=0)
 
 
 def test_config_validation_bad_data_kind():
     with pytest.raises(ConfigError):
         config_from_dict({"data": {"kind": "parquet"}})
+    with pytest.raises(ConfigError):
+        DataConfig(kind="parquet")
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +251,23 @@ def test_resume_continues_metrics_log(tmp_path):
 
     lines = (tmp_path / "half" / "metrics.jsonl").read_text().splitlines()
     assert [json.loads(l)["epoch"] for l in lines] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("field, change", [
+    ("lif_cfg", {"lif": LifConfig(v_th=0.6)}),
+    ("surrogate", {"surrogate": SurrogateSpec(kind="rectangular")}),
+    ("preset", {"preset": "cnn-small"}),
+    ("class_count", {"data": DataConfig(n_per_class=8, t_native=4, classes=4, noise_sigma=0.2)}),
+])
+def test_resume_rejects_a_checkpoint_the_config_does_not_describe(tmp_path, field, change):
+    fit(tiny_cfg(tmp_path))
+    ckpt = tmp_path / "run" / "model.ckpt"
+    metrics = (tmp_path / "run" / "metrics.jsonl").read_bytes()
+    with pytest.raises(ConfigError, match=field):
+        fit(tiny_cfg(tmp_path, epochs=4, **change), resume=str(ckpt))
+    assert (tmp_path / "run" / "metrics.jsonl").read_bytes() == metrics
+    # the init seed is not part of the match
+    fit(tiny_cfg(tmp_path, epochs=3, seed=5), resume=str(ckpt))
 
 
 def test_non_finite_loss_aborts(tmp_path):
