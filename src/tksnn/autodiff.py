@@ -302,12 +302,16 @@ class SurrogateSpec:
     def derivative(self, x: np.ndarray) -> np.ndarray:
         """Closed-form surrogate derivative at x = v - v_th; zero for |x| >= width."""
         w = DTYPE(self.width)
-        ax = np.abs(x)
+        d = np.abs(x, out=np.empty_like(x))  # the one buffer every later op writes into
         if self.kind == "rectangular":
-            return ((ax < w) / w).astype(DTYPE)
-        if self.kind == "triangular":
-            return (np.maximum(DTYPE(0), 1 - ax / w) / w).astype(DTYPE)
-        return np.maximum(DTYPE(0), (2 / w) * (1 - ax / w)).astype(DTYPE)
+            d = np.divide(d < w, w, out=d)
+        else:
+            d = np.subtract(1, np.divide(d, w, out=d), out=d)  # 1 - |x|/w
+            if self.kind == "triangular":
+                d = np.divide(np.maximum(DTYPE(0), d, out=d), w, out=d)
+            else:
+                d = np.maximum(DTYPE(0), np.multiply(2 / w, d, out=d), out=d)
+        return d.astype(DTYPE, copy=False)
 
 
 def spike(v: Tensor, v_th: float, s: SurrogateSpec) -> Tensor:
@@ -383,17 +387,32 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 
 
 def avgpool2d(x: Tensor, window: int) -> Tensor:
+    """Mean over non-overlapping window x window blocks of x [B,C,H,W].
+
+    The forward adds the window² strided views x[:, :, i::k, j::k] into one
+    buffer in row-major (i, j) order, then divides by window²; the backward
+    writes g / window² into the same views of one gradient buffer. Both
+    buffers take x's memory order.
+    """
     b, c, h, w = x.shape
     if h % window or w % window:
         raise DimensionError(f"avgpool2d window {window} does not divide spatial dims {h}x{w}")
-    oh, ow = h // window, w // window
-    blocks = x.data.reshape(b, c, oh, window, ow, window)
-    out = Tensor(blocks.mean(axis=(3, 5)))
-    n = DTYPE(window * window)
+    k = window
+    views = [(slice(None), slice(None), slice(i, None, k), slice(j, None, k))
+             for i in range(k) for j in range(k)]
+    n = DTYPE(k * k)
+    data = x.data
+    acc = np.add(data[views[0]], data[views[1]]) if k > 1 else data.copy(order="K")
+    for view in views[2:]:
+        np.add(acc, data[view], out=acc)
+    out = Tensor(np.divide(acc, n, out=acc))
 
     def bwd(g):
-        ge = np.broadcast_to(g[:, :, :, None, :, None] / n, (b, c, oh, window, ow, window))
-        return (ge.reshape(b, c, h, w).astype(DTYPE),)
+        gx = np.empty_like(data)
+        share = g / n
+        for view in views:
+            gx[view] = share
+        return (gx,)
 
     _record(out, (x,), bwd)
     return out

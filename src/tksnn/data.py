@@ -41,18 +41,18 @@ def prepare_sequence(batch: np.ndarray, temporal: bool, t_len: int) -> np.ndarra
 
     Static inputs get constant-current encoding. Temporal inputs are truncated
     to the first t_len frames; if t_len exceeds the recorded length the tail is
-    padded with silent (zero) frames.
+    padded with silent (zero) frames. The result is C-contiguous, so `unroll`
+    views it as [T·B, ...] without another copy.
     """
     if t_len < 1:
         raise ParameterError("sequence length must be >= 1")
     if not temporal:
         return encode_static(batch, t_len)
-    seq = np.moveaxis(batch, 1, 0).astype(DTYPE)
-    native = seq.shape[0]
-    if t_len <= native:
-        return seq[:t_len]
-    pad = np.zeros((t_len - native,) + seq.shape[1:], dtype=DTYPE)
-    return np.concatenate([seq, pad], axis=0)
+    kept = min(t_len, batch.shape[1])
+    seq = np.empty((t_len, batch.shape[0]) + batch.shape[2:], dtype=DTYPE)
+    seq[:kept] = np.moveaxis(batch[:, :kept], 1, 0)
+    seq[kept:] = 0
+    return seq
 
 
 # ---------------------------------------------------------------------------

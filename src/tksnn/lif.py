@@ -11,9 +11,15 @@ carried potential after a spike.
 
 `lif_sequence` runs a whole [T, B, ...] current sequence as one tape op. Its
 forward repeats the update above op for op, so spikes and potentials equal
-those of `lif_step` chained over T bit for bit. Its backward runs the
-recurrence in reverse time, with H' replaced by the surrogate derivative sg
-evaluated at the stored v_t:
+those of `lif_step` chained over T bit for bit. It steps through time in a
+few per-step buffers that each op writes in place (`out=`); every op still
+takes the same operands in the same order, so writing in place changes no
+bit. Only backward reads the potentials, so the [T, B, ...] sequence of v_t
+is kept only when a tape records the op: inference keeps the spikes alone,
+and each v_t overwrites v_{t-1} in one buffer. The backward runs the
+recurrence in reverse time, in place in per-step buffers in the same op
+order, with H' replaced by the surrogate derivative sg evaluated at the
+stored v_t:
 
     c_{t+1} = (1 - 1/tau_m) * dv_{t+1}                   (c_T = 0)
     ds_t    = c_{t+1} * (v_rest - v_t) + gs_t            (reset term dropped with detach_reset)
@@ -105,35 +111,44 @@ def lif_sequence(currents: Tensor, cfg: LifConfig, surrogate: SurrogateSpec) -> 
     v_rest, v_th = DTYPE(cfg.v_rest), DTYPE(cfg.v_th)
     # every buffer takes the memory order of the currents (channels-last after
     # a conv), so the elementwise steps and the next layer read it in order
-    v_seq = np.empty_like(i_seq)
     s_seq = np.empty_like(i_seq)
+    # only a recorded op's backward reads the potentials
+    v_seq = np.empty_like(i_seq) if ad._active_tape() is not None and currents._needs else None
     v = np.full_like(i_seq[0], v_rest)
     s = np.zeros_like(i_seq[0])
+    a, carry = np.empty_like(v), np.empty_like(v)
+    # s_seq[t] holds the drive I_t / tau_m until step t replaces it with s_t
+    np.multiply(i_seq, gain, out=s_seq)
     for t in range(t_len):
-        carry = v * (1 - s)
+        np.multiply(v, np.subtract(1, s, out=a), out=carry)
         if cfg.v_rest != 0.0:
-            carry = carry + s * v_rest
-        v = v_seq[t] = carry * leak + i_seq[t] * gain
-        s_seq[t] = v >= v_th
+            np.add(carry, np.multiply(s, v_rest, out=a), out=carry)
+        np.multiply(carry, leak, out=carry)
+        if v_seq is not None:
+            v = v_seq[t]
         s = s_seq[t]
+        np.add(carry, s, out=v)
+        np.greater_equal(v, v_th, out=s)
     out = Tensor(s_seq)
 
     def bwd(g):
         grad = np.empty_like(i_seq)
-        dv = None
+        dv, c, ds, a = (np.empty_like(i_seq[0]) for _ in range(4))
         for t in range(t_len - 1, -1, -1):
-            ds = g[t]
-            sg = surrogate.derivative(v_seq[t] - v_th)
-            if dv is None:
-                dv = ds * sg
+            sg = surrogate.derivative(np.subtract(v_seq[t], v_th, out=a))
+            if t == t_len - 1:
+                np.multiply(g[t], sg, out=dv)
             else:
-                c = dv * leak
-                if not cfg.detach_reset:
-                    reset = -(c * v_seq[t])
+                np.multiply(dv, leak, out=c)
+                if cfg.detach_reset:
+                    ds = g[t]
+                else:
+                    reset = np.negative(np.multiply(c, v_seq[t], out=a), out=a)
                     if cfg.v_rest != 0.0:
-                        reset = c * v_rest + reset
-                    ds = reset + ds
-                dv = c * (1 - s_seq[t]) + ds * sg
+                        reset = np.add(np.multiply(c, v_rest, out=ds), reset, out=a)
+                    np.add(reset, g[t], out=ds)
+                np.multiply(c, np.subtract(1, s_seq[t], out=a), out=dv)
+                np.add(dv, np.multiply(ds, sg, out=sg), out=dv)
             np.multiply(dv, gain, out=grad[t])
         return (grad,)
 

@@ -9,6 +9,11 @@ Execution is multi-step: each stateless layer (Linear, Conv2d, AvgPool2d,
 Flatten, the readout) runs once over all T·B sample-steps, and each LIF layer
 is one `lif.lif_sequence` tape op over the whole [T,B,...] sequence. A step
 records a handful of tape nodes per layer, independent of T.
+
+Layout: `unroll` views a C-contiguous input (as `data.prepare_sequence` makes
+it) as [T·B, ...] without a copy. A conv writes its output channels-last, and
+the LIF and pooling layers after it keep that memory order, so each reads its
+input in order. Without a tape, no LIF layer keeps its potentials.
 """
 
 from __future__ import annotations
@@ -274,6 +279,9 @@ def load_checkpoint(path):
             LifConfig(**header["lif"]), SurrogateSpec(**header["surrogate"]), header["seed"],
         )
         shapes = {name: tuple(header["layer_shapes"][name]) for name, _ in model.parameters()}
+        epoch = header["epoch"]  # save_checkpoint always writes it; resuming reads it
+        if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
+            raise ValueError(f"epoch {epoch!r} is not a non-negative integer")
     except (KeyError, TypeError, ValueError, TksnnError) as exc:
         raise FormatError(f"{path}: header does not describe a model: {exc!r}") from exc
     off = 12 + hlen

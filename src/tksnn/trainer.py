@@ -20,7 +20,7 @@ from .autodiff import DTYPE, GradTape, SurrogateSpec, backward
 from .data import Dataset, build_dataset, prepare_sequence
 from .errors import ConfigError, ContractError, DataError, TrainingAbort
 from .lif import LifConfig
-from .network import Model, build_model, load_checkpoint, save_checkpoint, unroll
+from .network import PRESETS, Model, build_model, load_checkpoint, save_checkpoint, unroll
 from .tks import AlphaSchedule, TeacherConfig
 
 
@@ -132,6 +132,11 @@ class RunConfig:
     out_dir: str = "runs/default"
 
     def __post_init__(self):
+        if self.preset not in PRESETS:
+            raise ConfigError(f"unknown preset {self.preset!r}; available: {PRESETS}")
+        for name in ("alpha_start", "alpha_end"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ConfigError(f"{name} must lie in [0,1], got {getattr(self, name)}")
         if self.t_train < 1:
             raise ConfigError(f"t_train must be >= 1, got {self.t_train}")
         if self.batch_size < 1:
@@ -162,6 +167,8 @@ _NESTED = {f.name: f.default_factory for f in fields(RunConfig) if f.default_fac
 
 def config_from_dict(raw: dict) -> RunConfig:
     """Parse the sectioned JSON config; unknown sections or keys are errors."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"a config is a JSON object of sections, got {type(raw).__name__}")
     kwargs = {}
     try:
         for section, values in raw.items():

@@ -188,3 +188,58 @@ def test_log_clamp_matches_documented_floor():
     out = ad.log(Tensor([0.0, 1.0]))
     assert np.allclose(out.data[0], np.log(1e-12), rtol=1e-5)
     assert out.data[1] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# avgpool2d against the block-mean oracle
+
+
+def block_mean(x, k):
+    b, c, h, w = x.shape
+    return x.reshape(b, c, h // k, k, w // k, k).mean(axis=(3, 5))
+
+
+def pool_inputs(seed):
+    """0/1 spikes and general floats [B,C,12,12], C-contiguous and channels-last."""
+    rng = np.random.default_rng(seed)
+    nhwc = [(rng.random((3, 12, 12, 5)) < 0.4).astype(np.float32),
+            rng.standard_normal((3, 12, 12, 5)).astype(np.float32)]
+    for x in nhwc:
+        yield np.ascontiguousarray(x.transpose(0, 3, 1, 2)), x.transpose(0, 3, 1, 2)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 4])
+def test_avgpool_forward_matches_block_mean(window):
+    (spikes, spikes_cl), (floats, floats_cl) = pool_inputs(window)
+    for x in (spikes, spikes_cl):  # bit-equal on the spike input every cnn pool sees
+        assert np.array_equal(ad.avgpool2d(Tensor(x), window).data, block_mean(x, window))
+    for x in (floats, floats_cl):  # summation order differs from numpy's mean
+        assert np.allclose(ad.avgpool2d(Tensor(x), window).data, block_mean(x, window),
+                           rtol=1e-6, atol=1e-6)
+
+
+def test_avgpool_window_must_divide_spatial_dims():
+    with pytest.raises(DimensionError, match="does not divide"):
+        ad.avgpool2d(Tensor(np.zeros((1, 2, 6, 8), dtype=np.float32)), 4)
+    with pytest.raises(DimensionError, match="does not divide"):
+        ad.avgpool2d(Tensor(np.zeros((1, 2, 8, 6), dtype=np.float32)), 4)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_avgpool_backward_matches_broadcast_oracle(window):
+    for x, x_cl in pool_inputs(10 + window):
+        for data in (x, x_cl):
+            b, c, h, w = data.shape
+            oh, ow = h // window, w // window
+            g = np.random.default_rng(window).standard_normal((b, c, oh, ow)).astype(np.float32)
+            leaf = Tensor(data, requires_grad=True)
+            with GradTape() as tape:
+                y = ad.avgpool2d(leaf, window)
+                # d loss / d y is exactly g
+                loss = ad.sum_last(ad.reshape(ad.mul(y, Tensor(g)), (1, -1)))
+            backward(loss, tape)
+            n = np.float32(window * window)
+            oracle = np.broadcast_to(g[:, :, :, None, :, None] / n,
+                                     (b, c, oh, window, ow, window)).reshape(b, c, h, w)
+            assert leaf.grad.dtype == np.float32
+            assert np.array_equal(leaf.grad, oracle)

@@ -69,6 +69,14 @@ def test_invalid_config_value_exits_1_without_outputs(tiny_config, tmp_path, cap
     assert not (tmp_path / "run").exists()  # nothing written on validation failure
 
 
+@pytest.mark.parametrize("top_level", ["[]", "3"])
+def test_config_not_a_json_object_exits_1(tmp_path, capsys, top_level):
+    config = tmp_path / "c.json"
+    config.write_text(top_level)
+    assert run(["train", "--config", str(config)]) == 1
+    assert "JSON object" in capsys.readouterr().err
+
+
 def test_malformed_override_exits_1(tiny_config, capsys):
     assert run(["train", "--config", str(tiny_config), "--set", "teacher.mode"]) == 1
     assert "key=value" in capsys.readouterr().err

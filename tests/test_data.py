@@ -36,6 +36,7 @@ def test_prepare_temporal_truncates_head():
     batch = np.arange(24, dtype=np.float32).reshape(2, 4, 3)  # [B, T, F]
     seq = prepare_sequence(batch, temporal=True, t_len=2)
     assert seq.shape == (2, 2, 3)
+    assert seq.flags.c_contiguous and seq.dtype == np.float32  # unroll views it as [T·B, F]
     assert np.array_equal(seq[0], batch[:, 0])
     assert np.array_equal(seq[1], batch[:, 1])
 
@@ -44,6 +45,7 @@ def test_prepare_temporal_pads_with_silence():
     batch = np.ones((1, 2, 3), dtype=np.float32)
     seq = prepare_sequence(batch, temporal=True, t_len=5)
     assert seq.shape == (5, 1, 3)
+    assert seq.flags.c_contiguous and seq.dtype == np.float32
     assert seq[:2].all()
     assert not seq[2:].any()
 

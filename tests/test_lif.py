@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,40 @@ def test_fused_sequence_computes_no_surrogate_without_tape(monkeypatch):
     monkeypatch.setattr(SurrogateSpec, "derivative", lambda self, x: calls.append(1))
     lif_sequence(Tensor(np.ones((4, 2, 3)), requires_grad=True), LifConfig(), SUR)
     assert calls == []
+
+
+CONFIGS = [LifConfig(v_rest=v_rest, detach_reset=detach)
+           for v_rest in (0.0, -0.2) for detach in (False, True)]
+
+
+@pytest.mark.parametrize("cfg", CONFIGS)
+def test_untaped_sequence_gives_the_taped_spikes(cfg):
+    rng = np.random.default_rng(3)
+    currents = Tensor(rng.uniform(-0.5, 2.0, size=(9, 4, 3, 5)).astype(np.float32),
+                      requires_grad=True)
+    untaped = lif_sequence(currents, cfg, SUR)
+    with GradTape() as tape:
+        taped = lif_sequence(currents, cfg, SUR)
+    assert len(tape) == 1  # recorded, so this run kept its potentials
+    assert 0 < taped.data.sum() < taped.size
+    assert np.array_equal(untaped.data, taped.data)
+
+
+def test_untaped_sequence_keeps_no_potential_sequence():
+    currents = Tensor(np.random.default_rng(4).uniform(-0.5, 2.0, size=(10, 8, 256))
+                      .astype(np.float32), requires_grad=True)
+
+    def peak(taped: bool) -> int:
+        tracemalloc.start()
+        try:
+            if taped:
+                with GradTape():
+                    lif_sequence(currents, LifConfig(), SUR)
+            else:
+                lif_sequence(currents, LifConfig(), SUR)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # backward needs the [T,B,...] potentials; inference does not keep them
+    assert peak(True) - peak(False) >= currents.data.nbytes

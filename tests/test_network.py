@@ -209,6 +209,20 @@ def test_cnn_preset_builds_and_runs():
     assert out.q.shape == (2, 3, 5)
 
 
+@pytest.mark.parametrize("v_rest", [0.0, -0.2])
+@pytest.mark.parametrize("detach", [False, True])
+def test_cnn_unroll_untaped_equals_taped(v_rest, detach):
+    cfg = LifConfig(v_rest=v_rest, detach_reset=detach)
+    model = build_model("cnn-small", (2, 8, 8), 4, cfg, SUR, 1)
+    x = np.random.default_rng(2).poisson(0.6, size=(5, 3, 2, 8, 8)).astype(np.float32)
+    untaped = unroll(model, x)
+    with ad.GradTape() as tape:
+        taped = unroll(model, x)
+    assert len(tape) > 0
+    assert np.array_equal(untaped.q.data, taped.q.data)
+    assert np.array_equal(untaped.o.data, taped.o.data)
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ParameterError):
         build_model("resnet-19", (8,), 3, LIF, SUR, 0)

@@ -7,7 +7,7 @@ import pytest
 from tksnn.autodiff import SurrogateSpec, Tensor
 import tksnn.trainer as trainer_mod
 from tksnn.data import build_dataset
-from tksnn.errors import ConfigError, ContractError, DataError, TrainingAbort
+from tksnn.errors import ConfigError, ContractError, DataError, FormatError, TrainingAbort
 from tksnn.network import build_model, load_checkpoint
 from tksnn.trainer import (
     AdamW,
@@ -173,6 +173,28 @@ def test_config_validation_bad_data_kind():
         DataConfig(kind="parquet")
 
 
+@pytest.mark.parametrize("change", [
+    {"alpha_start": 2.0}, {"alpha_start": -0.1}, {"alpha_end": 1.5}, {"alpha_end": math.nan},
+    {"preset": "resnet"},
+])
+def test_config_validation_alpha_bounds_and_preset(change):
+    with pytest.raises(ConfigError, match=next(iter(change))):
+        RunConfig(**change)
+    section = "model" if "preset" in change else "schedule"
+    with pytest.raises(ConfigError):
+        config_from_dict({section: change})
+
+
+def test_config_validation_alpha_bounds_are_inclusive():
+    RunConfig(alpha_start=0.0, alpha_end=1.0)
+
+
+@pytest.mark.parametrize("raw", [[], 3, "run", None])
+def test_config_top_level_must_be_an_object(raw):
+    with pytest.raises(ConfigError, match="JSON object"):
+        config_from_dict(raw)
+
+
 # ---------------------------------------------------------------------------
 # training runs (small but real)
 
@@ -268,6 +290,14 @@ def test_resume_rejects_a_checkpoint_the_config_does_not_describe(tmp_path, fiel
     assert (tmp_path / "run" / "metrics.jsonl").read_bytes() == metrics
     # the init seed is not part of the match
     fit(tiny_cfg(tmp_path, epochs=3, seed=5), resume=str(ckpt))
+
+
+def test_resume_from_a_header_without_a_valid_epoch_is_format_error(tmp_path, bad_header_copies):
+    fit(tiny_cfg(tmp_path))
+    bad = bad_header_copies(tmp_path / "run" / "model.ckpt")
+    for defect in ("no epoch", "fractional epoch"):
+        with pytest.raises(FormatError, match="epoch"):
+            fit(tiny_cfg(tmp_path, epochs=4), resume=str(bad[defect]))
 
 
 def test_non_finite_loss_aborts(tmp_path):
