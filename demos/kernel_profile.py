@@ -1,11 +1,13 @@
-"""Per-layer time and page faults of the cnn-small kernels.
+"""Per-layer time, page faults and memory of the cnn-small kernels.
 
 Times one untaped cnn-small unroll layer by layer (B=8 samples of 2x32x32
 event-like frames, T=1 and T=10) and counts minor page faults
-(`getrusage` `ru_minflt`) per unroll and per B=16, T=10 training step. A
-fresh 4 KB page costs a fault, so the count shows how many new pages a
-kernel touches; it repeats exactly from run to run of the same code, where
-wall time on a shared host does not.
+(`getrusage` `ru_minflt`) per unroll and per B=16, T=10 training step. It
+also prints the process's peak resident set size after training
+(`ru_maxrss`) and, last of all, the allocation peak of one traced training
+step (`tracemalloc`). A fresh 4 KB page costs a fault, so the count shows
+how many new pages a kernel touches; it repeats exactly from run to run of
+the same code, where wall time on a shared host does not.
 
 Run from the repository root:
 
@@ -27,6 +29,7 @@ import contextlib  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -43,6 +46,11 @@ REPEATS = 20
 
 def faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process (`ru_maxrss`, KB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def frames(rng, t_len: int, batch: int) -> np.ndarray:
@@ -123,6 +131,26 @@ def profile_train_step(model, rng, t_len: int = 10, batch: int = 16):
           f"minor faults median {statistics.median(flts):.0f}, mean {statistics.fmean(flts):.0f}")
 
 
+def trace_train_step(model, rng, t_len: int = 10, batch: int = 16):
+    """Allocation peak of one training step (numpy reports its buffers to
+    tracemalloc). It runs after every timed and counted pass, because
+    tracing is slow and changes the heap's layout."""
+    opt = AdamW(model.parameters(), lr=1e-3)
+    teacher = TeacherConfig(mode="tks", k=2, tau=3.0)
+    x = frames(rng, t_len, batch)
+    y = rng.integers(0, CLASSES, size=batch)
+    tracemalloc.start()
+    try:
+        with GradTape() as tape:
+            loss, _, _ = objective(unroll(model, x), y, teacher, 0.5)
+        backward(loss, tape)
+        opt.step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"training step, T={t_len}, B={batch}: allocation peak {peak / 2**20:.1f} MB (tracemalloc)")
+
+
 def new_model():
     return build_model("cnn-small", SHAPE, CLASSES, LifConfig(), SurrogateSpec(), 0)
 
@@ -133,8 +161,10 @@ def main():
     rng = np.random.default_rng(0)
     # training first, in a fresh process, as in the benchmark's cnn set-up
     profile_train_step(new_model(), rng)
+    print(f"process peak RSS after training {peak_rss_mb():.1f} MB")
     for t_len in (1, 10):
         profile_unroll(new_model(), rng, t_len)
+    trace_train_step(new_model(), rng)
 
 
 if __name__ == "__main__":

@@ -143,10 +143,14 @@ def lif_sequence(currents: Tensor, cfg: LifConfig, surrogate: SurrogateSpec) -> 
                 if cfg.detach_reset:
                     ds = g[t]
                 else:
-                    reset = np.negative(np.multiply(c, v_seq[t], out=a), out=a)
+                    # (c·v_rest + (−c·v_t)) + gs_t, with each x + (−y) written
+                    # x − y: IEEE defines them as the same operation
+                    np.multiply(c, v_seq[t], out=a)
                     if cfg.v_rest != 0.0:
-                        reset = np.add(np.multiply(c, v_rest, out=ds), reset, out=a)
-                    np.add(reset, g[t], out=ds)
+                        np.subtract(np.multiply(c, v_rest, out=ds), a, out=ds)
+                        np.add(ds, g[t], out=ds)
+                    else:
+                        np.subtract(g[t], a, out=ds)
                 np.multiply(c, np.subtract(1, s_seq[t], out=a), out=dv)
                 np.add(dv, np.multiply(ds, sg, out=sg), out=dv)
             np.multiply(dv, gain, out=grad[t])

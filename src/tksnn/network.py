@@ -18,7 +18,9 @@ input in order. Without a tape, no LIF layer keeps its potentials.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -194,7 +196,13 @@ def build_model(preset: str, input_shape, class_count: int, lif_cfg: LifConfig,
 
 
 def unroll(model: Model, inputs) -> TemporalOutput:
-    """Run the full sequence [T,B,...] from fresh states; gradients flow end to end."""
+    """Run the full sequence [T,B,...] from fresh states; gradients flow end to end.
+
+    A float32 C-contiguous ndarray (or Tensor) is used without a copy, and
+    under a tape the first layer's backward reads it again (conv2d rebuilds
+    its patches from it, a linear layer its weight gradient). So do not change
+    inputs in place between this call and backward.
+    """
     data = inputs.data if isinstance(inputs, Tensor) else np.asarray(inputs, dtype=DTYPE)
     t_len, batch = data.shape[:2]
     if t_len < 1:
@@ -228,6 +236,15 @@ CKPT_VERSION = 1
 
 
 def save_checkpoint(path, model: Model, *, epoch: int = 0, optimizer=None) -> None:
+    """Write the model (and optimizer moments, if given) to path.
+
+    The bytes go to `<path>.<pid>.tmp` in path's directory, which then
+    replaces path in one rename, so a write that raises or a process killed
+    midway leaves any earlier file at path as it was. A write that raises
+    removes the temporary file; a killed process leaves it behind. The file
+    is not fsynced, so this does not guard against an OS crash or power loss;
+    and the rename replaces a symlink at path rather than writing through it.
+    """
     params = model.parameters()
     header = {
         "version": CKPT_VERSION,
@@ -242,16 +259,23 @@ def save_checkpoint(path, model: Model, *, epoch: int = 0, optimizer=None) -> No
         "has_optimizer": optimizer is not None,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<II", CKPT_VERSION, len(blob)))
-        f.write(blob)
-        for _, p in params:
-            f.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
-        if optimizer is not None:
-            f.write(struct.pack("<Q", optimizer.step_count))
-            for arr in optimizer.moment_blobs():
-                f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CKPT_MAGIC)
+            f.write(struct.pack("<II", CKPT_VERSION, len(blob)))
+            f.write(blob)
+            for _, p in params:
+                f.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+            if optimizer is not None:
+                f.write(struct.pack("<Q", optimizer.step_count))
+                for arr in optimizer.moment_blobs():
+                    f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

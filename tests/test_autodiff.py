@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import tksnn.autodiff as ad
 from tksnn.autodiff import GradTape, SurrogateSpec, Tensor, backward
@@ -243,3 +246,104 @@ def test_avgpool_backward_matches_broadcast_oracle(window):
                                      (b, c, oh, window, ow, window)).reshape(b, c, h, w)
             assert leaf.grad.dtype == np.float32
             assert np.array_equal(leaf.grad, oracle)
+
+
+# conv2d: a copy of the keep-the-patches algorithm, the bit-exact oracle for
+# the kernels that rebuild the patches in backward
+
+
+def ref_im2col(x, kh, kw, stride, padding):
+    b, c, h, w = x.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=np.float32)
+    xp[:, padding : padding + h, padding : padding + w] = x.transpose(0, 2, 3, 1)
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))
+    return cols.reshape(b * oh * ow, kh * kw * c), oh, ow
+
+
+def ref_col2im(cols, x_shape, kh, kw, stride, padding, oh, ow):
+    b, c, h, w = x_shape
+    cols = cols.reshape(b, oh, ow, kh, kw, c)
+    xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=np.float32)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, :, :, i, j]
+    return xp[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
+
+
+def ref_conv2d(x, w, bias, g, stride, padding):
+    """(y, dw, db, dx) of conv2d for d loss / d y = g, keeping the patches."""
+    b = x.shape[0]
+    co, ci, kh, kw = w.shape
+    cols, oh, ow = ref_im2col(x, kh, kw, stride, padding)
+    wmat = w.transpose(0, 2, 3, 1).reshape(co, kh * kw * ci)
+    y = cols @ wmat.T
+    y += bias
+    g2 = g.transpose(0, 2, 3, 1).reshape(b * oh * ow, co)
+    dw = (g2.T @ cols).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
+    db = g2.sum(axis=0)
+    dx = ref_col2im(g2 @ wmat, x.shape, kh, kw, stride, padding, oh, ow)
+    return y.reshape(b, oh, ow, co).transpose(0, 3, 1, 2), dw, db, dx
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype == np.float32 and a.shape == b.shape and np.array_equal(
+        a.view(np.uint32), b.view(np.uint32))
+
+
+@pytest.mark.parametrize("channels_last", [False, True])
+@pytest.mark.parametrize("ci", [1, 2, 3, 16])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_matches_keep_the_patches_oracle_bit_for_bit(stride, padding, ci, channels_last,
+                                                            monkeypatch):
+    rng = np.random.default_rng(100 * stride + 10 * padding + ci)
+    b, co, kh, kw, h, w = 5, 6, 3, 3, 9, 7
+    x = rng.standard_normal((b, h, w, ci)).astype(np.float32).transpose(0, 3, 1, 2)
+    if not channels_last:
+        x = np.ascontiguousarray(x)
+    wt = rng.standard_normal((co, ci, kh, kw)).astype(np.float32)
+    bias = rng.standard_normal(co).astype(np.float32)
+    oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+    g = rng.standard_normal((b, co, oh, ow)).astype(np.float32)
+    y_ref, dw_ref, db_ref, dx_ref = ref_conv2d(x, wt, bias, g, stride, padding)
+    sample_bytes = oh * ow * kh * kw * ci * 4
+    # one sample per copy block, two (with a remainder), and all at once
+    for block_bytes in (1, 2 * sample_bytes, ad._PATCH_BLOCK_BYTES):
+        monkeypatch.setattr(ad, "_PATCH_BLOCK_BYTES", block_bytes)
+        xt, wtt, bt = (Tensor(a, requires_grad=True) for a in (x, wt, bias))
+        with GradTape() as tape:
+            y = ad.conv2d(xt, wtt, bt, stride=stride, padding=padding)
+            # d loss / d y is exactly g
+            loss = ad.sum_last(ad.reshape(ad.mul(y, Tensor(g)), (1, -1)))
+        backward(loss, tape)
+        assert same_bits(y.data, y_ref)
+        assert same_bits(wtt.grad, dw_ref)
+        assert same_bits(bt.grad, db_ref)
+        assert same_bits(xt.grad, dx_ref)
+
+
+def test_conv2d_tape_keeps_less_than_one_patch_matrix():
+    """Between forward and backward a taped conv2d keeps its output and the
+    weight matrix, not the [B·oh·ow, kh·kw·C] patches."""
+    rng = np.random.default_rng(0)
+    b, ci, co, hw = 16, 16, 8, 16
+    x = Tensor(rng.standard_normal((b, ci, hw, hw)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((co, ci, 3, 3)).astype(np.float32), requires_grad=True)
+    bias = Tensor(np.zeros(co, dtype=np.float32), requires_grad=True)
+    patch_bytes = b * hw * hw * 9 * ci * 4
+    tracemalloc.start()
+    try:
+        with GradTape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            y = ad.conv2d(x, w, bias, stride=1, padding=1)
+            kept = tracemalloc.get_traced_memory()[0] - before
+            loss = ad.mean(y)
+        backward(loss, tape)
+    finally:
+        tracemalloc.stop()
+    assert y.data.nbytes < kept < patch_bytes
+    assert x.grad.shape == x.shape and w.grad.shape == w.shape

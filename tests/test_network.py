@@ -169,6 +169,29 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_failed_checkpoint_write_keeps_the_earlier_file(tmp_path):
+    model = tiny_model()
+    opt = AdamW(model.parameters(), lr=0.01)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, model, epoch=1, optimizer=opt)
+    earlier = path.read_bytes()
+
+    class DiskFull(OSError):
+        pass
+
+    first = opt.moment_blobs()[0]
+
+    def moments_then_fail():
+        yield first  # some moment bytes reach the file first
+        raise DiskFull("no space left on device")
+
+    opt.moment_blobs = moments_then_fail
+    with pytest.raises(DiskFull):
+        save_checkpoint(path, model, epoch=2, optimizer=opt)
+    assert path.read_bytes() == earlier
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+
+
 def test_truncated_checkpoint_is_format_error(tmp_path):
     model = tiny_model()
     opt = AdamW(model.parameters(), lr=0.01)
