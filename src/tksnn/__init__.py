@@ -6,7 +6,7 @@ deterministic trainer, and timestep-mismatch evaluation tooling.
 """
 
 from .autodiff import GradTape, SurrogateSpec, Tensor, backward
-from .lif import LifConfig, LifState, lif_sequence, lif_step, reset_state
+from .lif import LifConfig, lif_sequence
 from .network import Model, TemporalOutput, build_model, encode_static, unroll
 from .tks import (
     AlphaSchedule,

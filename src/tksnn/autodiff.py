@@ -333,97 +333,45 @@ def _conv_geometry(h, w, kh, kw, stride, padding):
     return oh, ow
 
 
-_PATCH_BLOCK_BYTES = 1 << 20  # patch bytes per sample block of a copy loop; fits in L2
-
-
-def _cells(a: np.ndarray) -> np.ndarray:
-    """View [..., n] floats (last axis contiguous) as [...] raw n-float items,
-    so that a copy moves each as one item."""
-    return a.view(np.dtype((np.void, a.shape[-1] * a.itemsize)))[..., 0]
-
-
-def _sample_blocks(b: int, sample_bytes: int):
-    """Slices of the batch axis that each hold about _PATCH_BLOCK_BYTES of patches."""
-    step = max(1, _PATCH_BLOCK_BYTES // max(1, sample_bytes))
-    return [slice(lo, lo + step) for lo in range(0, b, step)]
-
-
 def _im2col(x: np.ndarray, kh, kw, stride, padding):
     """Patches of x [B,C,H,W] as the matmul operand [B·oh·ow, kh·kw·C].
 
-    The patches are built in that layout (channels fastest) from a padded
-    channels-last copy of x, so the matmul reads them without a transposed
-    copy. Only the padding border of that copy is zeroed. With many channels
-    one copy of a window view builds the patches. With few (C <= 4), where
-    that copy would move runs of a few floats, each kernel row of a patch
-    (kw·C floats, contiguous in the padded copy) moves as one raw item, in
-    kh copies per sample block; and x's channel planes, when they are not
-    its fastest axis, are padded one at a time. Both copies write the same
-    values. The cut-off is measured (3x3 kernels, 32x32 input, either
-    layout): the raw items took 48-70% of the window copy's minimum time at
-    C <= 3 and 80% at C = 4, 80-98% at C = 5, and 1.2-1.5x from C = 6 on.
+    One contiguous copy of the (kh, kw) window view of x, zero-padded into one
+    channels-last buffer, lays them out channels fastest, as the matmul reads them.
     """
     b, c, h, w = x.shape
     oh, ow = _conv_geometry(h, w, kh, kw, stride, padding)
-    hp, wp = h + 2 * padding, w + 2 * padding
-    few = c <= 4
-    xp = np.empty((b, hp, wp, c), dtype=DTYPE)
-    xp[:, :padding] = xp[:, hp - padding :] = 0
-    xp[:, :, :padding] = xp[:, :, wp - padding :] = 0
-    interior = xp[:, padding : padding + h, padding : padding + w]
-    if few and x.strides[1] != x.itemsize:
-        for ch in range(c):
-            interior[..., ch] = x[:, ch]
-    else:
-        interior[...] = x.transpose(0, 2, 3, 1)
-    if not few:
-        windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-        cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))  # [b,oh,ow,kh,kw,c]
-        return cols.reshape(b * oh * ow, kh * kw * c), oh, ow
-    # [b, hp, ow, kw·c]: the kernel row of each output column, in every padded row
-    rows = sliding_window_view(xp.reshape(b, hp, wp * c), kw * c, axis=2)[:, :, :: stride * c]
-    src = _cells(rows)
-    cols = np.empty((b, oh, ow, kh, kw * c), dtype=DTYPE)
-    dst = _cells(cols)
-    for blk in _sample_blocks(b, cols[:1].nbytes):
-        for i in range(kh):
-            dst[blk, :, :, i] = src[blk, i : i + stride * oh : stride]
+    xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=DTYPE)
+    xp[:, padding : padding + h, padding : padding + w] = x.transpose(0, 2, 3, 1)
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))  # [b,oh,ow,kh,kw,c]
     return cols.reshape(b * oh * ow, kh * kw * c), oh, ow
 
 
 def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding):
     """Adjoint of _im2col: scatter-add [B·oh·ow, kh·kw·C] patches back to [B,C,H,W].
 
-    Each element of the result is 0 plus its patch entries added in row-major
-    (i, j) order. The scatter runs over sample blocks whose patches stay in
-    cache across the kh·kw passes; a pass first copies the block's (i, j)
-    pixels into one contiguous buffer, so the add runs over long rows.
-    Neither changes the order of any element's adds.
+    Each (i, j) entry of the patches is added into a strided view of one zeroed
+    padded buffer in row-major (i, j) order, the order of every element's adds.
     """
     b, c, h, w = x_shape
     oh, ow = _conv_geometry(h, w, kh, kw, stride, padding)
     patches = cols.reshape(b, oh, ow, kh, kw, c)
     xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=DTYPE)
-    for blk in _sample_blocks(b, patches[:1].nbytes):
-        xb, src = xp[blk], _cells(patches[blk])
-        part = np.empty(xb[:, :oh, :ow].shape, dtype=DTYPE)
-        dst = _cells(part)
-        for i in range(kh):
-            for j in range(kw):
-                dst[...] = src[:, :, :, i, j]
-                xb[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += part
+    for i, j in np.ndindex(kh, kw):
+        xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += patches[:, :, :, i, j]
     return xp[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of x [B,C,H,W] with w [O,C,kh,kw], plus bias [O].
 
-    The output is [B,O,oh,ow] in channels-last memory. The tape keeps the
-    input, not its im2col patches: backward rebuilds the patches from x.data
-    for the weight gradient and drops them before the input gradient's
-    product, so at most one patch matrix is alive at a time. x.data must
-    therefore not be changed in place between this call and backward. The
-    rebuilt patches equal the forward's bit for bit, so the gradients do too.
+    The output is [B,O,oh,ow] in channels-last memory: the _im2col patches
+    times the kernel rows, plus the bias tiled over each sample. The tape
+    keeps x, not the patches: backward rebuilds them bit for bit from x.data
+    for the weight gradient and drops them before the product that _col2im
+    scatters, so one patch matrix is alive at a time. x.data must therefore
+    not change in place between this call and backward.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects [B,C,H,W] and [O,C,kh,kw], got {x.shape}, {w.shape}")

@@ -28,6 +28,8 @@ class Dataset:
     temporal: bool
 
     def __post_init__(self):
+        if len(self.labels) != self.inputs.shape[0]:
+            raise DataError(f"{self.inputs.shape[0]} inputs but {len(self.labels)} labels")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
             raise DataError(f"labels outside [0,{self.class_count})")
 

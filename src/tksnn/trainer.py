@@ -269,12 +269,15 @@ def train_epoch(model: Model, data: Dataset, cfg: RunConfig, epoch: int,
     )
 
 
-def _check_resume(model: Model, cfg: RunConfig, data: Dataset, path: str) -> None:
-    """The checkpoint must hold the model the config and training data describe."""
+def _check_resume(model: Model, epoch: int, cfg: RunConfig, data: Dataset, path: str) -> None:
+    """The checkpoint must hold the model the config and training data describe,
+    at an epoch no later than the config's last."""
     wanted = {"preset": cfg.preset, "input_shape": tuple(data.sample_shape),
               "class_count": data.class_count, "lif_cfg": cfg.lif, "surrogate": cfg.surrogate}
     differ = [f"{name}: checkpoint {getattr(model, name)!r}, config {value!r}"
               for name, value in wanted.items() if getattr(model, name) != value]
+    if epoch > cfg.epochs:
+        differ.append(f"epoch: checkpoint {epoch}, past the config's {cfg.epochs} epochs")
     if differ:
         raise ConfigError(f"resume checkpoint {path} does not match the config: "
                           + "; ".join(differ))
@@ -295,8 +298,8 @@ def fit(cfg: RunConfig, resume: str | None = None):
                             cfg.lif, cfg.surrogate, cfg.seed)
     else:
         model, header, opt_state = load_checkpoint(resume)
-        _check_resume(model, cfg, data, resume)
         start_epoch = int(header["epoch"])
+        _check_resume(model, start_epoch, cfg, data, resume)
     opt = AdamW(model.parameters(), lr=cfg.optim.lr_max, weight_decay=cfg.optim.weight_decay,
                 betas=(cfg.optim.beta1, cfg.optim.beta2), eps=cfg.optim.eps)
     if opt_state is not None:

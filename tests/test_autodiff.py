@@ -298,8 +298,7 @@ def same_bits(a, b):
 @pytest.mark.parametrize("ci", [1, 2, 3, 16])
 @pytest.mark.parametrize("padding", [0, 1, 2])
 @pytest.mark.parametrize("stride", [1, 2])
-def test_conv2d_matches_keep_the_patches_oracle_bit_for_bit(stride, padding, ci, channels_last,
-                                                            monkeypatch):
+def test_conv2d_matches_keep_the_patches_oracle_bit_for_bit(stride, padding, ci, channels_last):
     rng = np.random.default_rng(100 * stride + 10 * padding + ci)
     b, co, kh, kw, h, w = 5, 6, 3, 3, 9, 7
     x = rng.standard_normal((b, h, w, ci)).astype(np.float32).transpose(0, 3, 1, 2)
@@ -310,20 +309,16 @@ def test_conv2d_matches_keep_the_patches_oracle_bit_for_bit(stride, padding, ci,
     oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
     g = rng.standard_normal((b, co, oh, ow)).astype(np.float32)
     y_ref, dw_ref, db_ref, dx_ref = ref_conv2d(x, wt, bias, g, stride, padding)
-    sample_bytes = oh * ow * kh * kw * ci * 4
-    # one sample per copy block, two (with a remainder), and all at once
-    for block_bytes in (1, 2 * sample_bytes, ad._PATCH_BLOCK_BYTES):
-        monkeypatch.setattr(ad, "_PATCH_BLOCK_BYTES", block_bytes)
-        xt, wtt, bt = (Tensor(a, requires_grad=True) for a in (x, wt, bias))
-        with GradTape() as tape:
-            y = ad.conv2d(xt, wtt, bt, stride=stride, padding=padding)
-            # d loss / d y is exactly g
-            loss = ad.sum_last(ad.reshape(ad.mul(y, Tensor(g)), (1, -1)))
-        backward(loss, tape)
-        assert same_bits(y.data, y_ref)
-        assert same_bits(wtt.grad, dw_ref)
-        assert same_bits(bt.grad, db_ref)
-        assert same_bits(xt.grad, dx_ref)
+    xt, wtt, bt = (Tensor(a, requires_grad=True) for a in (x, wt, bias))
+    with GradTape() as tape:
+        y = ad.conv2d(xt, wtt, bt, stride=stride, padding=padding)
+        # d loss / d y is exactly g
+        loss = ad.sum_last(ad.reshape(ad.mul(y, Tensor(g)), (1, -1)))
+    backward(loss, tape)
+    assert same_bits(y.data, y_ref)
+    assert same_bits(wtt.grad, dw_ref)
+    assert same_bits(bt.grad, db_ref)
+    assert same_bits(xt.grad, dx_ref)
 
 
 def test_conv2d_tape_keeps_less_than_one_patch_matrix():

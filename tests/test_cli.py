@@ -167,6 +167,17 @@ def test_resume_with_changed_lif_exits_1(tiny_config, tmp_path, capsys):
     assert "does not match the config" in capsys.readouterr().err
 
 
+def test_resume_from_past_the_last_epoch_exits_1_and_writes_nothing(tiny_config, tmp_path,
+                                                                    capsys):
+    assert run(["train", "--config", str(tiny_config), "--set", "run.epochs=4"]) == 0
+    ckpt, metrics = tmp_path / "run" / "model.ckpt", tmp_path / "run" / "metrics.jsonl"
+    before = ckpt.read_bytes(), metrics.read_bytes()
+    capsys.readouterr()
+    assert run(["train", "--config", str(tiny_config), "--resume", str(ckpt)]) == 1
+    assert "past the config's 2 epochs" in capsys.readouterr().err
+    assert (ckpt.read_bytes(), metrics.read_bytes()) == before
+
+
 def test_gradcheck_command_passes(capsys):
     assert run(["gradcheck", "--seeds", "2"]) == 0
     out = capsys.readouterr().out

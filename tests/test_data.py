@@ -279,3 +279,9 @@ def test_dataset_rejects_out_of_range_labels():
     with pytest.raises(DataError):
         Dataset(inputs=np.zeros((2, 3), dtype=np.float32),
                 labels=np.array([0, 5]), class_count=2, temporal=False)
+
+
+def test_dataset_rejects_labels_of_another_length():
+    with pytest.raises(DataError, match="10 inputs but 6 labels"):
+        Dataset(inputs=np.zeros((10, 3), dtype=np.float32),
+                labels=np.zeros(6, dtype=np.int64), class_count=2, temporal=False)
