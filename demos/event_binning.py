@@ -7,7 +7,7 @@ stream, bins it at two temporal resolutions, and prints the frames.
 
 Run from the repository root:
 
-    python3 demos/event_binning.py
+    PYTHONPATH=src python3 demos/event_binning.py
 """
 
 import os

@@ -8,6 +8,7 @@ Three sources: a synthetic order-encoded temporal task, IDX image files
 from __future__ import annotations
 
 import math
+import re
 import struct
 from dataclasses import dataclass
 
@@ -182,27 +183,30 @@ class EventStream:
     duration: int
 
 
+# every byte the grammar allows: digits, signs, field separators, line breaks
+_EVENT_BYTES = b"0123456789+- \t\r\n"
+_FIELD = re.compile(rb"[+-]?[0-9]+")
+_INT64 = np.iinfo(np.int64)
+
+
 def load_events(path: str) -> EventStream:
-    """Parse a "t x y p" text stream; sensor size is inferred from coordinates."""
-    rows = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise FormatError(f"{path}:{lineno}: expected 't x y p', got {line!r}")
-            try:
-                t, x, y, p = (int(v) for v in parts)
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-integer field in {line!r}") from exc
-            if p not in (0, 1):
-                raise FormatError(f"{path}:{lineno}: polarity must be 0 or 1, got {p}")
-            rows.append((t, x, y, p))
-    if not rows:
+    """Parse a "t x y p" text stream; sensor size is inferred from coordinates.
+
+    Grammar: each line holds four fields, each an optional sign and ASCII
+    digits within int64, separated by spaces or tabs; p is 0 or 1. Lines end
+    in "\\n", "\\r\\n" or a lone "\\r". Blank lines (spaces and tabs only) are
+    skipped but still counted. Anything else, including a byte that is not
+    ASCII, raises FormatError naming the first bad line as path:lineno.
+
+    Events are sorted stably by t and shifted so the first is at t = 0.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    ev = _parse_events(data)
+    if ev is None:
+        _raise_first_bad_line(path, data)
+    if len(ev) == 0:
         return EventStream(events=np.zeros((0, 4), dtype=np.int64), width=0, height=0, duration=0)
-    ev = np.array(rows, dtype=np.int64)
     ev = ev[np.argsort(ev[:, 0], kind="stable")]
     ev[:, 0] -= ev[0, 0]
     return EventStream(
@@ -213,28 +217,75 @@ def load_events(path: str) -> EventStream:
     )
 
 
+def _parse_events(data: bytes) -> np.ndarray | None:
+    """The [N, 4] int64 rows of a well-formed stream, in file order, else None."""
+    if data.translate(None, _EVENT_BYTES):
+        return None
+    if not data.strip():
+        return np.zeros((0, 4), dtype=np.int64)
+    # numpy's reader splits at "\r\n" but not at a lone "\r", so hand it lines;
+    # it skips blank ones
+    lines = data.decode("ascii").splitlines()
+    try:
+        ev = np.loadtxt(lines, dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    if ev.shape[1] != 4 or (ev[:, 3] & ~1).any():  # a polarity outside {0, 1}
+        return None
+    return ev
+
+
+def _raise_first_bad_line(path: str, data: bytes):
+    """Raise the FormatError for the first line of `data` outside the grammar."""
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        line = raw.strip(b" \t")
+        if not line:
+            continue
+        shown = line.decode("ascii", "backslashreplace")
+        parts = re.split(rb"[ \t]+", line)
+        if len(parts) != 4:
+            raise FormatError(f"{path}:{lineno}: expected 't x y p', got {shown!r}")
+        if not all(_FIELD.fullmatch(v) for v in parts):
+            raise FormatError(f"{path}:{lineno}: non-integer field in {shown!r}")
+        t, x, y, p = (int(v) for v in parts)
+        if not all(_INT64.min <= v <= _INT64.max for v in (t, x, y, p)):
+            raise FormatError(f"{path}:{lineno}: field outside int64 in {shown!r}")
+        if p not in (0, 1):
+            raise FormatError(f"{path}:{lineno}: polarity must be 0 or 1, got {p}")
+    # reached only if the fast parse rejects a file this scan accepts
+    raise FormatError(f"{path}: not a 't x y p' event stream")
+
+
 def bin_events(stream: EventStream, t_len: int, width: int, height: int,
                cap: int | None = None) -> np.ndarray:
     """Accumulate per-polarity event counts into [T, 2, H, W] frames.
 
     The recording is split into t_len equal-duration half-open windows; the
-    final window is closed so the last event is kept.
+    final window is closed so the last event is kept. Counts are exact up to
+    2^24 events per cell, where float32 stops counting by ones.
     """
     if t_len < 1:
         raise ParameterError("bin_events needs T >= 1")
-    frames = np.zeros((t_len, 2, height, width), dtype=DTYPE)
+    shape = (t_len, 2, height, width)
     ev = stream.events
     if len(ev) == 0:
-        return frames
+        return np.zeros(shape, dtype=DTYPE)
     if ev[:, 1].max() >= width or ev[:, 2].max() >= height or ev[:, 1].min() < 0 or ev[:, 2].min() < 0:
         raise DataError(f"event coordinates exceed sensor bounds {width}x{height}")
+    if (ev[:, 3] & ~1).any():
+        raise DataError("event polarity must be 0 or 1")
     if stream.duration == 0:
         bins = np.zeros(len(ev), dtype=np.int64)
     else:
+        if stream.duration > _INT64.max // t_len:
+            raise DataError(f"duration {stream.duration} times {t_len} windows overflows int64")
         bins = (ev[:, 0] * t_len) // stream.duration
         # t == duration falls into the closed final window
         bins = np.minimum(bins, t_len - 1)
-    np.add.at(frames, (bins, ev[:, 3], ev[:, 2], ev[:, 1]), 1.0)
+        if bins.min() < 0:
+            raise DataError(f"event timestamps before 0 or a negative duration {stream.duration}")
+    cell = ((bins * 2 + ev[:, 3]) * height + ev[:, 2]) * width + ev[:, 1]
+    frames = np.bincount(cell, minlength=math.prod(shape)).astype(DTYPE).reshape(shape)
     if cap is not None:
         np.minimum(frames, DTYPE(cap), out=frames)
     return frames

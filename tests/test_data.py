@@ -1,7 +1,12 @@
+import os
+import re
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tksnn.data import (
     BLOCK_SIZE,
@@ -273,6 +278,228 @@ def test_bin_events_random_streams_conserve_counts():
         t_len = int(rng.integers(1, 9))
         frames = bin_events(stream, t_len, 4, 3)
         assert frames.sum() == n
+
+
+# reference implementations: the per-line parse and the scatter-add binning
+
+
+def ref_load_events(path):
+    """load_events one line at a time, in the order it checks each line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    rows = []
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        line = raw.strip(b" \t")
+        if not line:
+            continue
+        shown = line.decode("ascii", "backslashreplace")
+        parts = re.split(rb"[ \t]+", line)
+        if len(parts) != 4:
+            raise FormatError(f"{path}:{lineno}: expected 't x y p', got {shown!r}")
+        if not all(re.fullmatch(rb"[+-]?[0-9]+", v) for v in parts):
+            raise FormatError(f"{path}:{lineno}: non-integer field in {shown!r}")
+        t, x, y, p = (int(v) for v in parts)
+        if not all(-2**63 <= v < 2**63 for v in (t, x, y, p)):
+            raise FormatError(f"{path}:{lineno}: field outside int64 in {shown!r}")
+        if p not in (0, 1):
+            raise FormatError(f"{path}:{lineno}: polarity must be 0 or 1, got {p}")
+        rows.append((t, x, y, p))
+    if not rows:
+        return EventStream(events=np.zeros((0, 4), dtype=np.int64), width=0, height=0, duration=0)
+    ev = np.array(rows, dtype=np.int64)
+    ev = ev[np.argsort(ev[:, 0], kind="stable")]
+    ev[:, 0] -= ev[0, 0]
+    return EventStream(events=ev, width=int(ev[:, 1].max()) + 1,
+                       height=int(ev[:, 2].max()) + 1, duration=int(ev[-1, 0]))
+
+
+def ref_bin_events(stream, t_len, width, height, cap=None):
+    frames = np.zeros((t_len, 2, height, width), dtype=np.float32)
+    ev = stream.events
+    if len(ev) == 0:
+        return frames
+    if stream.duration == 0:
+        bins = np.zeros(len(ev), dtype=np.int64)
+    else:
+        bins = np.minimum((ev[:, 0] * t_len) // stream.duration, t_len - 1)
+    np.add.at(frames, (bins, ev[:, 3], ev[:, 2], ev[:, 1]), 1.0)
+    if cap is not None:
+        np.minimum(frames, np.float32(cap), out=frames)
+    return frames
+
+
+def outcome(load, path):
+    """(EventStream fields) on success, the FormatError text on rejection."""
+    try:
+        s = load(path)
+    except FormatError as exc:
+        return str(exc)
+    return s.events.dtype, s.events.tobytes(), s.events.shape, s.width, s.height, s.duration
+
+
+def assert_same_as_ref(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "ev.txt")
+        with open(path, "wb") as f:
+            f.write(data)
+        assert outcome(load_events, path) == outcome(ref_load_events, path)
+
+
+def test_load_events_rejects_non_utf8_byte(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"0 0 0 1\n\xff 1 1 1\n")
+    with pytest.raises(FormatError, match="bad.txt:2: non-integer"):
+        load_events(str(p))
+
+
+def test_load_events_rejects_field_outside_int64(tmp_path):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(b"0 0 0 1\n99999999999999999999 0 0 1\n")
+    with pytest.raises(FormatError, match="bad.txt:2: field outside int64"):
+        load_events(str(p))
+
+
+INT64_MIN, INT64_MAX = -2**63, 2**63 - 1
+GRAMMAR = {
+    # accepted: the parsed rows, in file order
+    "newline": (b"0 0 0 1\n3 2 1 0\n", [[0, 0, 0, 1], [3, 2, 1, 0]]),
+    "spaces and tabs": (b" \t0\t0  0 1 \t\n3 2\t\t1 0", [[0, 0, 0, 1], [3, 2, 1, 0]]),
+    "crlf": (b"0 0 0 1\r\n3 2 1 0\r\n", [[0, 0, 0, 1], [3, 2, 1, 0]]),
+    "lone cr": (b"0 0 0 1\r3 2 1 0\r", [[0, 0, 0, 1], [3, 2, 1, 0]]),
+    "mixed breaks": (b"0 0 0 1\r\n3 2 1 0\r4 4 4 1\n", [[0, 0, 0, 1], [3, 2, 1, 0], [4, 4, 4, 1]]),
+    "blank lines": (b"\n \t\n0 0 0 1\n\r\n\n", [[0, 0, 0, 1]]),
+    "signs and zeros": (b"+5 -0 007 +1\n", [[5, 0, 7, 1]]),
+    "int64 range": (f"0 {INT64_MIN} {INT64_MAX} 0".encode(), [[0, INT64_MIN, INT64_MAX, 0]]),
+    "only blank lines": (b"\n \r\n\t\r", []),
+    # rejected: the line the error names
+    "short line after blank": (b"0 0 0 1\n\n1 2 3\n", 3),
+    "short line after cr cr lf": (b"0 0 0 1\r\r\n1 2 3", 3),
+    "long line": (b"0 0 0 1 5\n", 1),
+    "decimal point": (b"0 0 0 1\n1.0 0 0 1\n", 2),
+    "exponent": (b"1e3 0 0 1\n", 1),
+    "hex": (b"0x10 0 0 1\n", 1),
+    "comment line": (b"# t x y p\n0 0 0 1\n", 1),
+    "trailing comment": (b"0 0 0 1 # on\n", 1),
+    "commas": (b"1,2,3,4\n", 1),
+    "digit separator": (b"1_000 0 0 1\n", 1),
+    "non-ascii digit": ("\u0661 0 0 1\n".encode(), 1),
+    "form feed": (b"0 0 0 1\x0c\n", 1),
+    "no-break space": ("0\u00a00 0 1\n".encode(), 1),
+    "nul byte": (b"0 0 0 1\n0 0 0\x00 1\n", 2),
+    "bare sign": (b"- 0 0 1\n", 1),
+    "double sign": (b"+-1 0 0 1\n", 1),
+    "above int64": (f"{INT64_MAX + 1} 0 0 1".encode(), 1),
+    "below int64": (f"{INT64_MIN - 1} 0 0 1".encode(), 1),
+    "polarity": (b"0 0 0 1\n0 0 0 2\n", 2),
+    "negative polarity": (b"0 0 0 -1\n", 1),
+}
+
+
+@pytest.mark.parametrize("content,expected", GRAMMAR.values(), ids=GRAMMAR.keys())
+def test_load_events_grammar(tmp_path, content, expected):
+    p = tmp_path / "ev.txt"
+    p.write_bytes(content)
+    if isinstance(expected, int):
+        with pytest.raises(FormatError, match=f"ev.txt:{expected}: "):
+            load_events(str(p))
+    else:
+        rows = np.array(expected, dtype=np.int64).reshape(-1, 4)
+        if len(rows):
+            rows[:, 0] -= rows[:, 0].min()  # every case is already sorted by t
+        assert np.array_equal(load_events(str(p)).events, rows)
+    assert_same_as_ref(content)
+
+
+def random_stream_bytes(rng, n):
+    """A well-formed stream: unsorted t, random separators, blank lines, mixed breaks."""
+    t = rng.integers(-10**6, 10**6, size=n)
+    t[rng.random(n) < 0.3] = t[0]  # ties exercise the stable sort
+    x, y, p = rng.integers(0, 40, n), rng.integers(0, 30, n), rng.integers(0, 2, n)
+    seps, breaks = [" ", "\t", "  ", " \t"], ["\n", "\r\n", "\r"]
+    lines = []
+    for row in zip(t, x, y, p):
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", " ", "\t "]))
+        lines.append(str(rng.choice(seps)).join(str(v) for v in row))
+    brk = str(rng.choice(breaks)) if rng.random() < 0.7 else None
+    text = "".join(line + (brk or str(rng.choice(breaks))) for line in lines)
+    return text.encode()
+
+
+def test_load_events_matches_per_line_reference():
+    rng = np.random.default_rng(11)
+    for n in [1, 2, 5, 50, 300, 1000]:
+        for _ in range(3):
+            assert_same_as_ref(random_stream_bytes(rng, n))
+
+
+def test_bin_events_matches_scatter_add_reference():
+    rng = np.random.default_rng(12)
+    for t_len in range(1, 10):
+        for trial in range(4):
+            n = int(rng.integers(1, 400))
+            w, h = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            ev = np.column_stack([np.sort(rng.integers(0, 5000, n)), rng.integers(0, w, n),
+                                  rng.integers(0, h, n), rng.integers(0, 2, n)])
+            ev[:, 0] -= ev[0, 0]
+            duration = 0 if trial == 0 else int(ev[-1, 0])  # a zero duration bins all in window 0
+            stream = EventStream(events=ev, width=w, height=h, duration=duration)
+            for cap in (None, 1, int(rng.integers(2, 5))):
+                got = bin_events(stream, t_len, w + 1, h, cap)
+                assert got.tobytes() == ref_bin_events(stream, t_len, w + 1, h, cap).tobytes()
+    # one cell hit many times
+    ev = np.tile([[7, 1, 2, 1]], (5000, 1))
+    ev[:, 0] = np.arange(5000)
+    stream = EventStream(events=ev, width=2, height=3, duration=4999)
+    for t_len in (1, 3, 9):
+        assert bin_events(stream, t_len, 2, 3).tobytes() == ref_bin_events(stream, t_len, 2, 3).tobytes()
+
+
+def test_bin_events_rejects_bad_polarity_time_and_duration():
+    ev = np.array([[0, 0, 0, 2]], dtype=np.int64)
+    with pytest.raises(DataError, match="polarity"):
+        bin_events(EventStream(events=ev, width=1, height=1, duration=0), 1, 1, 1)
+    ev = np.array([[-5, 0, 0, 1], [5, 0, 0, 1]], dtype=np.int64)
+    with pytest.raises(DataError, match="timestamps"):
+        bin_events(EventStream(events=ev, width=1, height=1, duration=5), 2, 1, 1)
+    ev = np.array([[0, 0, 0, 1], [2**62, 0, 0, 1]], dtype=np.int64)
+    with pytest.raises(DataError, match="overflows int64"):  # t·T would wrap to a negative bin
+        bin_events(EventStream(events=ev, width=1, height=1, duration=2**62), 10, 1, 1)
+
+
+# a valid stream and byte edits drawn from the bytes the grammar hinges on
+INTERESTING = b"0123456789+- \t\r\n.e#,_x\x0b\x0c\x00\xa0\xff"
+edit = st.tuples(st.sampled_from(["insert", "replace", "delete"]), st.floats(0, 1),
+                 st.sampled_from([bytes([c]) for c in INTERESTING]))
+FUZZ = settings(max_examples=200, deadline=None, database=None, derandomize=True)
+
+
+@FUZZ
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), edits=st.lists(edit, max_size=4))
+def test_load_events_fuzz_mutated_streams(seed, n, edits):
+    data = bytearray(random_stream_bytes(np.random.default_rng(seed), n))
+    for op, where, byte in edits:
+        i = int(where * len(data))
+        if op == "insert":
+            data[i:i] = byte
+        elif i < len(data):
+            data[i : i + 1] = byte if op == "replace" else b""
+    assert_same_as_ref(bytes(data))
+
+
+# lines of near-valid fields, so that arbitrary input also reaches every check
+field = st.sampled_from([b"0", b"1", b"-1", b"+0", b"2", b"007", b"-", b"+-1", b"",
+                         str(2**63 - 1).encode(), str(2**63).encode(), str(-2**63 - 1).encode()])
+line = st.tuples(st.lists(field | st.binary(max_size=2), min_size=3, max_size=5),
+                 st.sampled_from([b" ", b"\t", b" \t "]), st.sampled_from([b"\n", b"\r\n", b"\r"]))
+near_valid = st.lists(line, max_size=8).map(
+    lambda lines: b"".join(sep.join(fields) + brk for fields, sep, brk in lines))
+
+
+@FUZZ
+@given(data=st.binary(max_size=120) | near_valid)
+def test_load_events_fuzz_arbitrary_bytes(data):
+    assert_same_as_ref(data)
 
 
 def test_dataset_rejects_out_of_range_labels():
