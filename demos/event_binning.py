@@ -23,6 +23,7 @@ STREAM = """\
 900  2 2 0
 1000 2 2 1
 """
+SENSOR = (3, 3)  # width, height: the caller's to know, load_events does not infer it
 
 
 def main():
@@ -33,10 +34,10 @@ def main():
         stream = load_events(path)
 
     print(f"{len(stream.events)} events over {stream.duration} us, "
-          f"sensor {stream.width}x{stream.height}")
+          f"sensor {SENSOR[0]}x{SENSOR[1]}")
 
     for t_len in (2, 4):
-        frames = bin_events(stream, t_len=t_len, width=3, height=3)
+        frames = bin_events(stream, t_len=t_len, width=SENSOR[0], height=SENSOR[1])
         print(f"\nbinned into {t_len} windows (events per window: "
               f"{[int(frames[t].sum()) for t in range(t_len)]})")
         for t in range(t_len):

@@ -7,7 +7,7 @@ deterministic trainer, and timestep-mismatch evaluation tooling.
 
 from .autodiff import GradTape, SurrogateSpec, Tensor, backward
 from .lif import LifConfig, lif_sequence
-from .network import Model, TemporalOutput, build_model, encode_static, unroll
+from .network import Model, TemporalOutput, build_model, unroll
 from .tks import (
     AlphaSchedule,
     TeacherConfig,

@@ -1,8 +1,10 @@
-"""Dataset ingestion and synthesis.
+"""Dataset ingestion, synthesis and input encoding.
 
 Three sources: a synthetic order-encoded temporal task, IDX image files
 (big-endian, standard magic numbers), and plain-text AER event streams
 ("t x y p" per line, microsecond timestamps) binned into frame tensors.
+`prepare_sequence` turns a batch of either kind into the [T, B, ...]
+sequence a network unrolls.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import numpy as np
 
 from .autodiff import DTYPE
 from .errors import ConfigError, DataError, FormatError, ParameterError
-from .network import encode_static
 
 
 @dataclass
@@ -42,15 +43,16 @@ class Dataset:
 def prepare_sequence(batch: np.ndarray, temporal: bool, t_len: int) -> np.ndarray:
     """Arrange one batch as [T, B, ...] for unrolling.
 
-    Static inputs get constant-current encoding. Temporal inputs are truncated
-    to the first t_len frames; if t_len exceeds the recorded length the tail is
-    padded with silent (zero) frames. The result is C-contiguous, so `unroll`
-    views it as [T·B, ...] without another copy.
+    Static inputs get constant-current encoding: the same frame at every step.
+    Temporal inputs are truncated to the first t_len frames; if t_len exceeds
+    the recorded length the tail is padded with silent (zero) frames. The
+    result is C-contiguous, so `unroll` views it as [T·B, ...] without another
+    copy.
     """
     if t_len < 1:
         raise ParameterError("sequence length must be >= 1")
     if not temporal:
-        return encode_static(batch, t_len)
+        return np.repeat(np.asarray(batch, dtype=DTYPE)[None], t_len, axis=0)
     kept = min(t_len, batch.shape[1])
     seq = np.empty((t_len, batch.shape[0]) + batch.shape[2:], dtype=DTYPE)
     seq[:kept] = np.moveaxis(batch[:, :kept], 1, 0)
@@ -75,22 +77,22 @@ def class_schedules(classes: int, t_len: int) -> np.ndarray:
     """
     if t_len < 2:
         raise ParameterError("order-encoded patterns need T >= 2")
+    if classes < 1:
+        raise ParameterError(f"order-encoded patterns need at least one class, got {classes}")
     limit = math.factorial(min(t_len, 20))
     if classes > limit:
         raise ParameterError(f"only {limit} distinct schedules exist for T={t_len}")
-    schedules = [np.arange(t_len), np.arange(t_len)[::-1].copy()][: max(classes, 1)]
+    schedules = [np.arange(t_len), np.arange(t_len)[::-1].copy()][:classes]
     seen = {tuple(s) for s in schedules}
-    c = len(schedules)
     draw = 0
-    while c < classes:
-        perm = np.random.default_rng([0xC1A55, c, draw]).permutation(t_len)
+    while len(schedules) < classes:
+        perm = np.random.default_rng([0xC1A55, len(schedules), draw]).permutation(t_len)
         draw += 1
         if tuple(perm) in seen:
             continue
         schedules.append(perm)
         seen.add(tuple(perm))
-        c += 1
-    return np.stack(schedules[:classes])
+    return np.stack(schedules)
 
 
 def synth_temporal(n_per_class: int, t_len: int, classes: int,
@@ -106,10 +108,9 @@ def synth_temporal(n_per_class: int, t_len: int, classes: int,
     n = n_per_class * classes
     inputs = np.zeros((n, t_len, features), dtype=DTYPE)
     labels = np.repeat(np.arange(classes), n_per_class).astype(np.int64)
-    for i, y in enumerate(labels):
-        for t in range(t_len):
-            block = scheds[y, t]
-            inputs[i, t, block * BLOCK_SIZE : (block + 1) * BLOCK_SIZE] = 1.0
+    # sample i lights block scheds[y_i, t] of frame t
+    inputs.reshape(n, t_len, t_len, BLOCK_SIZE)[
+        np.arange(n)[:, None], np.arange(t_len), scheds[labels]] = 1.0
     if noise_sigma > 0:
         inputs += rng.normal(0.0, noise_sigma, size=inputs.shape).astype(DTYPE)
     return Dataset(inputs=inputs, labels=labels, class_count=classes, temporal=True)
@@ -122,37 +123,31 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
+def _read_idx(path: str, magic: int, what: str) -> np.ndarray:
+    """The uint8 array of an IDX file with this magic, whose low byte is the rank."""
+    with open(path, "rb") as f:
+        data = f.read()
+    head = 4 * (1 + (magic & 0xFF))
+    if len(data) < head:
+        raise FormatError(f"{path}: truncated header at byte {len(data)}")
+    found, *dims = struct.unpack(f">{head // 4}I", data[:head])
+    if found != magic:
+        raise FormatError(f"{path}: bad magic {found:#010x} at byte 0")
+    expected = math.prod(dims)
+    if len(data) - head != expected:
+        raise FormatError(f"{path}: expected {expected} {what} bytes, "
+                          f"got {len(data) - head} (offset {head})")
+    return np.frombuffer(data, dtype=np.uint8, offset=head).reshape(dims)
+
+
 def load_idx(images_path: str, labels_path: str) -> Dataset:
     """Load an IDX image/label pair; pixels scaled to [0,1]."""
-    with open(images_path, "rb") as f:
-        head = f.read(16)
-        if len(head) < 16:
-            raise FormatError(f"{images_path}: truncated header at byte {len(head)}")
-        magic, n, rows, cols = struct.unpack(">IIII", head)
-        if magic != IDX_IMAGES_MAGIC:
-            raise FormatError(f"{images_path}: bad magic {magic:#010x} at byte 0")
-        body = f.read()
-    expected = n * rows * cols
-    if len(body) != expected:
-        raise FormatError(
-            f"{images_path}: expected {expected} pixel bytes, got {len(body)} (offset 16)"
-        )
-    images = np.frombuffer(body, dtype=np.uint8).reshape(n, rows, cols)
-    with open(labels_path, "rb") as f:
-        head = f.read(8)
-        if len(head) < 8:
-            raise FormatError(f"{labels_path}: truncated header at byte {len(head)}")
-        magic, nl = struct.unpack(">II", head)
-        if magic != IDX_LABELS_MAGIC:
-            raise FormatError(f"{labels_path}: bad magic {magic:#010x} at byte 0")
-        lbody = f.read()
-    if len(lbody) != nl:
-        raise FormatError(f"{labels_path}: expected {nl} label bytes, got {len(lbody)}")
-    if nl != n:
-        raise FormatError(f"image count {n} != label count {nl}")
-    labels = np.frombuffer(lbody, dtype=np.uint8).astype(np.int64)
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC, "pixel")
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label").astype(np.int64)
+    if len(labels) != len(images):
+        raise FormatError(f"image count {len(images)} != label count {len(labels)}")
     inputs = (images.astype(DTYPE) / DTYPE(255.0)).astype(DTYPE)
-    classes = int(labels.max()) + 1 if n else 0
+    classes = int(labels.max()) + 1 if len(labels) else 0
     return Dataset(inputs=inputs, labels=labels, class_count=classes, temporal=False)
 
 
@@ -160,13 +155,14 @@ def save_idx(images_path: str, labels_path: str, images: np.ndarray, labels: np.
     """Write uint8 images [N,H,W] and labels [N] in IDX format."""
     images = np.asarray(images, dtype=np.uint8)
     labels = np.asarray(labels, dtype=np.uint8)
-    n, rows, cols = images.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        f.write(images.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
-        f.write(labels.tobytes())
+    if images.ndim != 3 or labels.shape != images.shape[:1]:
+        raise ParameterError(f"save_idx needs images [N,H,W] and labels [N], "
+                             f"got {images.shape} and {labels.shape}")
+    for path, magic, array in ((images_path, IDX_IMAGES_MAGIC, images),
+                               (labels_path, IDX_LABELS_MAGIC, labels)):
+        with open(path, "wb") as f:
+            f.write(struct.pack(f">{1 + array.ndim}I", magic, *array.shape))
+            f.write(array.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +174,6 @@ class EventStream:
     """Events sorted by timestamp, shifted so the first event is at t = 0."""
 
     events: np.ndarray  # int64 [N, 4] columns (t, x, y, p)
-    width: int
-    height: int
     duration: int
 
 
@@ -190,7 +184,7 @@ _INT64 = np.iinfo(np.int64)
 
 
 def load_events(path: str) -> EventStream:
-    """Parse a "t x y p" text stream; sensor size is inferred from coordinates.
+    """Parse a "t x y p" text stream; the sensor size is the caller's (`bin_events`).
 
     Grammar: each line holds four fields, each an optional sign and ASCII
     digits within int64, separated by spaces or tabs; p is 0 or 1. Lines end
@@ -198,7 +192,8 @@ def load_events(path: str) -> EventStream:
     skipped but still counted. Anything else, including a byte that is not
     ASCII, raises FormatError naming the first bad line as path:lineno.
 
-    Events are sorted stably by t and shifted so the first is at t = 0.
+    Events are sorted stably by t and shifted so the first is at t = 0; a
+    stream whose timestamps span more than int64 holds raises FormatError.
     """
     with open(path, "rb") as f:
         data = f.read()
@@ -206,15 +201,12 @@ def load_events(path: str) -> EventStream:
     if ev is None:
         _raise_first_bad_line(path, data)
     if len(ev) == 0:
-        return EventStream(events=np.zeros((0, 4), dtype=np.int64), width=0, height=0, duration=0)
+        return EventStream(events=ev, duration=0)
     ev = ev[np.argsort(ev[:, 0], kind="stable")]
+    if int(ev[-1, 0]) - int(ev[0, 0]) > _INT64.max:
+        raise FormatError(f"{path}: timestamps span more than int64 holds")
     ev[:, 0] -= ev[0, 0]
-    return EventStream(
-        events=ev,
-        width=int(ev[:, 1].max()) + 1,
-        height=int(ev[:, 2].max()) + 1,
-        duration=int(ev[-1, 0]),
-    )
+    return EventStream(events=ev, duration=int(ev[-1, 0]))
 
 
 def _parse_events(data: bytes) -> np.ndarray | None:

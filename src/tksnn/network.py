@@ -220,14 +220,6 @@ def unroll(model: Model, inputs) -> TemporalOutput:
     return TemporalOutput(q=q, v=v, o=o)
 
 
-def encode_static(image: np.ndarray, t_len: int) -> np.ndarray:
-    """Constant-current encoding: repeat the image T times along a new lead axis."""
-    if t_len < 1:
-        raise ParameterError("encode_static needs T >= 1")
-    image = np.asarray(image, dtype=DTYPE)
-    return np.repeat(image[None], t_len, axis=0)
-
-
 # ---------------------------------------------------------------------------
 # checkpoint container: versioned JSON header + raw little-endian f32 blobs
 

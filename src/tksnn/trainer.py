@@ -113,6 +113,12 @@ class DataConfig:
     def __post_init__(self):
         if self.kind not in ("synth", "idx"):
             raise ConfigError(f"unknown data kind {self.kind!r}")
+        if self.classes < 1:
+            raise ConfigError(f"classes must be >= 1, got {self.classes}")
+        if self.n_per_class < 0:
+            raise ConfigError(f"n_per_class must be >= 0, got {self.n_per_class}")
+        if not self.noise_sigma >= 0:
+            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)

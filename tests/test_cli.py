@@ -77,6 +77,18 @@ def test_config_not_a_json_object_exits_1(tmp_path, capsys, top_level):
     assert "JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override,message", [
+    ("data.classes=0", "classes must be >= 1, got 0"),
+    ("data.n_per_class=-1", "n_per_class must be >= 0, got -1"),
+    ("data.noise_sigma=-0.3", "noise_sigma must be >= 0, got -0.3"),
+])
+def test_bad_synth_setting_exits_1_without_outputs(tiny_config, tmp_path, capsys, override,
+                                                   message):
+    assert run(["train", "--config", str(tiny_config), "--set", override]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_malformed_override_exits_1(tiny_config, capsys):
     assert run(["train", "--config", str(tiny_config), "--set", "teacher.mode"]) == 1
     assert "key=value" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import struct
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tksnn.data
 from tksnn.data import (
     BLOCK_SIZE,
     Dataset,
@@ -35,6 +37,8 @@ def test_prepare_static_repeats_frames():
     assert seq.shape == (4, 2, 3)
     for t in range(4):
         assert np.array_equal(seq[t], batch)
+    one = prepare_sequence(batch.astype(np.float64), temporal=False, t_len=1)
+    assert one.shape == (1, 2, 3) and one.dtype == np.float32
 
 
 def test_prepare_temporal_truncates_head():
@@ -89,6 +93,9 @@ def test_schedules_rejects_impossible_requests():
         class_schedules(2, 1)
     with pytest.raises(ParameterError):
         class_schedules(3, 2)  # only 2 permutations of length 2
+    for classes in (0, -1):
+        with pytest.raises(ParameterError, match="at least one class"):
+            class_schedules(classes, 4)
 
 
 def test_synth_shapes_and_balance():
@@ -130,6 +137,31 @@ def test_synth_time_collapsed_centroids_are_uninformative():
     d = ((collapsed[:, None, :] - centroids[None]) ** 2).sum(axis=2)
     acc = (d.argmin(axis=1) == ds.labels).mean()
     assert acc < 0.45  # chance is 0.25; order removal must destroy the signal
+
+
+def ref_synth_temporal(n_per_class, t_len, classes, noise_sigma, seed):
+    """synth_temporal's inputs, filled one sample and one frame at a time."""
+    scheds = class_schedules(classes, t_len)
+    rng = np.random.default_rng([seed, 0xDA7A])
+    labels = np.repeat(np.arange(classes), n_per_class)
+    inputs = np.zeros((len(labels), t_len, t_len * BLOCK_SIZE), dtype=np.float32)
+    for i, y in enumerate(labels):
+        for t in range(t_len):
+            block = scheds[y, t]
+            inputs[i, t, block * BLOCK_SIZE : (block + 1) * BLOCK_SIZE] = 1.0
+    if noise_sigma > 0:
+        inputs += rng.normal(0.0, noise_sigma, size=inputs.shape).astype(np.float32)
+    return inputs
+
+
+@pytest.mark.parametrize("n_per_class,t_len,classes,sigma", [
+    (1, 2, 2, 0.0), (3, 2, 1, 0.3), (5, 4, 3, 0.2), (7, 10, 4, 0.3), (2, 6, 9, 0.0), (0, 5, 3, 0.1),
+])
+def test_synth_matches_per_sample_reference(n_per_class, t_len, classes, sigma):
+    ds = synth_temporal(n_per_class, t_len, classes, sigma, seed=4)
+    ref = ref_synth_temporal(n_per_class, t_len, classes, sigma, seed=4)
+    assert ds.inputs.dtype == ref.dtype and ds.inputs.shape == ref.shape
+    assert ds.inputs.tobytes() == ref.tobytes()
 
 
 def test_build_dataset_train_test_split_seeds():
@@ -176,22 +208,40 @@ def test_idx_byte_exact_resave(tmp_path):
         assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def write_idx_pair(tmp_path, images=None, labels=None):
+    """Paths of a valid 2-image IDX pair, with either file's bytes replaced."""
+    ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
+    ip.write_bytes(images if images is not None else
+                   struct.pack(">IIII", 0x803, 2, 2, 2) + bytes(range(8)))
+    lp.write_bytes(labels if labels is not None else struct.pack(">II", 0x801, 2) + b"\x00\x01")
+    return str(ip), str(lp)
+
+
+def assert_idx_error(tmp_path, message, **files):
+    with pytest.raises(FormatError, match=re.escape(message)):
+        load_idx(*write_idx_pair(tmp_path, **files))
+
+
 def test_idx_bad_magic(tmp_path):
-    p = tmp_path / "bad.idx"
-    p.write_bytes(struct.pack(">IIII", 0xDEADBEEF, 1, 2, 2) + b"\x00" * 4)
-    lp = tmp_path / "lb.idx"
-    lp.write_bytes(struct.pack(">II", 0x801, 1) + b"\x00")
-    with pytest.raises(FormatError, match="magic"):
-        load_idx(str(p), str(lp))
+    assert_idx_error(tmp_path, "im.idx: bad magic 0xdeadbeef at byte 0",
+                     images=struct.pack(">IIII", 0xDEADBEEF, 1, 2, 2) + b"\x00" * 4)
+    assert_idx_error(tmp_path, "lb.idx: bad magic 0x00000803 at byte 0",
+                     labels=struct.pack(">II", 0x803, 2) + b"\x00\x01")
+
+
+def test_idx_truncated_header(tmp_path):
+    assert_idx_error(tmp_path, "im.idx: truncated header at byte 12",
+                     images=struct.pack(">III", 0x803, 2, 2))
+    assert_idx_error(tmp_path, "lb.idx: truncated header at byte 3", labels=b"\x00\x00\x08")
 
 
 def test_idx_truncated_body(tmp_path):
-    p = tmp_path / "trunc.idx"
-    p.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + b"\x00" * 5)  # needs 8
-    lp = tmp_path / "lb.idx"
-    lp.write_bytes(struct.pack(">II", 0x801, 2) + b"\x00\x01")
-    with pytest.raises(FormatError, match="expected 8 pixel bytes"):
-        load_idx(str(p), str(lp))
+    assert_idx_error(tmp_path, "im.idx: expected 8 pixel bytes, got 5 (offset 16)",
+                     images=struct.pack(">IIII", 0x803, 2, 2, 2) + b"\x00" * 5)
+    assert_idx_error(tmp_path, "lb.idx: expected 2 label bytes, got 1 (offset 8)",
+                     labels=struct.pack(">II", 0x801, 2) + b"\x00")
+    assert_idx_error(tmp_path, "lb.idx: expected 2 label bytes, got 3 (offset 8)",
+                     labels=struct.pack(">II", 0x801, 2) + b"\x00" * 3)
 
 
 def test_idx_count_mismatch(tmp_path):
@@ -203,6 +253,17 @@ def test_idx_count_mismatch(tmp_path):
         load_idx(ip, lp)
 
 
+@pytest.mark.parametrize("images,labels", [
+    (np.zeros((2, 4), dtype=np.uint8), np.zeros(2, dtype=np.uint8)),  # images not rank 3
+    (np.zeros((2, 2, 2, 1), dtype=np.uint8), np.zeros(2, dtype=np.uint8)),
+    (np.zeros((2, 2, 2), dtype=np.uint8), np.zeros((2, 1), dtype=np.uint8)),  # labels not rank 1
+    (np.zeros((2, 2, 2), dtype=np.uint8), np.zeros(3, dtype=np.uint8)),  # counts differ
+])
+def test_save_idx_rejects_bad_shapes(tmp_path, images, labels):
+    with pytest.raises(ParameterError, match=r"images \[N,H,W\] and labels \[N\]"):
+        save_idx(str(tmp_path / "im.idx"), str(tmp_path / "lb.idx"), images, labels)
+
+
 # ---------------------------------------------------------------------------
 # event streams
 
@@ -212,8 +273,19 @@ def test_load_events_sorts_and_rebases(tmp_path):
     p.write_text("500 1 0 1\n100 0 1 0\n300 2 2 1\n")
     stream = load_events(str(p))
     assert np.array_equal(stream.events[:, 0], [0, 200, 400])
-    assert stream.width == 3 and stream.height == 3
     assert stream.duration == 400
+
+
+def test_load_events_rejects_a_span_beyond_int64(tmp_path):
+    p = tmp_path / "wide.txt"
+    p.write_text(f"{2**63 - 1} 0 0 1\n{-2**63} 1 0 0\n")
+    with pytest.raises(FormatError, match="wide.txt: timestamps span more than int64 holds"):
+        load_events(str(p))
+    p.write_text(f"{2**63 - 1} 0 0 1\n-1 1 0 0\n")  # a span of 2^63, one past int64
+    with pytest.raises(FormatError, match="span"):
+        load_events(str(p))
+    p.write_text(f"{2**63 - 1} 0 0 1\n0 1 0 0\n")  # a span of exactly 2^63 - 1 loads
+    assert load_events(str(p)).duration == 2**63 - 1
 
 
 def test_load_events_error_reporting(tmp_path):
@@ -250,7 +322,7 @@ def test_bin_events_window_assignment(tmp_path):
 
 def test_bin_events_conserves_count_and_caps():
     ev = np.array([[0, 0, 0, 1], [10, 0, 0, 1], [10, 0, 0, 1], [20, 0, 0, 1]], dtype=np.int64)
-    stream = EventStream(events=ev, width=1, height=1, duration=20)
+    stream = EventStream(events=ev, duration=20)
     frames = bin_events(stream, t_len=4, width=1, height=1)
     assert frames.sum() == 4.0
     capped = bin_events(stream, t_len=1, width=1, height=1, cap=3)
@@ -259,7 +331,7 @@ def test_bin_events_conserves_count_and_caps():
 
 def test_bin_events_out_of_bounds_coordinates():
     ev = np.array([[0, 5, 0, 1]], dtype=np.int64)
-    stream = EventStream(events=ev, width=6, height=1, duration=0)
+    stream = EventStream(events=ev, duration=0)
     with pytest.raises(DataError):
         bin_events(stream, t_len=1, width=2, height=2)
 
@@ -274,7 +346,7 @@ def test_bin_events_random_streams_conserve_counts():
         ev[:, 2] = rng.integers(0, 3, size=n)
         ev[:, 3] = rng.integers(0, 2, size=n)
         ev[:, 0] -= ev[0, 0]
-        stream = EventStream(events=ev, width=4, height=3, duration=int(ev[-1, 0]))
+        stream = EventStream(events=ev, duration=int(ev[-1, 0]))
         t_len = int(rng.integers(1, 9))
         frames = bin_events(stream, t_len, 4, 3)
         assert frames.sum() == n
@@ -305,12 +377,13 @@ def ref_load_events(path):
             raise FormatError(f"{path}:{lineno}: polarity must be 0 or 1, got {p}")
         rows.append((t, x, y, p))
     if not rows:
-        return EventStream(events=np.zeros((0, 4), dtype=np.int64), width=0, height=0, duration=0)
+        return EventStream(events=np.zeros((0, 4), dtype=np.int64), duration=0)
+    if max(r[0] for r in rows) - min(r[0] for r in rows) >= 2**63:
+        raise FormatError(f"{path}: timestamps span more than int64 holds")
     ev = np.array(rows, dtype=np.int64)
     ev = ev[np.argsort(ev[:, 0], kind="stable")]
     ev[:, 0] -= ev[0, 0]
-    return EventStream(events=ev, width=int(ev[:, 1].max()) + 1,
-                       height=int(ev[:, 2].max()) + 1, duration=int(ev[-1, 0]))
+    return EventStream(events=ev, duration=int(ev[-1, 0]))
 
 
 def ref_bin_events(stream, t_len, width, height, cap=None):
@@ -334,7 +407,7 @@ def outcome(load, path):
         s = load(path)
     except FormatError as exc:
         return str(exc)
-    return s.events.dtype, s.events.tobytes(), s.events.shape, s.width, s.height, s.duration
+    return s.events.dtype, s.events.tobytes(), s.events.shape, s.duration
 
 
 def assert_same_as_ref(data: bytes):
@@ -443,14 +516,14 @@ def test_bin_events_matches_scatter_add_reference():
                                   rng.integers(0, h, n), rng.integers(0, 2, n)])
             ev[:, 0] -= ev[0, 0]
             duration = 0 if trial == 0 else int(ev[-1, 0])  # a zero duration bins all in window 0
-            stream = EventStream(events=ev, width=w, height=h, duration=duration)
+            stream = EventStream(events=ev, duration=duration)
             for cap in (None, 1, int(rng.integers(2, 5))):
                 got = bin_events(stream, t_len, w + 1, h, cap)
                 assert got.tobytes() == ref_bin_events(stream, t_len, w + 1, h, cap).tobytes()
     # one cell hit many times
     ev = np.tile([[7, 1, 2, 1]], (5000, 1))
     ev[:, 0] = np.arange(5000)
-    stream = EventStream(events=ev, width=2, height=3, duration=4999)
+    stream = EventStream(events=ev, duration=4999)
     for t_len in (1, 3, 9):
         assert bin_events(stream, t_len, 2, 3).tobytes() == ref_bin_events(stream, t_len, 2, 3).tobytes()
 
@@ -458,13 +531,13 @@ def test_bin_events_matches_scatter_add_reference():
 def test_bin_events_rejects_bad_polarity_time_and_duration():
     ev = np.array([[0, 0, 0, 2]], dtype=np.int64)
     with pytest.raises(DataError, match="polarity"):
-        bin_events(EventStream(events=ev, width=1, height=1, duration=0), 1, 1, 1)
+        bin_events(EventStream(events=ev, duration=0), 1, 1, 1)
     ev = np.array([[-5, 0, 0, 1], [5, 0, 0, 1]], dtype=np.int64)
     with pytest.raises(DataError, match="timestamps"):
-        bin_events(EventStream(events=ev, width=1, height=1, duration=5), 2, 1, 1)
+        bin_events(EventStream(events=ev, duration=5), 2, 1, 1)
     ev = np.array([[0, 0, 0, 1], [2**62, 0, 0, 1]], dtype=np.int64)
     with pytest.raises(DataError, match="overflows int64"):  # t·T would wrap to a negative bin
-        bin_events(EventStream(events=ev, width=1, height=1, duration=2**62), 10, 1, 1)
+        bin_events(EventStream(events=ev, duration=2**62), 10, 1, 1)
 
 
 # a valid stream and byte edits drawn from the bytes the grammar hinges on
@@ -512,3 +585,16 @@ def test_dataset_rejects_labels_of_another_length():
     with pytest.raises(DataError, match="10 inputs but 6 labels"):
         Dataset(inputs=np.zeros((10, 3), dtype=np.float32),
                 labels=np.zeros(6, dtype=np.int64), class_count=2, temporal=False)
+
+
+def test_data_layer_imports_only_autodiff_and_errors():
+    # data sits below network: it may use the dtype and the error types, nothing above
+    with open(tksnn.data.__file__, encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    package = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("tksnn")):
+            package.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            package.update(a.name for a in node.names if a.name.startswith("tksnn"))
+    assert package == {".autodiff", ".errors"}

@@ -5,6 +5,7 @@ import pytest
 
 import tksnn.autodiff as ad
 from tksnn.autodiff import SurrogateSpec
+from tksnn.data import prepare_sequence
 from tksnn.errors import FormatError, ParameterError
 from tksnn.lif import LifConfig
 from tksnn.network import (
@@ -13,7 +14,6 @@ from tksnn.network import (
     Linear,
     Model,
     build_model,
-    encode_static,
     load_checkpoint,
     save_checkpoint,
     unroll,
@@ -132,21 +132,10 @@ def test_no_cross_sample_leakage():
     assert np.array_equal(out.q.data[:, 0, :], out.q.data[:, 1, :])
 
 
-def test_encode_static():
-    img = np.arange(6, dtype=np.float32).reshape(2, 3)
-    enc = encode_static(img, 3)
-    assert enc.shape == (3, 2, 3)
-    for t in range(3):
-        assert np.array_equal(enc[t], img)
-    assert encode_static(img, 1).shape == (1, 2, 3)
-    with pytest.raises(ParameterError):
-        encode_static(img, 0)
-
-
 def test_equal_inputs_different_outputs_through_state():
     # constant drive still yields time-varying logits because membranes evolve
     model = tiny_model(seed=4)
-    enc = encode_static(np.full((2, 8), 0.8, dtype=np.float32), 2)
+    enc = prepare_sequence(np.full((2, 8), 0.8, dtype=np.float32), temporal=False, t_len=2)
     out = unroll(model, enc)
     assert not np.array_equal(out.q.data[0], out.q.data[1])
 
