@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ContractError, DataError, DimensionError, ParameterError, TapeError
+from .errors import ContractError, DimensionError, ParameterError, TapeError
 
 DTYPE = np.float32
 
@@ -169,12 +169,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data)
-    _record(out, (a,), lambda g: (-g,))
-    return out
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = DTYPE(c)
     out = Tensor(a.data * c)
@@ -238,25 +232,6 @@ def stack(tensors) -> Tensor:
     tensors = list(tensors)
     out = Tensor(np.stack([t.data for t in tensors], axis=0))
     _record(out, tuple(tensors), lambda g: tuple(g[i] for i in range(len(tensors))))
-    return out
-
-
-def select_class(a: Tensor, labels: np.ndarray) -> Tensor:
-    """Gather a[..., b, labels[b]] over the last axis; works for [B,C] and [T,B,C]."""
-    labels = np.asarray(labels)
-    c = a.shape[-1]
-    if labels.min() < 0 or labels.max() >= c:
-        raise DataError(f"label out of range [0,{c})")
-    b = a.shape[-2]
-    idx = np.broadcast_to(labels.reshape((1,) * (a.ndim - 2) + (b, 1)), a.shape[:-1] + (1,))
-    out = Tensor(np.take_along_axis(a.data, idx, axis=-1).squeeze(-1))
-
-    def bwd(g):
-        full = np.zeros(a.shape, dtype=DTYPE)
-        np.put_along_axis(full, idx, np.expand_dims(g, -1), axis=-1)
-        return (full,)
-
-    _record(out, (a,), bwd)
     return out
 
 

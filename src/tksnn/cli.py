@@ -37,6 +37,14 @@ def _apply_overrides(raw: dict, overrides) -> dict:
     return raw
 
 
+def _timestep_counts(text: str) -> list[int]:
+    """The --t list of sweep: comma-separated integers; argparse names a bad entry."""
+    try:
+        return [int(entry) for entry in text.split(",")]
+    except ValueError as exc:  # int() names the entry it could not read
+        raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+
 def _load_config(path: str, overrides):
     with open(path) as f:
         raw = json.load(f)
@@ -77,8 +85,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args.config, args.set)
     model, header, _ = load_checkpoint(args.checkpoint)
     data = build_dataset(cfg.data, split=args.split)
-    t_values = [int(v) for v in args.t.split(",")]
-    sweep = evaluation.timestep_sweep(model, data, t_values)
+    sweep = evaluation.timestep_sweep(model, data, args.t)
     evaluation.write_sweep_csv(args.out, sweep)
     for t_test in sorted(sweep):
         rep = sweep[t_test]
@@ -118,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="timestep-mismatch sweep; writes a CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--t", required=True, help="comma-separated test lengths, e.g. 1,2,4,6,8,10")
+    p.add_argument("--t", required=True, type=_timestep_counts,
+                   help="comma-separated test lengths, e.g. 1,2,4,6,8,10")
     p.add_argument("--split", default="test", choices=["train", "test"])
     p.add_argument("--out", required=True)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")

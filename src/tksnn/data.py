@@ -151,10 +151,18 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     return Dataset(inputs=inputs, labels=labels, class_count=classes, temporal=False)
 
 
+def _idx_bytes(values, what: str) -> np.ndarray:
+    """values as uint8, never wrapped: ParameterError unless each is a whole number in 0-255."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biuf" or not np.all((a >= 0) & (a <= 255) & (a == np.floor(a))):
+        raise ParameterError(f"save_idx {what} must be whole numbers in 0-255")
+    return a.astype(np.uint8)
+
+
 def save_idx(images_path: str, labels_path: str, images: np.ndarray, labels: np.ndarray):
-    """Write uint8 images [N,H,W] and labels [N] in IDX format."""
-    images = np.asarray(images, dtype=np.uint8)
-    labels = np.asarray(labels, dtype=np.uint8)
+    """Write images [N,H,W] and labels [N] in IDX format; every value must be a byte (0-255)."""
+    images = _idx_bytes(images, "pixels")
+    labels = _idx_bytes(labels, "labels")
     if images.ndim != 3 or labels.shape != images.shape[:1]:
         raise ParameterError(f"save_idx needs images [N,H,W] and labels [N], "
                              f"got {images.shape} and {labels.shape}")

@@ -141,7 +141,7 @@ def model_chain_check(seed: int, h: float = 1e-2) -> float:
         out = unroll(model, x)
         from .tks import ce_loss
 
-        return ce_loss(out.v, y)
+        return ce_loss(out.o, y)
 
     w0 = model.readout.w.data.copy()
     with GradTape() as tape:

@@ -66,21 +66,31 @@ def _as_array(v) -> np.ndarray:
     return v.data if isinstance(v, Tensor) else np.asarray(v, dtype=DTYPE)
 
 
+def _one_hot(labels, c: int) -> np.ndarray:
+    """Labels [B] as float32 one-hot rows [B, c]; DataError unless each is an integer in [0, c)."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= c:
+        raise DataError(f"labels must be integers in [0,{c})")
+    return (labels[:, None] == np.arange(c)).astype(DTYPE)
+
+
+def _cross_entropy(p: Tensor, target: np.ndarray) -> Tensor:
+    """Every loss here: the mean over leading axes of -sum_c target * log p, with a [B,C]
+    target broadcast over T. The sign sits in the target; negation is exact in IEEE."""
+    return ad.mean(ad.sum_last(ad.mul(Tensor(-target), ad.log(p))))
+
+
 def select_teachers(v, labels, k: int) -> np.ndarray:
     """Per sample: the k timesteps with highest true-class probability.
 
     Ties break toward smaller t (stable sort). Returns int indices [B, k].
     """
     va = _as_array(v)
-    t_len, b, c = va.shape
-    labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= c:
-        raise DataError(f"label out of range [0,{c})")
+    t_len = va.shape[0]
+    onehot = _one_hot(labels, va.shape[-1])
     if not 1 <= k <= t_len:
         raise ParameterError(f"teacher count k={k} must be in [1, T={t_len}]")
-    true_prob = np.take_along_axis(
-        va, np.broadcast_to(labels[None, :, None], (t_len, b, 1)), axis=2
-    )[:, :, 0]  # [T, B]
+    true_prob = (va * onehot).sum(axis=-1)  # [T, B]
     order = np.argsort(-true_prob, axis=0, kind="stable")  # descending, smaller t first
     return np.sort(order[:k], axis=0).T.astype(np.int64)
 
@@ -102,15 +112,15 @@ def tks_loss(v: Tensor, z: TeacherSignal | np.ndarray) -> Tensor:
     za = z.z if isinstance(z, TeacherSignal) else np.asarray(z, dtype=DTYPE)
     if v.shape[-2:] != za.shape:
         raise ContractError(f"teacher shape {za.shape} does not match outputs {v.shape}")
-    per_tb = ad.sum_last(ad.mul(Tensor(za), ad.log(v)))  # [T, B]
-    return ad.neg(ad.mean(per_tb))
+    return _cross_entropy(v, za)
 
 
-def ce_loss(v: Tensor, labels) -> Tensor:
-    """Label cross-entropy against the aggregated output: -E_b log o[b, y_b]."""
-    v = ad.as_tensor(v)
-    o = ad.mean(v, axis=0)
-    return ad.neg(ad.mean(ad.log(ad.select_class(o, labels))))
+def ce_loss(o: Tensor, labels) -> Tensor:
+    """Label cross-entropy of the aggregated output o [B,C]: -E_b log o[b, y_b]."""
+    o = ad.as_tensor(o)
+    if o.ndim != 2:
+        raise ContractError(f"ce_loss takes the aggregate o [B,C], got shape {o.shape}")
+    return _cross_entropy(o, _one_hot(labels, o.shape[-1]))
 
 
 def final_loss(l_ce: Tensor, l_tks: Tensor, alpha: float, tau: float) -> Tensor:
@@ -132,21 +142,16 @@ def alpha_at(epoch: int, sched: AlphaSchedule) -> float:
     return sched.alpha_start + (sched.alpha_end - sched.alpha_start) * frac
 
 
-def baseline_loss(mode: str, v: Tensor, labels, epsilon: float = 0.0) -> Tensor:
-    """Comparison losses: plain CE, label smoothing, per-timestep label supervision."""
-    v = ad.as_tensor(v)
-    labels = np.asarray(labels)
+def baseline_loss(mode: str, out, labels, epsilon: float = 0.0) -> Tensor:
+    """Comparison losses on unroll's output: plain CE, label smoothing, per-step labels."""
     if mode == "none":
-        return ce_loss(v, labels)
+        return ce_loss(out.o, labels)
+    c = out.o.shape[-1]
+    onehot = _one_hot(labels, c)
     if mode == "label_smoothing":
-        c = v.shape[-1]
-        target = np.full((labels.shape[0], c), epsilon / c, dtype=DTYPE)
-        target[np.arange(labels.shape[0]), labels] += DTYPE(1.0 - epsilon)
-        o = ad.mean(v, axis=0)
-        per_b = ad.sum_last(ad.mul(Tensor(target), ad.log(o)))
-        return ad.neg(ad.mean(per_b))
+        return _cross_entropy(out.o, onehot * (1.0 - epsilon) + epsilon / c)
     if mode == "per_timestep_labels":
-        return ad.neg(ad.mean(ad.log(ad.select_class(v, labels))))
+        return _cross_entropy(out.v, onehot)
     raise ConfigError(f"unknown baseline mode {mode!r}")
 
 
@@ -158,9 +163,9 @@ def objective(out, labels, cfg: TeacherConfig, alpha: float):
     graph as mode "none"; l_tks is still reported, computed off the tape.
     """
     if cfg.mode != "tks":
-        loss = baseline_loss(cfg.mode, out.v, labels, cfg.epsilon)
+        loss = baseline_loss(cfg.mode, out, labels, cfg.epsilon)
         return loss, loss.item(), 0.0
-    l_ce = ce_loss(out.v, labels)
+    l_ce = ce_loss(out.o, labels)
     z = teacher_signal(out.q.data, select_teachers(out.v.data, labels, cfg.k), cfg.tau)
     if alpha == 0.0:
         return l_ce, l_ce.item(), tks_loss(out.v.data, z).item()

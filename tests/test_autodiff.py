@@ -6,7 +6,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 import tksnn.autodiff as ad
 from tksnn.autodiff import GradTape, SurrogateSpec, Tensor, backward
-from tksnn.errors import ContractError, DataError, DimensionError, ParameterError, TapeError
+from tksnn.errors import ContractError, DimensionError, ParameterError, TapeError
 from tksnn.gradcheck import check_scalar_fn, fd_gradient, op_checks, rel_error, spike_backward_check
 
 
@@ -180,11 +180,6 @@ def test_surrogate_spec_validation():
         SurrogateSpec(kind="gaussian")
     with pytest.raises(ParameterError):
         SurrogateSpec(width=0.0)
-
-
-def test_select_class_rejects_bad_labels():
-    with pytest.raises(DataError):
-        ad.select_class(Tensor(np.ones((2, 3))), np.array([0, 3]))
 
 
 def test_log_clamp_matches_documented_floor():

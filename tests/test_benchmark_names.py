@@ -25,3 +25,22 @@ def test_traced_report_finds_every_name_it_reads():
     report = load("run").per_layer(SimpleNamespace(traced_rounds=0, units={}), tracer)
     assert report["tks.loss_ms"] == (0.0, "ms")
     assert report["trainer.steps"] == (0.0, "count")
+
+
+def test_traced_tks_step_reaches_every_loss_the_benchmark_times():
+    # tks.loss_ms sums the spans of these three names; a TKS step that stopped
+    # calling one of them by name would read as a faster loss, not an error
+    tracer = load("spans").Tracer(tksnn)
+    data = tksnn.synth_temporal(8, 10, 4, 0.3, seed=0)
+    model = tksnn.build_model("mlp-small", data.sample_shape, 4, tksnn.LifConfig(),
+                              tksnn.SurrogateSpec(), 0)
+    x = tksnn.data.prepare_sequence(data.inputs, data.temporal, 10)
+    tracer.install()
+    try:
+        with tksnn.GradTape():
+            tksnn.objective(tksnn.unroll(model, x), data.labels, tksnn.TeacherConfig(mode="tks"),
+                            0.5)
+    finally:
+        tracer.uninstall()
+    for name in ("tks.ce_loss", "tks.tks_loss", "tks.final_loss"):
+        assert tracer.calls[tracer.names.index(name)] >= 1, name

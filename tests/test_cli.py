@@ -45,6 +45,18 @@ def test_train_then_eval_then_sweep(tiny_config, tmp_path, capsys):
     assert [int(l.split(",")[0]) for l in lines[1:]] == [1, 2, 3, 4, 6, 8]
 
 
+@pytest.mark.parametrize("t_list,bad", [("1,x", "'x'"), ("1,,2", "''"), ("2.5", "'2.5'")])
+def test_sweep_non_integer_timestep_exits_1_without_traceback(tiny_config, tmp_path, capsys,
+                                                              t_list, bad):
+    code = run(["sweep", "--config", str(tiny_config), "--checkpoint", str(tmp_path / "m.ckpt"),
+                "--t", t_list, "--out", str(tmp_path / "sweep.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"argument --t: '{t_list}': invalid literal for int() with base 10: {bad}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_train_override_changes_run(tiny_config, tmp_path, capsys):
     assert run(["train", "--config", str(tiny_config),
                 "--set", "teacher.mode=none",

@@ -264,6 +264,31 @@ def test_save_idx_rejects_bad_shapes(tmp_path, images, labels):
         save_idx(str(tmp_path / "im.idx"), str(tmp_path / "lb.idx"), images, labels)
 
 
+@pytest.mark.parametrize("images,labels,what", [
+    (np.zeros((1, 2, 2), dtype=np.uint8), np.array([300]), "labels"),  # would wrap to 44
+    (np.zeros((1, 2, 2), dtype=np.uint8), [300], "labels"),  # a Python list
+    (np.zeros((1, 2, 2), dtype=np.uint8), np.array([-1]), "labels"),
+    (np.full((1, 2, 2), 1.7), np.array([0]), "pixels"),  # would truncate to 1
+    (np.full((1, 2, 2), -1.0), np.array([0]), "pixels"),  # would wrap to 255
+    (np.full((1, 2, 2), np.nan), np.array([0]), "pixels"),
+    (np.full((1, 2, 2), np.inf), np.array([0]), "pixels"),
+    (np.zeros((1, 2, 2), dtype=np.uint8), np.array([2**70]), "labels"),  # no integer dtype
+])
+def test_save_idx_rejects_values_that_are_not_bytes_and_writes_nothing(tmp_path, images, labels,
+                                                                        what):
+    with pytest.raises(ParameterError, match=f"save_idx {what} must be whole numbers in 0-255"):
+        save_idx(str(tmp_path / "im.idx"), str(tmp_path / "lb.idx"), images, labels)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_idx_accepts_whole_numbers_of_any_dtype(tmp_path):
+    ip, lp = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
+    save_idx(ip, lp, np.full((2, 1, 2), 255.0), [0, 3])
+    ds = load_idx(ip, lp)
+    assert np.array_equal(ds.inputs, np.ones((2, 1, 2), dtype=np.float32))
+    assert ds.labels.tolist() == [0, 3]
+
+
 # ---------------------------------------------------------------------------
 # event streams
 

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tksnn.autodiff as ad
 from tksnn.autodiff import GradTape, SurrogateSpec, Tensor, backward
 from tksnn.errors import ConfigError, ContractError, DataError, ParameterError
 from tksnn.lif import LifConfig
 from tksnn.data import prepare_sequence, synth_temporal
-from tksnn.network import Linear, Model, build_model, unroll
+from tksnn.network import Linear, Model, TemporalOutput, build_model, unroll
 from tksnn.tks import (
     AlphaSchedule,
     TeacherConfig,
@@ -33,6 +35,12 @@ def softmax(x, tau=1.0):
 def probs(*rows_per_t):
     """Build a [T,B,C] probability array from per-timestep row lists."""
     return np.asarray(rows_per_t, dtype=np.float32)
+
+
+def temporal(v, q=None):
+    """The TemporalOutput unroll builds around per-timestep distributions v [T,B,C]."""
+    v = ad.as_tensor(v)
+    return TemporalOutput(q=q, v=v, o=ad.mean(v, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -208,20 +216,40 @@ def test_tks_loss_lower_bound_is_teacher_entropy():
 
 def test_ce_loss_perfect_prediction():
     v = probs([[0.0, 1.0]], [[0.0, 1.0]])
-    assert ce_loss(Tensor(v), np.array([1])).item() == pytest.approx(0.0, abs=1e-6)
+    assert ce_loss(temporal(v).o, np.array([1])).item() == pytest.approx(0.0, abs=1e-6)
 
 
 def test_ce_loss_uniform_aggregate():
     v = probs([[0.5, 0.5]])
-    assert ce_loss(Tensor(v), np.array([0])).item() == pytest.approx(np.log(2), abs=1e-6)
+    assert ce_loss(temporal(v).o, np.array([0])).item() == pytest.approx(np.log(2), abs=1e-6)
 
 
 def test_ce_loss_duplicate_sample_invariance():
     v1 = probs([[0.3, 0.7]], [[0.6, 0.4]])
     v2 = np.concatenate([v1, v1], axis=1)
-    a = ce_loss(Tensor(v1), np.array([1])).item()
-    b = ce_loss(Tensor(v2), np.array([1, 1])).item()
+    a = ce_loss(temporal(v1).o, np.array([1])).item()
+    b = ce_loss(temporal(v2).o, np.array([1, 1])).item()
     assert a == pytest.approx(b, abs=1e-7)
+
+
+def test_ce_loss_takes_the_aggregate_not_per_timestep_outputs():
+    v = probs([[0.3, 0.7]], [[0.6, 0.4]])
+    with pytest.raises(ContractError, match=r"aggregate o \[B,C\]"):
+        ce_loss(Tensor(v), np.array([1]))
+
+
+def test_every_loss_rejects_out_of_range_labels():
+    v = probs([[0.3, 0.7], [0.5, 0.5]], [[0.6, 0.4], [0.2, 0.8]])
+    out = temporal(v)
+    for bad in (-1, 2, 0.5):  # a fractional label would select no class at all
+        labels = np.array([0, bad])
+        with pytest.raises(DataError, match=r"labels must be integers in \[0,2\)"):
+            ce_loss(out.o, labels)
+        for mode in ("none", "label_smoothing", "per_timestep_labels"):
+            with pytest.raises(DataError, match=r"labels must be integers in \[0,2\)"):
+                baseline_loss(mode, out, labels, 0.1)
+        with pytest.raises(DataError, match=r"labels must be integers in \[0,2\)"):
+            select_teachers(v, labels, 1)
 
 
 def test_final_loss_degeneracies_and_hand_value():
@@ -265,18 +293,20 @@ def objective_tape(cfg, alpha):
 
 
 def test_objective_tape_nodes_per_mode():
-    n_none = objective_tape(TeacherConfig(mode="none"), 0.0)[0]
-    assert objective_tape(TeacherConfig(mode="tks"), 0.5)[0] <= 25
+    # the unroll records 10 nodes; each cross-entropy adds log, mul, sum_last
+    # and mean; the tks mix adds two scales and an add
+    assert objective_tape(TeacherConfig(mode="none"), 0.0)[0] == 14
     # at alpha=0 the tks graph is exactly the plain CE graph
-    assert objective_tape(TeacherConfig(mode="tks"), 0.0)[0] == n_none
-    assert objective_tape(TeacherConfig(mode="label_smoothing"), 0.0)[0] == 16
+    assert objective_tape(TeacherConfig(mode="tks"), 0.0)[0] == 14
+    assert objective_tape(TeacherConfig(mode="tks"), 0.5)[0] == 21
+    assert objective_tape(TeacherConfig(mode="label_smoothing"), 0.0)[0] == 14
     assert objective_tape(TeacherConfig(mode="per_timestep_labels"), 0.0)[0] == 14
 
 
 def test_objective_tks_is_final_loss_of_ce_and_tks():
     cfg = TeacherConfig(mode="tks", k=2, tau=3.0)
     _, loss, l_ce, l_tks, out, y = objective_tape(cfg, 0.4)
-    ce = ce_loss(out.v, y)
+    ce = ce_loss(out.o, y)
     sig = teacher_signal(out.q.data, select_teachers(out.v.data, y, cfg.k), cfg.tau)
     distill = tks_loss(out.v, sig)
     assert (l_ce, l_tks) == (ce.item(), distill.item())
@@ -287,7 +317,7 @@ def test_objective_tks_at_zero_alpha_is_ce_and_still_reports_tks():
     cfg = TeacherConfig(mode="tks", k=2, tau=3.0)
     _, loss, l_ce, l_tks, out, y = objective_tape(cfg, 0.0)
     sig = teacher_signal(out.q.data, select_teachers(out.v.data, y, cfg.k), cfg.tau)
-    assert loss.item() == l_ce == ce_loss(out.v, y).item()
+    assert loss.item() == l_ce == ce_loss(out.o, y).item()
     assert l_tks == tks_loss(out.v, sig).item() > 0.0
 
 
@@ -295,8 +325,97 @@ def test_objective_comparison_modes_report_own_loss_as_ce():
     for mode in ("none", "label_smoothing", "per_timestep_labels"):
         cfg = TeacherConfig(mode=mode, epsilon=0.1)
         _, loss, l_ce, l_tks, out, y = objective_tape(cfg, 0.0)
-        assert l_ce == loss.item() == baseline_loss(mode, out.v, y, 0.1).item()
+        assert l_ce == loss.item() == baseline_loss(mode, out, y, 0.1).item()
         assert l_tks == 0.0
+
+
+# Float32 numpy oracles of every loss, written without the shared
+# cross-entropy: a label loss gathers the label's probability, takes the
+# floored log and the mean, and negates; a target-weighted loss sums target *
+# floored log over classes, takes the mean and negates. Each backward is the
+# chain of those steps' derivatives in the same float32 order, so the
+# comparisons are bit for bit.
+F = np.float32
+FLOOR = F(ad.LOG_FLOOR)
+
+
+def floored_log_grad(g, p):
+    """The floored log's backward at p for upstream g: zero where p is clamped."""
+    return g * (p >= ad.LOG_FLOOR).astype(F) / np.maximum(p, FLOOR)
+
+
+def gathered_ce(p, y, coef=F(1)):
+    """-mean log p[..., b, y_b] over every leading index, and coef times its gradient."""
+    idx = np.broadcast_to(y[:, None], p.shape[:-1] + (1,))
+    picked = np.take_along_axis(p, idx, axis=-1)[..., 0]
+    grad = np.zeros_like(p)
+    np.put_along_axis(grad, idx, floored_log_grad(-coef / F(picked.size), picked)[..., None], -1)
+    return -np.mean(np.log(np.maximum(picked, FLOOR))), grad
+
+
+def weighted_ce(p, target, coef=F(1)):
+    """-mean sum_c target * log p over every leading index, and coef times its gradient."""
+    per = np.sum(target * np.log(np.maximum(p, FLOOR)), axis=-1)
+    return -np.mean(per), floored_log_grad((-coef / F(per.size)) * target, p)
+
+
+def oracle_objective(v, q, y, cfg, alpha):
+    """The loss of one step and its gradient with respect to v [T,B,C]."""
+    t, b, c = v.shape
+    o = np.mean(v, axis=0)
+
+    def through_o(g_o):  # the backward of o = mean(v, axis=0)
+        return np.broadcast_to(g_o / F(t), v.shape)
+
+    if cfg.mode == "per_timestep_labels":
+        return gathered_ce(v, y)
+    if cfg.mode == "label_smoothing":
+        target = np.full((b, c), cfg.epsilon / c, dtype=F)
+        target[np.arange(b), y] += F(1.0 - cfg.epsilon)
+        loss, g_o = weighted_ce(o, target)
+        return loss, through_o(g_o)
+    if cfg.mode == "none" or alpha == 0.0:
+        loss, g_o = gathered_ce(o, y)
+        return loss, through_o(g_o)
+    true_prob = np.take_along_axis(v, np.broadcast_to(y[None, :, None], (t, b, 1)), axis=2)[..., 0]
+    selected = np.sort(np.argsort(-true_prob, axis=0, kind="stable")[: cfg.k], axis=0).T
+    assert np.array_equal(select_teachers(v, y, cfg.k), selected)
+    z = teacher_signal(q, selected, cfg.tau).z
+    c_ce, c_tks = F(1.0 - alpha), F(alpha * cfg.tau * cfg.tau)
+    l_ce, g_o = gathered_ce(o, y, c_ce)
+    l_tks, g_v = weighted_ce(v, z, c_tks)
+    return l_ce * c_ce + l_tks * c_tks, g_v + through_o(g_o)
+
+
+# probabilities on both sides of the log floor, and at it
+PROB = st.sampled_from([0.0, 1e-13, float(FLOOR), 3e-12]) | st.floats(2.0**-20, 1.0, width=32)
+
+
+@st.composite
+def loss_cases(draw):
+    t, b, c = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    n = t * b * c
+    v = np.array(draw(st.lists(PROB, min_size=n, max_size=n)), dtype=F).reshape(t, b, c)
+    q = np.array(draw(st.lists(st.floats(-8, 8, width=32), min_size=n, max_size=n)),
+                 dtype=F).reshape(t, b, c)
+    y = np.array(draw(st.lists(st.integers(0, c - 1), min_size=b, max_size=b)))
+    return (v, q, y, draw(st.integers(1, t)), draw(st.floats(0.5, 5.0)),
+            draw(st.floats(0.0, 0.99)), draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)))
+
+
+@pytest.mark.parametrize("mode", ["tks", "none", "label_smoothing", "per_timestep_labels"])
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(case=loss_cases())
+def test_objective_matches_the_gather_then_log_oracle_bit_for_bit(mode, case):
+    v, q, y, k, tau, epsilon, alpha = case
+    cfg = TeacherConfig(mode=mode, k=k, tau=tau, epsilon=epsilon)
+    leaf = Tensor(v, requires_grad=True)
+    with GradTape() as tape:
+        loss, _, _ = objective(temporal(leaf, Tensor(q)), y, cfg, alpha)
+    backward(loss, tape)
+    want_loss, want_grad = oracle_objective(v, q, y, cfg, alpha)
+    assert np.array_equal(loss.data, want_loss)
+    assert np.array_equal(leaf.grad, want_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -338,28 +457,28 @@ def test_label_smoothing_zero_epsilon_equals_plain_ce():
     rng = np.random.default_rng(9)
     v = softmax(rng.normal(size=(4, 6, 5))).astype(np.float32)
     y = rng.integers(0, 5, size=6)
-    a = baseline_loss("none", Tensor(v), y).item()
-    b = baseline_loss("label_smoothing", Tensor(v), y, epsilon=0.0).item()
+    a = baseline_loss("none", temporal(v), y).item()
+    b = baseline_loss("label_smoothing", temporal(v), y, epsilon=0.0).item()
     assert a == b  # bit-exact degeneracy
 
 
 def test_per_timestep_labels_constant_in_t_equals_ce():
     v1 = probs([[0.3, 0.7]])
     v = np.tile(v1, (5, 1, 1))
-    a = baseline_loss("per_timestep_labels", Tensor(v), np.array([1])).item()
-    b = ce_loss(Tensor(v), np.array([1])).item()
+    a = baseline_loss("per_timestep_labels", temporal(v), np.array([1])).item()
+    b = ce_loss(temporal(v).o, np.array([1])).item()
     assert a == pytest.approx(b, abs=1e-6)
 
 
 def test_label_smoothing_hand_expansion():
     v = probs([[1.0, 0.0]])
-    loss = baseline_loss("label_smoothing", Tensor(v), np.array([0]), epsilon=0.1).item()
+    loss = baseline_loss("label_smoothing", temporal(v), np.array([0]), epsilon=0.1).item()
     assert loss == pytest.approx(-(0.95 * 0.0 + 0.05 * LOG_K), rel=1e-5)
 
 
 def test_unknown_baseline_mode():
     with pytest.raises(ConfigError):
-        baseline_loss("boosting", Tensor(probs([[1.0, 0.0]])), np.array([0]))
+        baseline_loss("boosting", temporal(probs([[1.0, 0.0]])), np.array([0]))
 
 
 def test_teacher_config_validation():
