@@ -2,7 +2,10 @@
 
 Times one untaped cnn-small unroll layer by layer (B=8 samples of 2x32x32
 event-like frames, T=1 and T=10) and counts minor page faults
-(`getrusage` `ru_minflt`) per unroll and per B=16, T=10 training step. It
+(`getrusage` `ru_minflt`) per unroll and per B=16, T=10 training step. The
+LIF, im2col, col2im and pooling kernels split their work over the CPUs of
+the process's affinity set (at most four): it prints that worker count, and
+every time with all workers and with one, repeats of the two alternating. It
 also prints the process's peak resident set size after training
 (`ru_maxrss`) and, last of all, the allocation peak of one traced training
 step (`tracemalloc`). A fresh 4 KB page costs a fault, so the count shows
@@ -15,9 +18,9 @@ Run from the repository root:
 
 Like the benchmark, it runs BLAS on one thread and switches numpy's
 huge-page advice off, so its fault counts compare with the benchmark's runs.
-Times are medians over the repeats that follow a warm-up; faults are given
-as median and mean, because the allocator returns memory to the system
-only now and then.
+Times are medians over the repeats that follow a warm-up; faults, counted
+with all workers, are given as median and mean, because the allocator
+returns memory to the system only now and then.
 """
 
 import os
@@ -37,7 +40,7 @@ from tksnn import (  # noqa: E402
     AdamW, GradTape, LifConfig, SurrogateSpec, TeacherConfig, backward, build_model,
     objective, unroll,
 )
-from tksnn import network  # noqa: E402
+from tksnn import autodiff, network  # noqa: E402
 
 SHAPE = (2, 32, 32)
 CLASSES = 4
@@ -87,48 +90,74 @@ def timed_layers(model):
         network.lif_sequence = lif_sequence
 
 
+@contextlib.contextmanager
+def workers(n: int):
+    """Split the kernels over n workers (the calling thread included)."""
+    saved = autodiff._WORKERS
+    autodiff._WORKERS = n
+    try:
+        yield
+    finally:
+        autodiff._WORKERS = saved
+
+
+def settings():
+    """(label, worker count) of the two settings every time is taken with."""
+    n = autodiff._WORKERS
+    return [(f"{n} workers", n), ("1 worker", 1)]
+
+
 def profile_unroll(model, rng, t_len: int, batch: int = 8):
-    per_layer, totals, flts = {}, [], []
+    per_layer, totals, flts = {}, {}, []
     with timed_layers(model) as spent:
         for r in range(REPEATS + 2):
-            x = frames(rng, t_len, batch)
-            spent.clear()
-            f0, t0 = faults(), time.perf_counter()
-            unroll(model, x)
-            t1, f1 = time.perf_counter(), faults()
-            if r < 2:  # warm-up
-                continue
-            totals.append(t1 - t0)
-            flts.append(f1 - f0)
-            for name, s in spent.items():
-                per_layer.setdefault(name, []).append(s)
+            for label, n in settings():
+                x = frames(rng, t_len, batch)
+                spent.clear()
+                with workers(n):
+                    f0, t0 = faults(), time.perf_counter()
+                    unroll(model, x)
+                    t1, f1 = time.perf_counter(), faults()
+                if r < 2:  # warm-up
+                    continue
+                totals.setdefault(label, []).append(t1 - t0)
+                if n == autodiff._WORKERS:
+                    flts.append(f1 - f0)
+                for name, s in spent.items():
+                    per_layer.setdefault(name, {}).setdefault(label, []).append(s)
+    labels = [label for label, _ in settings()]
     print(f"untaped unroll, T={t_len}, B={batch}: "
-          f"{statistics.median(totals) * 1e3:.2f} ms, "
-          f"minor faults median {statistics.median(flts):.0f}, mean {statistics.fmean(flts):.0f}")
-    for name, values in per_layer.items():
-        ms = statistics.median(v[0] for v in values)
-        flt = statistics.median(v[1] for v in values)
-        print(f"  {name:14s} {ms:8.3f} ms {flt:6.0f} faults")
+          + ", ".join(f"{statistics.median(totals[lb]) * 1e3:.2f} ms ({lb})" for lb in labels)
+          + f", minor faults median {statistics.median(flts):.0f}, mean {statistics.fmean(flts):.0f}")
+    print(f"  {'layer':14s}" + "".join(f"{lb:>14s}" for lb in labels) + "    faults")
+    for name, by_label in per_layer.items():
+        ms = [statistics.median(v[0] for v in by_label[lb]) for lb in labels]
+        flt = statistics.median(v[1] for v in by_label[labels[0]])
+        print(f"  {name:14s}" + "".join(f"{m:11.3f} ms" for m in ms) + f"{flt:10.0f}")
 
 
 def profile_train_step(model, rng, t_len: int = 10, batch: int = 16):
     opt = AdamW(model.parameters(), lr=1e-3)
     teacher = TeacherConfig(mode="tks", k=2, tau=3.0)
-    times, flts = [], []
+    times, flts = {}, []
     for r in range(REPEATS + 2):
-        x = frames(rng, t_len, batch)
-        y = rng.integers(0, CLASSES, size=batch)
-        f0, t0 = faults(), time.perf_counter()
-        with GradTape() as tape:
-            loss, _, _ = objective(unroll(model, x), y, teacher, 0.5)
-        backward(loss, tape)
-        opt.step()
-        t1, f1 = time.perf_counter(), faults()
-        if r >= 2:
-            times.append(t1 - t0)
-            flts.append(f1 - f0)
-    print(f"training step, T={t_len}, B={batch}: {statistics.median(times) * 1e3:.1f} ms, "
-          f"minor faults median {statistics.median(flts):.0f}, mean {statistics.fmean(flts):.0f}")
+        for label, n in settings():
+            x = frames(rng, t_len, batch)
+            y = rng.integers(0, CLASSES, size=batch)
+            with workers(n):
+                f0, t0 = faults(), time.perf_counter()
+                with GradTape() as tape:
+                    loss, _, _ = objective(unroll(model, x), y, teacher, 0.5)
+                backward(loss, tape)
+                opt.step()
+                t1, f1 = time.perf_counter(), faults()
+            if r >= 2:
+                times.setdefault(label, []).append(t1 - t0)
+                if n == autodiff._WORKERS:
+                    flts.append(f1 - f0)
+    print(f"training step, T={t_len}, B={batch}: "
+          + ", ".join(f"{statistics.median(v) * 1e3:.1f} ms ({lb})" for lb, v in times.items())
+          + f", minor faults median {statistics.median(flts):.0f}, mean {statistics.fmean(flts):.0f}")
 
 
 def trace_train_step(model, rng, t_len: int = 10, batch: int = 16):
@@ -159,6 +188,8 @@ def main():
     core = getattr(np, "_core", None) or np.core
     core.multiarray._set_madvise_hugepage(False)
     rng = np.random.default_rng(0)
+    print(f"workers: {autodiff._WORKERS} (CPUs in this process's affinity set, "
+          f"at most {autodiff._MAX_WORKERS})")
     # training first, in a fresh process, as in the benchmark's cnn set-up
     profile_train_step(new_model(), rng)
     print(f"process peak RSS after training {peak_rss_mb():.1f} MB")

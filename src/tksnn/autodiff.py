@@ -8,6 +8,11 @@ reproduce bit-identically on one machine.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +68,17 @@ class _Node:
         self.bwd = bwd
 
 
-_TAPE_STACK: list["GradTape"] = []
+class _TapeStack(threading.local):
+    """The tapes open on the calling thread, innermost last; true while any is."""
+
+    def __init__(self):
+        self.tapes: list[GradTape] = []
+
+    def __bool__(self):
+        return bool(self.tapes)
+
+
+_TAPE_STACK = _TapeStack()
 
 
 class GradTape:
@@ -75,11 +90,11 @@ class GradTape:
         self._used = False
 
     def __enter__(self):
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _TAPE_STACK.pop()
+        _TAPE_STACK.tapes.pop()
         return False
 
     def __len__(self):
@@ -87,7 +102,8 @@ class GradTape:
 
 
 def _active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    tapes = _TAPE_STACK.tapes
+    return tapes[-1] if tapes else None
 
 
 def _record(out: Tensor, inputs, bwd):
@@ -138,6 +154,115 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
         if n == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
     return g
+
+
+# ---------------------------------------------------------------------------
+# kernels split over the process's CPUs
+
+
+_MAX_WORKERS = 4  # threads a split uses at most, the calling thread included
+# float32 elements a range must touch to pay for its hand-off to a pool thread
+# (about 45 us, more to wake an idle CPU): 8-sample cnn-small evaluation calls
+# at T <= 3 measured slower split, so they, and all of mlp-small, run inline
+_MIN_RANGE_WORK = 1 << 19
+
+
+def _cpu_set() -> frozenset[int]:
+    try:
+        return frozenset(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return frozenset(range(os.cpu_count() or 1))
+
+
+def _libc_getcpu():
+    """glibc's sched_getcpu (the CPU the calling thread runs on), or None."""
+    try:
+        fn = ctypes.CDLL(None).sched_getcpu
+    except (OSError, AttributeError):  # not a glibc platform
+        return None
+    fn.restype, fn.argtypes = ctypes.c_int, []
+    return fn
+
+
+_CPUS = _cpu_set()
+_WORKERS = min(len(_CPUS), _MAX_WORKERS)
+_getcpu = _libc_getcpu()
+_pool: ThreadPoolExecutor | None = None  # made on first use
+_pool_lock = threading.Lock()
+
+
+class _Pin(threading.local):
+    away_from = -1  # the CPU this pool thread is kept off, -1 for none
+
+
+_PIN = _Pin()
+
+
+def _forget_pool():
+    # a forked child has none of the parent's threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="tksnn-split")
+        return _pool
+
+
+def _run_off(cpu: int, fn, lo: int, hi: int) -> None:
+    """fn(lo, hi) on a pool thread kept off `cpu`, the CPU of the thread that split.
+
+    Left to the scheduler, a thread woken for a few ms of work can be queued
+    behind its waker on one CPU while another idles (measured on a 2-vCPU VM:
+    no overlap for bursts under ~30 ms), so the pool thread leaves it.
+    """
+    if cpu >= 0 and _PIN.away_from != cpu:
+        others = _CPUS - {cpu}
+        # a CPU set that changed since import only costs the placement
+        with contextlib.suppress(OSError):
+            if others:
+                os.sched_setaffinity(0, others)
+        _PIN.away_from = cpu
+    fn(lo, hi)
+
+
+def _split(n: int, fn, work: int) -> None:
+    """Call fn(lo, hi) over contiguous ranges that cover [0, n), one per worker.
+
+    `work` is the number of float32 elements one of the n items touches. The
+    calling thread runs the first range and a pool of _WORKERS − 1 threads
+    (_WORKERS as it was at the pool's first use) the others. With one
+    worker, or under _MIN_RANGE_WORK elements per range, the call is
+    fn(0, n) inline and starts no thread. Every range has finished
+    when this returns, also when one raises; the first error in range order
+    is then raised as itself. fn must write a disjoint part of the output for
+    each range and must not record a tape op, call a public function of this
+    package (tracing wraps those and assumes one thread) or call _split.
+    Buffers belong in the caller, so that threads allocate nothing large.
+    """
+    ranges = min(_WORKERS, n, n * work // _MIN_RANGE_WORK)
+    if ranges < 2:
+        fn(0, n)
+        return
+    bounds = [n * k // ranges for k in range(ranges + 1)]
+    pool = _executor()
+    here = _getcpu() if _getcpu is not None else -1
+    futures = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            futures.append(pool.submit(_run_off, here, fn, lo, hi))
+        fn(bounds[0], bounds[1])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +399,16 @@ class SurrogateSpec:
         if self.width <= 0:
             raise ParameterError(f"surrogate width must be positive, got {self.width}")
 
-    def derivative(self, x: np.ndarray) -> np.ndarray:
-        """Closed-form surrogate derivative at x = v - v_th; zero for |x| >= width."""
+    def derivative(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Closed-form surrogate derivative at x = v - v_th; zero for |x| >= width.
+
+        It is written into `out` (a new array if None), the one buffer every
+        op writes into, so the call allocates nothing else.
+        """
         w = DTYPE(self.width)
-        d = np.abs(x, out=np.empty_like(x))  # the one buffer every later op writes into
+        d = np.abs(x, out=np.empty_like(x) if out is None else out)
         if self.kind == "rectangular":
-            d = np.divide(d < w, w, out=d)
+            d = np.divide(np.less(d, w, out=d), w, out=d)
         else:
             d = np.subtract(1, np.divide(d, w, out=d), out=d)  # 1 - |x|/w
             if self.kind == "triangular":
@@ -313,13 +442,21 @@ def _im2col(x: np.ndarray, kh, kw, stride, padding):
 
     One contiguous copy of the (kh, kw) window view of x, zero-padded into one
     channels-last buffer, lays them out channels fastest, as the matmul reads them.
+    The samples are cut into one contiguous range per worker (`_split`); each
+    range copies its own samples' padding and patches, and a copy is exact,
+    so the patches are the same bits for any number of workers.
     """
     b, c, h, w = x.shape
     oh, ow = _conv_geometry(h, w, kh, kw, stride, padding)
     xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=DTYPE)
-    xp[:, padding : padding + h, padding : padding + w] = x.transpose(0, 2, 3, 1)
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    cols = np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3))  # [b,oh,ow,kh,kw,c]
+    cols = np.empty((b, oh, ow, kh, kw, c), dtype=DTYPE)
+
+    def copy(lo, hi):
+        xp[lo:hi, padding : padding + h, padding : padding + w] = x[lo:hi].transpose(0, 2, 3, 1)
+        windows = sliding_window_view(xp[lo:hi], (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        cols[lo:hi] = windows.transpose(0, 1, 2, 4, 5, 3)
+
+    _split(b, copy, oh * ow * kh * kw * c)
     return cols.reshape(b * oh * ow, kh * kw * c), oh, ow
 
 
@@ -328,13 +465,22 @@ def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding):
 
     Each (i, j) entry of the patches is added into a strided view of one zeroed
     padded buffer in row-major (i, j) order, the order of every element's adds.
+    The samples are cut into one contiguous range per worker (`_split`), and
+    each range scatters its own samples in that order. A sample's patches add
+    only into its own part of the buffer, so every element gets the same adds
+    in the same order, and the same bits, for any number of workers.
     """
     b, c, h, w = x_shape
     oh, ow = _conv_geometry(h, w, kh, kw, stride, padding)
     patches = cols.reshape(b, oh, ow, kh, kw, c)
     xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=DTYPE)
-    for i, j in np.ndindex(kh, kw):
-        xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += patches[:, :, :, i, j]
+
+    def scatter(lo, hi):
+        for i, j in np.ndindex(kh, kw):
+            xp[lo:hi, i : i + stride * oh : stride, j : j + stride * ow : stride] += \
+                patches[lo:hi, :, :, i, j]
+
+    _split(b, scatter, oh * ow * kh * kw * c)
     return xp[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
 
 
@@ -383,26 +529,44 @@ def avgpool2d(x: Tensor, window: int) -> Tensor:
     The forward adds the window² strided views x[:, :, i::k, j::k] into one
     buffer in row-major (i, j) order, then divides by window²; the backward
     writes g / window² into the same views of one gradient buffer. Both
-    buffers take x's memory order.
+    buffers take x's memory order. Both passes cut the samples into one
+    contiguous range per worker (`_split`); a sample's pooled values and
+    gradients come from that sample alone, in the same op order, so the
+    bits do not depend on the number of workers.
     """
     b, c, h, w = x.shape
     if h % window or w % window:
         raise DimensionError(f"avgpool2d window {window} does not divide spatial dims {h}x{w}")
     k = window
-    views = [(slice(None), slice(None), slice(i, None, k), slice(j, None, k))
-             for i in range(k) for j in range(k)]
+    offsets = [(i, j) for i in range(k) for j in range(k)]
     n = DTYPE(k * k)
     data = x.data
-    acc = np.add(data[views[0]], data[views[1]]) if k > 1 else data.copy(order="K")
-    for view in views[2:]:
-        np.add(acc, data[view], out=acc)
-    out = Tensor(np.divide(acc, n, out=acc))
+    acc = np.empty_like(data[:, :, ::k, ::k])  # the order np.add gives the views' sum
+
+    def pool(lo, hi):
+        part, out = data[lo:hi], acc[lo:hi]
+        views = [part[:, :, i::k, j::k] for i, j in offsets]
+        if k > 1:
+            np.add(views[0], views[1], out=out)
+        else:
+            np.copyto(out, views[0])
+        for view in views[2:]:
+            np.add(out, view, out=out)
+        np.divide(out, n, out=out)
+
+    _split(b, pool, c * h * w)
+    out = Tensor(acc)
 
     def bwd(g):
         gx = np.empty_like(data)
-        share = g / n
-        for view in views:
-            gx[view] = share
+        share = np.empty_like(g)
+
+        def spread(lo, hi):
+            np.divide(g[lo:hi], n, out=share[lo:hi])
+            for i, j in offsets:
+                gx[lo:hi, :, i::k, j::k] = share[lo:hi]
+
+        _split(b, spread, c * h * w)
         return (gx,)
 
     _record(out, (x,), bwd)

@@ -32,6 +32,9 @@ class Dataset:
     def __post_init__(self):
         if len(self.labels) != self.inputs.shape[0]:
             raise DataError(f"{self.inputs.shape[0]} inputs but {len(self.labels)} labels")
+        dtype = np.asarray(self.labels).dtype
+        if not np.issubdtype(dtype, np.integer):
+            raise DataError(f"labels must be integer class ids, got dtype {dtype}")
         if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
             raise DataError(f"labels outside [0,{self.class_count})")
 

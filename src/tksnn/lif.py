@@ -29,6 +29,18 @@ stored v_t:
 where gs_t is the gradient reaching s_t from the layers above. `lif_step` is
 the single-step reference: the same update built from tape ops, against
 which the fused op is tested.
+
+Tiles and threads. Both loops see the sequence as a [T, N] array in its
+memory order: channels-last after a conv, a view of dense currents, never a
+copy. The N neurons are cut into tiles of `TILE` consecutive columns, and
+each tile runs the whole time loop, forward or backward, in its own slices
+of the per-step buffers, so its working set stays in cache. The tiles are
+cut into one contiguous run per worker by `autodiff._split`, which runs the
+runs on the process's CPUs. A neuron's recurrence reads only that neuron's
+own values, so every element gets the same ops on the same operands in the
+same order whatever the tile size and worker count: the bits cannot change.
+The calling thread allocates every buffer; the workers only write into
+them. mlp-small's layer (B·128 neurons) is a single tile and runs inline.
 """
 
 from __future__ import annotations
@@ -100,6 +112,16 @@ def lif_step(
     return LifState(v=v_new, s_prev=spikes), spikes
 
 
+# neurons per tile: a tile's per-step buffers (256 KB each) stay in L2, and each
+# numpy call is long enough that two workers seldom wait on the interpreter lock
+TILE = 1 << 16
+
+
+def _memory_order(a: np.ndarray) -> tuple[int, ...]:
+    """Axes of a [T, ...] array: time first, then the others outermost in memory first."""
+    return (0,) + tuple(sorted(range(1, a.ndim), key=lambda k: -a.strides[k]))
+
+
 def lif_sequence(currents: Tensor, cfg: LifConfig, surrogate: SurrogateSpec) -> Tensor:
     """Spikes [T,B,...] for input currents [T,B,...] from a fresh state, as one tape op."""
     i_seq = currents.data
@@ -109,52 +131,85 @@ def lif_sequence(currents: Tensor, cfg: LifConfig, surrogate: SurrogateSpec) -> 
     leak = DTYPE(1.0 - 1.0 / cfg.tau_m)
     gain = DTYPE(1.0 / cfg.tau_m)
     v_rest, v_th = DTYPE(cfg.v_rest), DTYPE(cfg.v_th)
-    # every buffer takes the memory order of the currents (channels-last after
-    # a conv), so the elementwise steps and the next layer read it in order
-    s_seq = np.empty_like(i_seq)
+    # both loops run on [T, N] views in the currents' memory order (channels-
+    # last after a conv), views and not copies of dense currents: every pass
+    # reads memory in order, and the spikes keep that order for the next layer
+    order = _memory_order(i_seq)
+    shape = tuple(i_seq.shape[k] for k in order)
+    inverse = tuple(sorted(range(len(order)), key=order.__getitem__))
+
+    def rows(x):
+        return x.transpose(order).reshape(t_len, -1)
+
+    i_rows = rows(i_seq)
+    n = i_rows.shape[1]
+    s_rows = np.empty_like(i_rows)
     # only a recorded op's backward reads the potentials
-    v_seq = np.empty_like(i_seq) if ad._active_tape() is not None and currents._needs else None
-    v = np.full_like(i_seq[0], v_rest)
-    s = np.zeros_like(i_seq[0])
-    a, carry = np.empty_like(v), np.empty_like(v)
-    # s_seq[t] holds the drive I_t / tau_m until step t replaces it with s_t
-    np.multiply(i_seq, gain, out=s_seq)
-    for t in range(t_len):
-        np.multiply(v, np.subtract(1, s, out=a), out=carry)
-        if cfg.v_rest != 0.0:
-            np.add(carry, np.multiply(s, v_rest, out=a), out=carry)
-        np.multiply(carry, leak, out=carry)
-        if v_seq is not None:
-            v = v_seq[t]
-        s = s_seq[t]
-        np.add(carry, s, out=v)
-        np.greater_equal(v, v_th, out=s)
-    out = Tensor(s_seq)
+    v_rows = np.empty_like(i_rows) if ad._active_tape() is not None and currents._needs else None
+    # per-step scratch: each tile runs in its own slice
+    v_step = np.full(n, v_rest, dtype=DTYPE)
+    s_step = np.zeros(n, dtype=DTYPE)
+    a_step, carry_step = np.empty(n, dtype=DTYPE), np.empty(n, dtype=DTYPE)
+
+    def forward_tiles(lo, hi):
+        for k in range(lo * TILE, min(hi * TILE, n), TILE):
+            tile = slice(k, k + TILE)
+            # s_tile[t] holds the drive I_t / tau_m until step t replaces it with s_t
+            s_tile = s_rows[:, tile]
+            np.multiply(i_rows[:, tile], gain, out=s_tile)
+            v_tile = v_rows[:, tile] if v_rows is not None else None
+            v, s, a, carry = v_step[tile], s_step[tile], a_step[tile], carry_step[tile]
+            for t in range(t_len):
+                np.multiply(v, np.subtract(1, s, out=a), out=carry)
+                if cfg.v_rest != 0.0:
+                    np.add(carry, np.multiply(s, v_rest, out=a), out=carry)
+                np.multiply(carry, leak, out=carry)
+                if v_tile is not None:
+                    v = v_tile[t]
+                s = s_tile[t]
+                np.add(carry, s, out=v)
+                np.greater_equal(v, v_th, out=s)
+
+    tiles = -(-n // TILE)
+    ad._split(tiles, forward_tiles, t_len * TILE)
+    out = Tensor(s_rows.reshape(shape).transpose(inverse))
 
     def bwd(g):
-        grad = np.empty_like(i_seq)
-        dv, c, ds, a = (np.empty_like(i_seq[0]) for _ in range(4))
-        for t in range(t_len - 1, -1, -1):
-            sg = surrogate.derivative(np.subtract(v_seq[t], v_th, out=a))
-            if t == t_len - 1:
-                np.multiply(g[t], sg, out=dv)
-            else:
-                np.multiply(dv, leak, out=c)
-                if cfg.detach_reset:
-                    ds = g[t]
-                else:
-                    # (c·v_rest + (−c·v_t)) + gs_t, with each x + (−y) written
-                    # x − y: IEEE defines them as the same operation
-                    np.multiply(c, v_seq[t], out=a)
-                    if cfg.v_rest != 0.0:
-                        np.subtract(np.multiply(c, v_rest, out=ds), a, out=ds)
-                        np.add(ds, g[t], out=ds)
+        g_rows = rows(g)  # a view when g has the currents' memory order
+        grad = np.empty_like(s_rows)
+        dv_step, c_step, ds_step, a_step, sg_step = (np.empty(n, dtype=DTYPE) for _ in range(5))
+
+        def backward_tiles(lo, hi):
+            for k in range(lo * TILE, min(hi * TILE, n), TILE):
+                tile = slice(k, k + TILE)
+                v_tile, s_tile, g_tile, grad_tile = (
+                    x[:, tile] for x in (v_rows, s_rows, g_rows, grad))
+                dv, c, ds, a, sg = (
+                    x[tile] for x in (dv_step, c_step, ds_step, a_step, sg_step))
+                for t in range(t_len - 1, -1, -1):
+                    surrogate.derivative(np.subtract(v_tile[t], v_th, out=a), out=sg)
+                    if t == t_len - 1:
+                        np.multiply(g_tile[t], sg, out=dv)
                     else:
-                        np.subtract(g[t], a, out=ds)
-                np.multiply(c, np.subtract(1, s_seq[t], out=a), out=dv)
-                np.add(dv, np.multiply(ds, sg, out=sg), out=dv)
-            np.multiply(dv, gain, out=grad[t])
-        return (grad,)
+                        np.multiply(dv, leak, out=c)
+                        if cfg.detach_reset:
+                            ds_t = g_tile[t]
+                        else:
+                            # (c·v_rest + (−c·v_t)) + gs_t, with each x + (−y)
+                            # written x − y: IEEE defines them as the same operation
+                            ds_t = ds
+                            np.multiply(c, v_tile[t], out=a)
+                            if cfg.v_rest != 0.0:
+                                np.subtract(np.multiply(c, v_rest, out=ds), a, out=ds)
+                                np.add(ds, g_tile[t], out=ds)
+                            else:
+                                np.subtract(g_tile[t], a, out=ds)
+                        np.multiply(c, np.subtract(1, s_tile[t], out=a), out=dv)
+                        np.add(dv, np.multiply(ds_t, sg, out=sg), out=dv)
+                    np.multiply(dv, gain, out=grad_tile[t])
+
+        ad._split(tiles, backward_tiles, t_len * TILE)
+        return (grad.reshape(shape).transpose(inverse),)
 
     ad._record(out, (currents,), bwd)
     return out

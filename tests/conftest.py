@@ -3,6 +3,8 @@ import struct
 
 import pytest
 
+import tksnn.autodiff as ad
+
 # checkpoint headers that parse as JSON but do not describe a model
 HEADER_DEFECTS = {
     "no preset": lambda h: h.pop("preset"),
@@ -30,3 +32,11 @@ def bad_header_copies(tmp_path):
         return out
 
     return make
+
+
+@pytest.fixture
+def workers(request, monkeypatch):
+    """Split every kernel over `request.param` workers, however little work it has."""
+    monkeypatch.setattr(ad, "_WORKERS", request.param)
+    monkeypatch.setattr(ad, "_MIN_RANGE_WORK", 1)
+    return request.param

@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +229,38 @@ def test_avgpool_window_must_divide_spatial_dims():
         ad.avgpool2d(Tensor(np.zeros((1, 2, 8, 6), dtype=np.float32)), 4)
 
 
+def unsplit_avgpool(data, g, k):
+    """(y, dx) of the single-pass pool: the bit-exact oracle for the split one."""
+    views = [(slice(None), slice(None), slice(i, None, k), slice(j, None, k))
+             for i in range(k) for j in range(k)]
+    n = np.float32(k * k)
+    acc = np.add(data[views[0]], data[views[1]]) if k > 1 else data.copy(order="K")
+    for view in views[2:]:
+        np.add(acc, data[view], out=acc)
+    y = np.divide(acc, n, out=acc)
+    gx, share = np.empty_like(data), g / n
+    for view in views:
+        gx[view] = share
+    return y, gx
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("window", [1, 2, 3])
+def test_split_avgpool_matches_the_single_pass_bit_for_bit(window, workers):
+    for x, x_cl in pool_inputs(10 + window):
+        for data in (x, x_cl):
+            g = np.random.default_rng(window).standard_normal(
+                (data.shape[0], data.shape[1]) + tuple(d // window for d in data.shape[2:])
+            ).astype(np.float32)
+            y_ref, gx_ref = unsplit_avgpool(data, g, window)
+            leaf = Tensor(data, requires_grad=True)
+            with GradTape() as tape:
+                y = ad.avgpool2d(leaf, window)
+            (gx,) = tape._nodes[0].bwd(g)
+            assert same_bits(y.data, y_ref) and y.data.strides == y_ref.strides
+            assert same_bits(gx, gx_ref) and gx.strides == gx_ref.strides
+
+
 @pytest.mark.parametrize("window", [1, 2, 3])
 def test_avgpool_backward_matches_broadcast_oracle(window):
     for x, x_cl in pool_inputs(10 + window):
@@ -294,6 +332,21 @@ def same_bits(a, b):
 @pytest.mark.parametrize("padding", [0, 1, 2])
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv2d_matches_keep_the_patches_oracle_bit_for_bit(stride, padding, ci, channels_last):
+    check_conv2d_against_the_oracle(stride, padding, ci, channels_last)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("channels_last", [False, True])
+@pytest.mark.parametrize("ci", [1, 2, 3, 16])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_split_conv2d_matches_keep_the_patches_oracle_bit_for_bit(stride, padding, ci,
+                                                                  channels_last, workers):
+    # 5 samples cut unevenly over 2 and 3 workers
+    check_conv2d_against_the_oracle(stride, padding, ci, channels_last)
+
+
+def check_conv2d_against_the_oracle(stride, padding, ci, channels_last):
     rng = np.random.default_rng(100 * stride + 10 * padding + ci)
     b, co, kh, kw, h, w = 5, 6, 3, 3, 9, 7
     x = rng.standard_normal((b, h, w, ci)).astype(np.float32).transpose(0, 3, 1, 2)
@@ -337,3 +390,97 @@ def test_conv2d_tape_keeps_less_than_one_patch_matrix():
         tracemalloc.stop()
     assert y.data.nbytes < kept < patch_bytes
     assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+
+# _split: the kernels' work split over threads
+
+
+def test_split_cuts_contiguous_ranges_that_cover_every_item(monkeypatch):
+    monkeypatch.setattr(ad, "_WORKERS", 3)
+    seen = []
+    ad._split(7, lambda lo, hi: seen.append((lo, hi)), ad._MIN_RANGE_WORK)
+    assert sorted(seen) == [(0, 2), (2, 4), (4, 7)]
+
+
+@pytest.mark.parametrize("count, work", [(1, 1 << 30), (2, ad._MIN_RANGE_WORK // 8)])
+def test_split_runs_inline_with_one_worker_or_little_work(monkeypatch, count, work):
+    monkeypatch.setattr(ad, "_WORKERS", count)
+    monkeypatch.setattr(ad, "_executor", lambda: pytest.fail("a pool was used"))
+    seen = []
+    ad._split(8, lambda lo, hi: seen.append((lo, hi, threading.get_ident())), work)
+    assert seen == [(0, 8, threading.get_ident())]
+
+
+@pytest.mark.parametrize("failing", [0, 2])  # the calling thread's range, a pool thread's
+def test_split_raises_the_error_itself_after_every_range_has_finished(monkeypatch, failing):
+    monkeypatch.setattr(ad, "_WORKERS", 3)
+    error = RuntimeError("range failed")
+    finished = []
+
+    def fn(lo, hi):
+        if lo == failing:
+            raise error
+        time.sleep(0.05)
+        finished.append(lo)
+
+    with pytest.raises(RuntimeError) as info:
+        ad._split(3, fn, ad._MIN_RANGE_WORK)
+    assert info.value is error
+    assert sorted(finished) == sorted({0, 1, 2} - {failing})
+
+
+def test_a_tape_records_nothing_from_ops_on_another_thread():
+    x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    seen = {}
+
+    def other():
+        seen["sees a tape"] = bool(ad._TAPE_STACK)
+        ad.mul(x, x)
+        with GradTape() as own:
+            ad.mul(x, x)
+        seen["own tape"] = len(own)
+
+    with GradTape() as tape:
+        thread = threading.Thread(target=other)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert bool(ad._TAPE_STACK)
+    assert len(tape) == 0
+    assert seen == {"sees a tape": False, "own tape": 1}
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    src = str(Path(ad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env=env)
+
+
+BIG_KERNELS = """
+import threading
+import numpy as np
+import tksnn.autodiff as ad
+from tksnn.lif import LifConfig, lif_sequence
+x = np.ones((64, 16, 32, 32), dtype=np.float32)
+cols = ad._im2col(x, 3, 3, 1, 1)[0]
+ad._col2im(cols, x.shape, 3, 3, 1, 1)
+lif_sequence(ad.Tensor(np.ones((10, 8, 65536), dtype=np.float32)), LifConfig(), ad.SurrogateSpec())
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_a_process_on_one_cpu_starts_no_thread():
+    code = ("import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            + BIG_KERNELS + "print(ad._WORKERS, threading.active_count(), ad._pool is None)")
+    done = run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["1", "1", "True"]
+
+
+def test_an_idle_pool_lets_the_interpreter_exit():
+    code = "import tksnn.autodiff as ad\nad._WORKERS = 2\n" + BIG_KERNELS + \
+        "print(threading.active_count())"
+    done = run_python(code)  # a pool that kept the interpreter alive would time out
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) == 2  # the caller and one idle pool thread

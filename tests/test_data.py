@@ -606,6 +606,15 @@ def test_dataset_rejects_out_of_range_labels():
                 labels=np.array([0, 5]), class_count=2, temporal=False)
 
 
+@pytest.mark.parametrize("labels", [np.array([0.5, 1.0]), np.array([0.0, 1.0]),
+                                    np.array([True, False])])
+def test_dataset_rejects_labels_that_are_not_integers(labels):
+    # float labels used to build, and evaluate then ended in an IndexError
+    with pytest.raises(DataError, match="integer class ids"):
+        Dataset(inputs=np.zeros((2, 3), dtype=np.float32), labels=labels, class_count=2,
+                temporal=False)
+
+
 def test_dataset_rejects_labels_of_another_length():
     with pytest.raises(DataError, match="10 inputs but 6 labels"):
         Dataset(inputs=np.zeros((10, 3), dtype=np.float32),

@@ -24,7 +24,8 @@ def test_kernel_profile_demo_runs(monkeypatch, capsys):
     finally:
         multiarray._set_madvise_hugepage(huge_pages)
     out = capsys.readouterr().out
-    for line in ("training step, T=10, B=16:", "allocation peak",
+    for line in ("workers: ", "training step, T=10, B=16:", "allocation peak",
                  "untaped unroll, T=1, B=8:", "untaped unroll, T=10, B=8:", "process peak RSS after training"):
         assert line in out
     assert "0:conv2d" in out and "readout" in out
+    assert "(1 worker)" in out

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tksnn.autodiff import GradTape, SurrogateSpec, Tensor, backward
 import tksnn.autodiff as ad
+import tksnn.lif as lif
+from tksnn.autodiff import SURROGATE_KINDS, GradTape, SurrogateSpec, Tensor, backward
 from tksnn.errors import DimensionError, ParameterError
 from tksnn.gradcheck import lif_pair
 from tksnn.lif import LifConfig, lif_sequence, lif_step, reset_state
@@ -210,3 +211,87 @@ def test_untaped_sequence_keeps_no_potential_sequence():
 
     # backward needs the [T,B,...] potentials; inference does not keep them
     assert peak(True) - peak(False) >= currents.data.nbytes
+
+
+def untiled_lif(i_seq, g, cfg, surrogate):
+    """(spikes, d loss / d currents for d loss / d spikes = g) of the untiled loop:
+    the whole [T, ...] sequence stepped through time in per-step buffers, the
+    bit-exact oracle for the tiled and split kernel."""
+    t_len = i_seq.shape[0]
+    leak, gain = np.float32(1.0 - 1.0 / cfg.tau_m), np.float32(1.0 / cfg.tau_m)
+    v_rest, v_th = np.float32(cfg.v_rest), np.float32(cfg.v_th)
+    s_seq, v_seq = np.empty_like(i_seq), np.empty_like(i_seq)
+    v, s = np.full_like(i_seq[0], v_rest), np.zeros_like(i_seq[0])
+    a, carry = np.empty_like(v), np.empty_like(v)
+    np.multiply(i_seq, gain, out=s_seq)
+    for t in range(t_len):
+        np.multiply(v, np.subtract(1, s, out=a), out=carry)
+        if cfg.v_rest != 0.0:
+            np.add(carry, np.multiply(s, v_rest, out=a), out=carry)
+        np.multiply(carry, leak, out=carry)
+        v, s = v_seq[t], s_seq[t]
+        np.add(carry, s, out=v)
+        np.greater_equal(v, v_th, out=s)
+    grad = np.empty_like(i_seq)
+    dv, c, ds = (np.empty_like(i_seq[0]) for _ in range(3))
+    for t in range(t_len - 1, -1, -1):
+        sg = surrogate.derivative(v_seq[t] - v_th)
+        if t == t_len - 1:
+            np.multiply(g[t], sg, out=dv)
+        else:
+            np.multiply(dv, leak, out=c)
+            if cfg.detach_reset:
+                ds = g[t]
+            elif cfg.v_rest != 0.0:
+                ds = c * v_rest - c * v_seq[t] + g[t]
+            else:
+                ds = g[t] - c * v_seq[t]
+            dv = c * (1 - s_seq[t]) + ds * sg
+        np.multiply(dv, gain, out=grad[t])
+    return s_seq, grad
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.dtype == b.dtype == np.float32 and a.shape == b.shape and np.array_equal(
+        a.view(np.uint32), b.view(np.uint32))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("kind", SURROGATE_KINDS)
+@pytest.mark.parametrize("detach", [False, True])
+@pytest.mark.parametrize("v_rest", [0.0, -0.2])
+def test_tiled_sequence_matches_the_untiled_loop_bit_for_bit(monkeypatch, v_rest, detach, kind,
+                                                             workers):
+    # 6·4·5·3 = 360 neurons per step: 52 tiles of 7, the last one short
+    monkeypatch.setattr(lif, "TILE", 7)
+    rng = np.random.default_rng(11)
+    # channels-last currents, as a conv writes them; the gradient from above
+    # comes in another memory order
+    i_seq = rng.uniform(-0.5, 2.0, size=(9, 6, 4, 5, 3)).astype(np.float32).transpose(0, 1, 4, 2, 3)
+    g = rng.normal(size=i_seq.shape).astype(np.float32)
+    cfg, surrogate = LifConfig(v_rest=v_rest, detach_reset=detach), SurrogateSpec(kind, 0.7)
+    s_ref, grad_ref = untiled_lif(i_seq, g, cfg, surrogate)
+    currents = Tensor(i_seq, requires_grad=True)
+    with GradTape() as tape:
+        spikes = lif_sequence(currents, cfg, surrogate)
+    (grad,) = tape._nodes[0].bwd(g)
+    assert 0 < s_ref.sum() < s_ref.size
+    assert same_bits(spikes.data, s_ref)
+    assert same_bits(lif_sequence(currents, cfg, surrogate).data, s_ref)  # untaped
+    assert spikes.data.strides == np.empty_like(i_seq).strides  # the currents' memory order
+    assert same_bits(grad, grad_ref)
+    assert grad.strides == np.empty_like(i_seq).strides
+
+
+def test_an_mlp_small_step_runs_on_the_calling_thread(monkeypatch):
+    """mlp-small's LIF layer (B·128 neurons) is one tile: nothing is handed to a pool."""
+    from tksnn import TeacherConfig, build_model, objective, unroll
+
+    monkeypatch.setattr(ad, "_executor", lambda: pytest.fail("a pool was used"))
+    model = build_model("mlp-small", (40,), 4, LifConfig(), SUR, 0)
+    x = np.random.default_rng(0).uniform(size=(10, 32, 40)).astype(np.float32)
+    with GradTape() as tape:
+        loss, _, _ = objective(unroll(model, x), np.arange(32) % 4, TeacherConfig(), 0.5)
+    backward(loss, tape)
+    assert model.readout.w.grad is not None
