@@ -276,13 +276,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    out = Tensor(a.data - b.data)
-    _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data * b.data)
@@ -312,11 +305,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def log(a: Tensor, floor: float = LOG_FLOOR) -> Tensor:
-    """log with the documented clamp: log(max(x, floor)); zero grad where clamped."""
-    clamped = np.maximum(a.data, DTYPE(floor))
+def log(a: Tensor) -> Tensor:
+    """log with the documented clamp: log(max(x, LOG_FLOOR)); zero grad where clamped."""
+    clamped = np.maximum(a.data, DTYPE(LOG_FLOOR))
     out = Tensor(np.log(clamped))
-    mask = (a.data >= floor).astype(DTYPE)
+    mask = (a.data >= LOG_FLOOR).astype(DTYPE)
     _record(out, (a,), lambda g: (g * mask / clamped,))
     return out
 

@@ -19,21 +19,17 @@ def _parse_value(text: str):
         return text
 
 
-def _apply_overrides(raw: dict, overrides) -> dict:
-    """Apply dotted key=value overrides; unknown keys are rejected, never ignored."""
+def _apply_overrides(raw, overrides):
+    """Set each section.key=value override in the raw config; `config_from_dict`
+    then rejects unknown sections and keys, as it does for the file's own."""
     for item in overrides or []:
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        key, value = item.split("=", 1)
-        parts = key.split(".")
-        node = raw
-        for part in parts[:-1]:
-            if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"override references unknown config key {key!r}")
-            node = node[part]
-        if not isinstance(node, dict) or parts[-1] not in node:
-            raise ConfigError(f"override references unknown config key {key!r}")
-        node[parts[-1]] = _parse_value(value)
+        key, eq, value = item.partition("=")
+        section, dot, name = key.partition(".")
+        if not (eq and dot):
+            raise ConfigError(f"override {item!r} is not section.key=value")
+        node = raw.setdefault(section, {}) if isinstance(raw, dict) else None
+        if isinstance(node, dict):  # anything else config_from_dict rejects
+            node[name] = _parse_value(value)
     return raw
 
 
@@ -46,11 +42,12 @@ def _timestep_counts(text: str) -> list[int]:
 
 
 def _load_config(path: str, overrides):
-    with open(path) as f:
-        raw = json.load(f)
-    # fill every section so overrides can target defaulted keys too
-    resolved = trainer.config_to_dict(trainer.config_from_dict(raw))
-    return trainer.config_from_dict(_apply_overrides(resolved, overrides))
+    try:
+        with open(path) as f:
+            raw = json.load(f)
+    except (OSError, ValueError) as exc:  # unreadable, or not JSON
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return trainer.config_from_dict(_apply_overrides(raw, overrides))
 
 
 def cmd_train(args) -> int:
@@ -157,3 +154,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

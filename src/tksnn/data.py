@@ -149,7 +149,7 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label").astype(np.int64)
     if len(labels) != len(images):
         raise FormatError(f"image count {len(images)} != label count {len(labels)}")
-    inputs = (images.astype(DTYPE) / DTYPE(255.0)).astype(DTYPE)
+    inputs = images.astype(DTYPE) / DTYPE(255.0)
     classes = int(labels.max()) + 1 if len(labels) else 0
     return Dataset(inputs=inputs, labels=labels, class_count=classes, temporal=False)
 

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library, and the integer check of its configs."""
+
+from numbers import Integral
 
 
 class TksnnError(Exception):
@@ -35,3 +37,11 @@ class ConfigError(TksnnError):
 
 class TrainingAbort(TksnnError):
     """Training stopped on a non-finite loss."""
+
+
+def check_int(name: str, value, minimum: int | None = None, error=ConfigError) -> None:
+    """Raise `error` unless value is an integer (a numpy one too, a bool not) >= minimum."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise error(f"{name} must be >= {minimum}, got {value}")

@@ -16,6 +16,8 @@ from .network import Model, unroll
 # float32 elements one unroll call may hold in its widest activation: an
 # unroll keeps all T steps of its samples, so this caps samples per call
 BUDGET = 2**22
+# samples per unroll call when the budget allows that many
+BATCH = 256
 
 
 @dataclass
@@ -74,11 +76,11 @@ def per_class_accuracy(o: np.ndarray, labels: np.ndarray, class_count: int):
     return acc, confusion
 
 
-def evaluate(model: Model, data: Dataset, t_test: int, batch_size: int = 256) -> EvalReport:
+def evaluate(model: Model, data: Dataset, t_test: int) -> EvalReport:
     """Frozen-model evaluation at a given number of timesteps.
 
     Each unroll call holds all t_test steps of its samples at once, so it takes
-    max(1, min(batch_size, BUDGET // (t_test * model.widest_activation)))
+    max(1, min(BATCH, BUDGET // (t_test * model.widest_activation)))
     samples: the whole batch for small models, fewer for wide or long ones.
     Labels must name one of the model's classes.
     """
@@ -88,7 +90,7 @@ def evaluate(model: Model, data: Dataset, t_test: int, batch_size: int = 256) ->
     if len(labels) and labels.max() >= model.class_count:
         raise DataError(f"label {labels.max()} outside the model's {model.class_count} classes")
     n = data.inputs.shape[0]
-    per_call = max(1, min(batch_size, BUDGET // (t_test * model.widest_activation)))
+    per_call = max(1, min(BATCH, BUDGET // (t_test * model.widest_activation)))
     o_all = np.empty((n, model.class_count), dtype=np.float64)
     v_sum_correct = np.zeros(t_test)  # per-timestep correct counts
     for lo in range(0, n, per_call):

@@ -14,8 +14,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DTYPE, GradTape, SurrogateSpec, Tensor, backward
-from .lif import LifConfig, lif_sequence, lif_step, reset_state
+from .lif import LifConfig, lif_sequence, lif_step
 from .network import build_model, unroll
+from .tks import ce_loss
 
 
 def fd_gradient(f, x: np.ndarray, h: float = 1e-3) -> np.ndarray:
@@ -104,11 +105,12 @@ def lif_pair(cfg: LifConfig, surrogate: SurrogateSpec, currents: np.ndarray,
     backward(loss, tape)
 
     step_in = [Tensor(c, requires_grad=True) for c in currents]
-    state = reset_state(*currents.shape[1:], cfg)
+    v = Tensor(np.full(currents.shape[1:], cfg.v_rest, dtype=DTYPE))
+    s_t = Tensor(np.zeros(currents.shape[1:], dtype=DTYPE))
     spikes = []
     with GradTape() as tape:
         for x_t in step_in:
-            state, s_t = lif_step(state, x_t, cfg, surrogate)
+            v, s_t = lif_step(v, s_t, x_t, cfg, surrogate)
             spikes.append(s_t)
         reference = ad.stack(spikes)
         loss = ad.mean(ad.mul(reference, mix))
@@ -138,10 +140,7 @@ def model_chain_check(seed: int, h: float = 1e-2) -> float:
 
     def loss_given(wdata):
         model.readout.w.data = wdata.astype(DTYPE)
-        out = unroll(model, x)
-        from .tks import ce_loss
-
-        return ce_loss(out.o, y)
+        return ce_loss(unroll(model, x).o, y)
 
     w0 = model.readout.w.data.copy()
     with GradTape() as tape:

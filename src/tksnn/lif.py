@@ -70,46 +70,28 @@ class LifConfig:
             )
 
 
-@dataclass
-class LifState:
-    """Membrane potentials and previous-step spikes for one layer."""
-
-    v: Tensor
-    s_prev: Tensor
-
-
-def reset_state(batch: int, neurons: int, cfg: LifConfig) -> LifState:
-    """Fresh state: v = v_rest everywhere, no prior spikes."""
-    if batch <= 0 or neurons <= 0:
-        raise ParameterError(f"state sizes must be positive, got ({batch}, {neurons})")
-    v = Tensor(np.full((batch, neurons), cfg.v_rest, dtype=DTYPE))
-    s = Tensor(np.zeros((batch, neurons), dtype=DTYPE))
-    return LifState(v=v, s_prev=s)
-
-
 def lif_step(
-    state: LifState,
-    input_current: Tensor,
+    v: Tensor,
+    s_prev: Tensor,
+    current: Tensor,
     cfg: LifConfig,
     surrogate: SurrogateSpec,
-) -> tuple[LifState, Tensor]:
-    """One membrane update + threshold; differentiable through the surrogate."""
-    if input_current.shape != state.v.shape:
-        raise DimensionError(
-            f"input current shape {input_current.shape} != state shape {state.v.shape}"
-        )
-    s_prev = state.s_prev
+) -> tuple[Tensor, Tensor]:
+    """One membrane update + threshold: (v_t, s_t) from (v_{t-1}, s_{t-1}) and I_t,
+    differentiable through the surrogate."""
+    if current.shape != v.shape:
+        raise DimensionError(f"input current shape {current.shape} != state shape {v.shape}")
     if cfg.detach_reset:
         # reset factor treated as a constant in backward; forward values unchanged
         s_prev = s_prev.detach()
-    keep = ad.sub(Tensor(np.ones_like(s_prev.data)), s_prev)
-    carry = ad.mul(state.v, keep)
+    # 1 − s_prev written 1 + (−s_prev): IEEE defines them as the same operation
+    keep = ad.add(Tensor(np.ones_like(s_prev.data)), ad.scale(s_prev, -1.0))
+    carry = ad.mul(v, keep)
     if cfg.v_rest != 0.0:
         carry = ad.add(carry, ad.scale(s_prev, cfg.v_rest))
     leak = 1.0 - 1.0 / cfg.tau_m
-    v_new = ad.add(ad.scale(carry, leak), ad.scale(input_current, 1.0 / cfg.tau_m))
-    spikes = ad.spike(v_new, cfg.v_th, surrogate)
-    return LifState(v=v_new, s_prev=spikes), spikes
+    v_new = ad.add(ad.scale(carry, leak), ad.scale(current, 1.0 / cfg.tau_m))
+    return v_new, ad.spike(v_new, cfg.v_th, surrogate)
 
 
 # neurons per tile: a tile's per-step buffers (256 KB each) stay in L2, and each

@@ -204,6 +204,8 @@ def unroll(model: Model, inputs) -> TemporalOutput:
     inputs in place between this call and backward.
     """
     data = inputs.data if isinstance(inputs, Tensor) else np.asarray(inputs, dtype=DTYPE)
+    if data.ndim < 2:
+        raise DimensionError(f"unroll expects [T,B,...] inputs, got {data.shape}")
     t_len, batch = data.shape[:2]
     if t_len < 1:
         raise ParameterError("unroll needs at least one timestep")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DTYPE, Tensor
-from .errors import ConfigError, ContractError, DataError, ParameterError
+from .errors import ConfigError, ContractError, DataError, ParameterError, check_int
 
 TEACHER_MODES = ("tks", "none", "label_smoothing", "per_timestep_labels")
 
@@ -32,8 +32,7 @@ class TeacherConfig:
     def __post_init__(self):
         if self.mode not in TEACHER_MODES:
             raise ConfigError(f"unknown teacher mode {self.mode!r}")
-        if self.k < 1:
-            raise ParameterError(f"teacher count k must be >= 1, got {self.k}")
+        check_int("teacher count k", self.k, 1, ParameterError)
         if self.tau <= 0:
             raise ParameterError(f"temperature must be positive, got {self.tau}")
         if not 0.0 <= self.epsilon < 1.0:

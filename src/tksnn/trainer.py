@@ -18,7 +18,7 @@ import numpy as np
 from . import tks
 from .autodiff import DTYPE, GradTape, SurrogateSpec, backward
 from .data import Dataset, build_dataset, prepare_sequence
-from .errors import ConfigError, ContractError, DataError, TrainingAbort
+from .errors import ConfigError, ContractError, DataError, TrainingAbort, check_int
 from .lif import LifConfig
 from .network import PRESETS, Model, build_model, load_checkpoint, save_checkpoint, unroll
 from .tks import AlphaSchedule, TeacherConfig
@@ -113,10 +113,10 @@ class DataConfig:
     def __post_init__(self):
         if self.kind not in ("synth", "idx"):
             raise ConfigError(f"unknown data kind {self.kind!r}")
-        if self.classes < 1:
-            raise ConfigError(f"classes must be >= 1, got {self.classes}")
-        if self.n_per_class < 0:
-            raise ConfigError(f"n_per_class must be >= 0, got {self.n_per_class}")
+        check_int("classes", self.classes, 1)
+        check_int("n_per_class", self.n_per_class, 0)
+        check_int("t_native", self.t_native)
+        check_int("seed", self.seed, 0)
         if not self.noise_sigma >= 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
@@ -143,12 +143,10 @@ class RunConfig:
         for name in ("alpha_start", "alpha_end"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0,1], got {getattr(self, name)}")
-        if self.t_train < 1:
-            raise ConfigError(f"t_train must be >= 1, got {self.t_train}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        check_int("t_train", self.t_train, 1)
+        check_int("batch_size", self.batch_size, 1)
+        check_int("epochs", self.epochs, 0)
+        check_int("seed", self.seed, 0)
         if self.teacher.mode == "tks" and self.teacher.k > self.t_train:
             raise ConfigError(
                 f"teacher.k ({self.teacher.k}) cannot exceed t_train ({self.t_train})"
@@ -184,7 +182,7 @@ def config_from_dict(raw: dict) -> RunConfig:
             keys = [f.name for f in fields(_NESTED[target])] if isinstance(target, str) else target
             bad = set(values) - set(keys)
             if bad:
-                raise ConfigError(f"unknown key(s) in [{section}]: {sorted(bad)}")
+                raise ConfigError(f"unknown config key(s) in [{section}]: {sorted(bad)}")
             if isinstance(target, str):
                 kwargs[target] = _NESTED[target](**values)
             else:

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tksnn
 from tksnn.cli import run
 from tksnn.data import save_idx
 
@@ -99,6 +103,43 @@ def test_bad_synth_setting_exits_1_without_outputs(tiny_config, tmp_path, capsys
     assert run(["train", "--config", str(tiny_config), "--set", override]) == 1
     assert message in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("config_text,override", [
+    ("{not json", None),
+    (None, None),  # the config path is a directory
+    (None, "run.batch_size=1.5"),
+    (None, "run.epochs=1.5"),
+    (None, "run.t_train=2.5"),
+    (None, "teacher.k=1.5"),
+    (None, "data.n_per_class=2.5"),
+    (None, "data.t_native=4.5"),
+    (None, "run.seed=1.5"),
+    (None, "data.classes=true"),
+    (None, "data.seed=-1"),
+    (None, "run.seed=-1"),
+])
+def test_config_error_exits_1_without_traceback_or_outputs(tiny_config, tmp_path, capsys,
+                                                          config_text, override):
+    config = tiny_config
+    if config_text is not None:
+        config.write_text(config_text)
+    elif override is None:
+        config = tmp_path / "config_dir"
+        config.mkdir()
+    argv = ["train", "--config", str(config)] + (["--set", override] if override else [])
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_override_sets_a_key_of_a_section_the_file_leaves_out(tiny_config, tmp_path, capsys):
+    assert "lif" not in json.loads(tiny_config.read_text())
+    assert run(["train", "--config", str(tiny_config), "--set", "lif.tau_m=3.0",
+                "--set", "run.epochs=0"]) == 0
+    assert '"tau_m": 3.0' in capsys.readouterr().out
 
 
 def test_malformed_override_exits_1(tiny_config, capsys):
@@ -206,3 +247,12 @@ def test_gradcheck_command_passes(capsys):
     assert run(["gradcheck", "--seeds", "2"]) == 0
     out = capsys.readouterr().out
     assert "max relative error" in out
+
+
+def test_module_form_runs_the_cli(tmp_path):
+    src = os.path.dirname(os.path.dirname(tksnn.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "tksnn.cli", "--help"], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: tksnn")

@@ -63,13 +63,14 @@ def test_per_class_accuracy_absent_class_is_nan():
     assert acc[0] == 1.0 and acc[1] == 1.0 and np.isnan(acc[2])
 
 
-def test_per_timestep_acc_matches_whole_set_unroll_oracle():
+def test_per_timestep_acc_matches_whole_set_unroll_oracle(monkeypatch):
+    monkeypatch.setattr(evaluation, "BATCH", 5)
     data = small_dataset()
     model = build_model("mlp-small", data.sample_shape, data.class_count,
                         LifConfig(), SurrogateSpec(), seed=3)
     out = unroll(model, prepare_sequence(data.inputs, data.temporal, 4))
     hits = out.v.data.argmax(axis=2) == data.labels[None, :]  # [T, N]
-    report = evaluate(model, data, t_test=4, batch_size=5)
+    report = evaluate(model, data, t_test=4)
     assert report.per_timestep_acc.shape == (4,)
     assert np.array_equal(report.per_timestep_acc, hits.mean(axis=1))
 
@@ -152,12 +153,14 @@ def test_evaluate_report_is_consistent():
     assert weighted == pytest.approx(rep.top1)
 
 
-def test_evaluate_batch_size_does_not_change_results():
+def test_evaluate_batch_size_does_not_change_results(monkeypatch):
     data = small_dataset()
     model = build_model("mlp-small", data.sample_shape, data.class_count,
                         LifConfig(), SurrogateSpec(), seed=1)
-    a = evaluate(model, data, t_test=4, batch_size=5)
-    b = evaluate(model, data, t_test=4, batch_size=1000)
+    monkeypatch.setattr(evaluation, "BATCH", 5)
+    a = evaluate(model, data, t_test=4)
+    monkeypatch.setattr(evaluation, "BATCH", 1000)
+    b = evaluate(model, data, t_test=4)
     assert a.top1 == b.top1
     assert a.aurc == pytest.approx(b.aurc, abs=1e-12)
     assert np.array_equal(a.confusion, b.confusion)

@@ -8,74 +8,57 @@ import tksnn.lif as lif
 from tksnn.autodiff import SURROGATE_KINDS, GradTape, SurrogateSpec, Tensor, backward
 from tksnn.errors import DimensionError, ParameterError
 from tksnn.gradcheck import lif_pair
-from tksnn.lif import LifConfig, lif_sequence, lif_step, reset_state
+from tksnn.lif import LifConfig, lif_sequence, lif_step
 
 SUR = SurrogateSpec()
 
 
-def step_values(state, current, cfg):
-    new_state, spikes = lif_step(state, Tensor(current), cfg, SUR)
-    return new_state, spikes.data
+def fresh(shape, cfg):
+    """(v, s_prev) every sequence starts from: v = v_rest everywhere, no prior spikes."""
+    return Tensor(np.full(shape, cfg.v_rest, dtype=np.float32)), Tensor(np.zeros(shape))
+
+
+def step(v, s, current, cfg):
+    return lif_step(v, s, Tensor(current), cfg, SUR)
 
 
 def test_charge_to_threshold_spikes():
     cfg = LifConfig(tau_m=2.0, v_th=0.5)
-    state = reset_state(1, 1, cfg)
-    state, spikes = step_values(state, np.array([[1.0]], dtype=np.float32), cfg)
-    assert state.v.data[0, 0] == pytest.approx(0.5)
-    assert spikes[0, 0] == 1.0
+    v, s = step(*fresh((1, 1), cfg), np.array([[1.0]], dtype=np.float32), cfg)
+    assert v.data[0, 0] == pytest.approx(0.5)
+    assert s.data[0, 0] == 1.0
 
 
 def test_zero_input_never_spikes():
     cfg = LifConfig()
-    state = reset_state(2, 3, cfg)
+    v, s = fresh((2, 3), cfg)
     zero = np.zeros((2, 3), dtype=np.float32)
     for _ in range(20):
-        state, spikes = step_values(state, zero, cfg)
-        assert not spikes.any()
-        assert not state.v.data.any()
+        v, s = step(v, s, zero, cfg)
+        assert not s.data.any()
+        assert not v.data.any()
 
 
 def test_reset_term_annihilates_carryover():
     cfg = LifConfig(tau_m=2.0, v_th=0.5)
-    state = reset_state(1, 1, cfg)
-    state.v = Tensor([[0.4]])
-    state.s_prev = Tensor([[1.0]])
-    state, spikes = step_values(state, np.zeros((1, 1), dtype=np.float32), cfg)
-    assert state.v.data[0, 0] == 0.0
-    assert spikes[0, 0] == 0.0
-
-
-def test_reset_state_definition():
-    cfg = LifConfig()
-    state = reset_state(2, 3, cfg)
-    assert state.v.shape == (2, 3)
-    assert np.array_equal(state.v.data, np.zeros((2, 3)))
-    assert np.array_equal(state.s_prev.data, np.zeros((2, 3)))
-
-
-def test_reset_state_rejects_bad_sizes():
-    with pytest.raises(ParameterError):
-        reset_state(0, 3, LifConfig())
-    with pytest.raises(ParameterError):
-        reset_state(2, -1, LifConfig())
+    v, s = step(Tensor([[0.4]]), Tensor([[1.0]]), np.zeros((1, 1), dtype=np.float32), cfg)
+    assert v.data[0, 0] == 0.0
+    assert s.data[0, 0] == 0.0
 
 
 def test_shape_mismatch_is_dimension_error():
     cfg = LifConfig()
-    state = reset_state(2, 3, cfg)
     with pytest.raises(DimensionError):
-        lif_step(state, Tensor(np.zeros((2, 4))), cfg, SUR)
+        lif_step(*fresh((2, 3), cfg), Tensor(np.zeros((2, 4))), cfg, SUR)
 
 
 def test_leak_contracts_potential_without_input():
     cfg = LifConfig(tau_m=4.0, v_th=10.0)  # high threshold: pure leak
-    state = reset_state(1, 1, cfg)
-    state.v = Tensor([[1.0]])
+    v, s = Tensor([[1.0]]), Tensor([[0.0]])
     prev = 1.0
     for _ in range(10):
-        state, _ = step_values(state, np.zeros((1, 1), dtype=np.float32), cfg)
-        cur = abs(float(state.v.data[0, 0]))
+        v, s = step(v, s, np.zeros((1, 1), dtype=np.float32), cfg)
+        cur = abs(float(v.data[0, 0]))
         assert cur <= prev
         prev = cur
     assert prev == pytest.approx((1 - 1 / 4.0) ** 10, rel=1e-5)
@@ -84,21 +67,21 @@ def test_leak_contracts_potential_without_input():
 @pytest.mark.parametrize("current", [1.0, 1.5, 3.0])
 def test_strong_constant_input_spikes_every_step(current):
     cfg = LifConfig(tau_m=2.0, v_th=0.5)
-    state = reset_state(1, 1, cfg)
+    v, s = fresh((1, 1), cfg)
     drive = np.full((1, 1), current, dtype=np.float32)
     for _ in range(8):
-        state, spikes = step_values(state, drive, cfg)
-        assert spikes[0, 0] == 1.0
+        v, s = step(v, s, drive, cfg)
+        assert s.data[0, 0] == 1.0
 
 
 def test_spikes_are_binary_for_any_magnitude():
     cfg = LifConfig()
     rng = np.random.default_rng(0)
-    state = reset_state(4, 8, cfg)
+    v, s = fresh((4, 8), cfg)
     for _ in range(5):
         drive = (rng.normal(size=(4, 8)) * 100).astype(np.float32)
-        state, spikes = step_values(state, drive, cfg)
-        assert set(np.unique(spikes)) <= {0.0, 1.0}
+        v, s = step(v, s, drive, cfg)
+        assert set(np.unique(s.data)) <= {0.0, 1.0}
 
 
 def test_detach_reset_changes_gradients_not_forward():
@@ -108,15 +91,15 @@ def test_detach_reset_changes_gradients_not_forward():
     def run(detach):
         cfg = LifConfig(detach_reset=detach)
         w = Tensor(np.full((4,), 1.0), requires_grad=True)
-        state = reset_state(2, 4, cfg)
+        v, s = fresh((2, 4), cfg)
         vs = []
         with GradTape() as tape:
             total = None
             for t in range(3):
                 current = ad.mul(Tensor(drive[t]), w)
-                state, spikes = lif_step(state, current, cfg, SUR)
-                vs.append(state.v.data.copy())
-                term = ad.mean(spikes)
+                v, s = lif_step(v, s, current, cfg, SUR)
+                vs.append(v.data.copy())
+                term = ad.mean(s)
                 total = term if total is None else ad.add(total, term)
         backward(total, tape)
         return np.stack(vs), w.grad.copy()
@@ -129,13 +112,11 @@ def test_detach_reset_changes_gradients_not_forward():
 
 def test_nonzero_rest_potential_reset_target():
     cfg = LifConfig(tau_m=2.0, v_th=0.5, v_rest=-0.2)
-    state = reset_state(1, 1, cfg)
-    assert state.v.data[0, 0] == pytest.approx(-0.2)
+    v, s = fresh((1, 1), cfg)
+    assert v.data[0, 0] == pytest.approx(-0.2)
     # after a spike the carried potential becomes v_rest, then leaks
-    state.v = Tensor([[0.9]])
-    state.s_prev = Tensor([[1.0]])
-    state, _ = step_values(state, np.zeros((1, 1), dtype=np.float32), cfg)
-    assert state.v.data[0, 0] == pytest.approx(0.5 * -0.2)
+    v, _ = step(Tensor([[0.9]]), Tensor([[1.0]]), np.zeros((1, 1), dtype=np.float32), cfg)
+    assert v.data[0, 0] == pytest.approx(0.5 * -0.2)
 
 
 def test_config_validation():

@@ -6,7 +6,7 @@ import pytest
 import tksnn.autodiff as ad
 from tksnn.autodiff import SurrogateSpec
 from tksnn.data import prepare_sequence
-from tksnn.errors import FormatError, ParameterError
+from tksnn.errors import DimensionError, FormatError, ParameterError
 from tksnn.lif import LifConfig
 from tksnn.network import (
     Flatten,
@@ -112,6 +112,12 @@ def test_aggregate_rows_sum_to_one():
 def test_unroll_rejects_empty_sequence():
     with pytest.raises(ParameterError):
         unroll(tiny_model(), np.ones((0, 2, 8), dtype=np.float32))
+
+
+@pytest.mark.parametrize("shape", [(), (5,)])
+def test_unroll_rejects_input_without_time_and_batch_axes(shape):
+    with pytest.raises(DimensionError):
+        unroll(tiny_model(), np.zeros(shape, dtype=np.float32))
 
 
 def test_causality_truncation():

@@ -486,6 +486,9 @@ def test_teacher_config_validation():
         TeacherConfig(mode="bagging")
     with pytest.raises(ParameterError):
         TeacherConfig(k=0)
+    for k in (1.5, 2.0, True):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            TeacherConfig(k=k)
     with pytest.raises(ParameterError):
         TeacherConfig(tau=0.0)
     with pytest.raises(ParameterError):

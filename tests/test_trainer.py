@@ -166,6 +166,30 @@ def test_config_validation_k_exceeds_t_train():
         RunConfig(t_train=0)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("t_train", 2.5), ("epochs", 1.0), ("batch_size", True), ("seed", 1.5), ("seed", -1),
+])
+def test_config_run_integers_must_be_integers(field, value):
+    with pytest.raises(ConfigError, match=field):
+        RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n_per_class", 2.5), ("t_native", 4.5), ("classes", True), ("seed", "0"), ("seed", -1),
+])
+def test_config_data_integers_must_be_integers(field, value):
+    with pytest.raises(ConfigError, match=field):
+        DataConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = RunConfig(t_train=np.int64(4), epochs=np.int32(2), batch_size=np.int64(8),
+                    seed=np.uint8(3), teacher=TeacherConfig(k=np.int16(2)),
+                    data=DataConfig(n_per_class=np.int64(6), t_native=np.int64(4),
+                                    classes=np.int64(3), seed=np.int64(1)))
+    assert cfg.batch_size == 8 and cfg.data.classes == 3
+
+
 def test_config_validation_bad_data_kind():
     with pytest.raises(ConfigError):
         config_from_dict({"data": {"kind": "parquet"}})
