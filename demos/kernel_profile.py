@@ -1,9 +1,10 @@
 """Per-layer time, page faults and memory of the cnn-small kernels.
 
-Times one untaped cnn-small unroll layer by layer (B=8 samples of 2x32x32
-event-like frames, T=1 and T=10) and counts minor page faults
-(`getrusage` `ru_minflt`) per unroll and per B=16, T=10 training step. The
-LIF, im2col, col2im and pooling kernels split their work over the CPUs of
+Times one B=16, T=10 cnn-small training step, each layer's forward and the
+backward of the tape ops each layer recorded, and one untaped unroll layer
+by layer (B=8 samples of 2x32x32 event-like frames, T=1 and T=10). It
+counts minor page faults (`getrusage` `ru_minflt`) per step and per
+unroll. The LIF, conv and pooling kernels split their work over the CPUs of
 the process's affinity set (at most four): it prints that worker count, and
 every time with all workers and with one, repeats of the two alternating. It
 also prints the process's peak resident set size after training
@@ -61,19 +62,35 @@ def frames(rng, t_len: int, batch: int) -> np.ndarray:
     return rng.poisson(0.15, size=(t_len, batch) + SHAPE).astype(np.float32)
 
 
+def timed(name, fn, spent):
+    """fn, adding the (ms, faults) of each call to spent[name]."""
+    def inner(*args):
+        f0, t0 = faults(), time.perf_counter()
+        result = fn(*args)
+        t1, f1 = time.perf_counter(), faults()
+        ms, flt = spent.get(name, (0.0, 0))
+        spent[name] = (ms + (t1 - t0) * 1e3, flt + f1 - f0)
+        return result
+    return inner
+
+
 @contextlib.contextmanager
-def timed_layers(model):
+def timed_layers(model, recorded=None):
     """Wrap each layer's forward and `lif_sequence`; yields a dict that each
-    call adds its (ms, faults) to. `lif_sequence` is put back on exit."""
+    call adds its (ms, faults) to. Under a tape, each call also appends
+    (tape node, name) to `recorded` for every node it records, so that
+    `timed_backward` can time them. `lif_sequence` is put back on exit."""
     spent = {}
 
     def wrap(name, fn):
+        fn = timed(name, fn, spent)
+
         def inner(*args):
-            f0, t0 = faults(), time.perf_counter()
+            tape = autodiff._active_tape()
+            first = len(tape) if tape is not None else 0
             result = fn(*args)
-            t1, f1 = time.perf_counter(), faults()
-            ms, flt = spent.get(name, (0.0, 0))
-            spent[name] = (ms + (t1 - t0) * 1e3, flt + f1 - f0)
+            if tape is not None and recorded is not None:
+                recorded.extend((node, name) for node in tape._nodes[first:])
             return result
         return inner
 
@@ -99,6 +116,13 @@ def workers(n: int):
         yield
     finally:
         autodiff._WORKERS = saved
+
+
+def timed_backward(recorded, spent):
+    """Wrap the backward of each (tape node, name) in `recorded`, so that
+    backward adds its (ms, faults) to spent[name]."""
+    for node, name in recorded:
+        node.bwd = timed(name, node.bwd, spent)
 
 
 def settings():
@@ -137,27 +161,44 @@ def profile_unroll(model, rng, t_len: int, batch: int = 8):
 
 
 def profile_train_step(model, rng, t_len: int = 10, batch: int = 16):
+    """Times whole steps, each layer's forward and the backward of the tape
+    ops each layer recorded (the loss's ops and the optimizer step are in
+    the step time only)."""
     opt = AdamW(model.parameters(), lr=1e-3)
     teacher = TeacherConfig(mode="tks", k=2, tau=3.0)
-    times, flts = {}, []
-    for r in range(REPEATS + 2):
-        for label, n in settings():
-            x = frames(rng, t_len, batch)
-            y = rng.integers(0, CLASSES, size=batch)
-            with workers(n):
-                f0, t0 = faults(), time.perf_counter()
-                with GradTape() as tape:
-                    loss, _, _ = objective(unroll(model, x), y, teacher, 0.5)
-                backward(loss, tape)
-                opt.step()
-                t1, f1 = time.perf_counter(), faults()
-            if r >= 2:
+    times, flts, per_layer = {}, [], {}
+    recorded, backs = [], {}
+    with timed_layers(model, recorded) as fwds:
+        for r in range(REPEATS + 2):
+            for label, n in settings():
+                x = frames(rng, t_len, batch)
+                y = rng.integers(0, CLASSES, size=batch)
+                for kept in (fwds, backs, recorded):
+                    kept.clear()
+                with workers(n):
+                    f0, t0 = faults(), time.perf_counter()
+                    with GradTape() as tape:
+                        loss, _, _ = objective(unroll(model, x), y, teacher, 0.5)
+                    timed_backward(recorded, backs)
+                    backward(loss, tape)
+                    opt.step()
+                    t1, f1 = time.perf_counter(), faults()
+                if r < 2:  # warm-up
+                    continue
                 times.setdefault(label, []).append(t1 - t0)
                 if n == autodiff._WORKERS:
                     flts.append(f1 - f0)
+                for part, spent in (("fwd", fwds), ("bwd", backs)):
+                    for name, s in spent.items():
+                        per_layer.setdefault(name, {}).setdefault((part, label), []).append(s[0])
     print(f"training step, T={t_len}, B={batch}: "
           + ", ".join(f"{statistics.median(v) * 1e3:.1f} ms ({lb})" for lb, v in times.items())
           + f", minor faults median {statistics.median(flts):.0f}, mean {statistics.fmean(flts):.0f}")
+    columns = [(part, label) for label, _ in settings() for part in ("fwd", "bwd")]
+    print(f"  {'layer':14s}" + "".join(f"{part + ' ' + lb:>17s}" for part, lb in columns))
+    for name, by_column in per_layer.items():
+        print(f"  {name:14s}" + "".join(f"{statistics.median(by_column[c]):14.3f} ms"
+                                          for c in columns))
 
 
 def trace_train_step(model, rng, t_len: int = 10, batch: int = 16):

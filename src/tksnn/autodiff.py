@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ContractError, DimensionError, ParameterError, TapeError
+from .errors import ContractError, DimensionError, ParameterError, TapeError, check_float
 
 DTYPE = np.float32
 
@@ -389,6 +389,7 @@ class SurrogateSpec:
     def __post_init__(self):
         if self.kind not in SURROGATE_KINDS:
             raise ParameterError(f"unknown surrogate kind {self.kind!r}")
+        check_float("surrogate width", self.width, ParameterError)
         if self.width <= 0:
             raise ParameterError(f"surrogate width must be positive, got {self.width}")
 
@@ -430,87 +431,167 @@ def _conv_geometry(h, w, kh, kw, stride, padding):
     return oh, ow
 
 
-def _im2col(x: np.ndarray, kh, kw, stride, padding):
-    """Patches of x [B,C,H,W] as the matmul operand [B·oh·ow, kh·kw·C].
+# patch rows a block of conv2d's sample grid holds, about. A block this big
+# keeps its matmuls clear of OpenBLAS's small-matrix path, whose bits differ
+# (see conv2d), and makes numpy's per-call cost small beside the work; one
+# this small keeps a block's patches within a few MB and cuts cnn-small's
+# B·T = 80 to 160 into 5 to 40 blocks to deal out
+_BLOCK_ROWS = 4096
 
-    One contiguous copy of the (kh, kw) window view of x, zero-padded into one
-    channels-last buffer, lays them out channels fastest, as the matmul reads them.
-    The samples are cut into one contiguous range per worker (`_split`); each
-    range copies its own samples' padding and patches, and a copy is exact,
-    so the patches are the same bits for any number of workers.
+
+def _sample_blocks(b: int, rows: int) -> list[int]:
+    """Bounds of conv2d's grid over b samples of `rows` patch rows each: the
+    fewest blocks of whole samples with about _BLOCK_ROWS rows, sizes within
+    one sample of each other. It depends on the shape alone."""
+    n = max(1, min(b, -(-b * rows // _BLOCK_ROWS)))
+    return [b * k // n for k in range(n + 1)]
+
+
+def _over_blocks(bounds: list[int], fn, work: int) -> None:
+    """fn(lo, hi) once per block [lo, hi) of the grid `bounds`, the blocks dealt
+    out to the workers by _split; `work` is the float32 elements one sample touches."""
+    n = len(bounds) - 1
+
+    def run(first, last):
+        for k in range(first, last):
+            fn(bounds[k], bounds[k + 1])
+
+    _split(n, run, work * bounds[-1] // n)
+
+
+def _im2col(x: np.ndarray, kh, kw, stride, padding):
+    """The patches of x [B,C,H,W] as the matmul operand [B·oh·ow, kh·kw·C],
+    and copy(lo, hi), which fills the rows of samples lo:hi.
+
+    The buffer comes back unfilled. copy writes the samples' part of one
+    zero-padded channels-last copy of x, then copies its (kh, kw) window view
+    into their rows, channels fastest, as the matmul reads them. A copy is
+    exact, so the patches are the same bits however the samples are cut.
     """
     b, c, h, w = x.shape
     oh, ow = _conv_geometry(h, w, kh, kw, stride, padding)
     xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=DTYPE)
+    inner = xp[:, padding : padding + h, padding : padding + w]
+    channels_last = x.transpose(0, 2, 3, 1)
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    windows = windows.transpose(0, 1, 2, 4, 5, 3)
     cols = np.empty((b, oh, ow, kh, kw, c), dtype=DTYPE)
 
     def copy(lo, hi):
-        xp[lo:hi, padding : padding + h, padding : padding + w] = x[lo:hi].transpose(0, 2, 3, 1)
-        windows = sliding_window_view(xp[lo:hi], (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-        cols[lo:hi] = windows.transpose(0, 1, 2, 4, 5, 3)
+        inner[lo:hi] = channels_last[lo:hi]
+        cols[lo:hi] = windows[lo:hi]
 
-    _split(b, copy, oh * ow * kh * kw * c)
-    return cols.reshape(b * oh * ow, kh * kw * c), oh, ow
+    return cols.reshape(b * oh * ow, kh * kw * c), copy
 
 
 def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding):
-    """Adjoint of _im2col: scatter-add [B·oh·ow, kh·kw·C] patches back to [B,C,H,W].
+    """Adjoint of _im2col: a zeroed gradient [B,C,H,W] and scatter(lo, hi),
+    which adds the rows of samples lo:hi of the patches `cols`
+    [B·oh·ow, kh·kw·C] into it.
 
-    Each (i, j) entry of the patches is added into a strided view of one zeroed
-    padded buffer in row-major (i, j) order, the order of every element's adds.
-    The samples are cut into one contiguous range per worker (`_split`), and
-    each range scatters its own samples in that order. A sample's patches add
-    only into its own part of the buffer, so every element gets the same adds
-    in the same order, and the same bits, for any number of workers.
+    scatter adds each (i, j) entry of the samples' patches into a strided view
+    of one zeroed padded buffer in row-major (i, j) order, the order of every
+    element's adds. A sample's patches add only into its own part of the
+    buffer, so every element gets the same adds in the same order, and the
+    same bits, however the samples are cut.
     """
     b, c, h, w = x_shape
     oh, ow = _conv_geometry(h, w, kh, kw, stride, padding)
     patches = cols.reshape(b, oh, ow, kh, kw, c)
     xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=DTYPE)
+    pairs = [(xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride],
+              patches[:, :, :, i, j]) for i, j in np.ndindex(kh, kw)]
 
     def scatter(lo, hi):
-        for i, j in np.ndindex(kh, kw):
-            xp[lo:hi, i : i + stride * oh : stride, j : j + stride * ow : stride] += \
-                patches[lo:hi, :, :, i, j]
+        for into, patch in pairs:
+            into[lo:hi] += patch[lo:hi]
 
-    _split(b, scatter, oh * ow * kh * kw * c)
-    return xp[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
+    return xp[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2), scatter
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of x [B,C,H,W] with w [O,C,kh,kw], plus bias [O].
 
     The output is [B,O,oh,ow] in channels-last memory: the _im2col patches
-    times the kernel rows, plus the bias tiled over each sample. The tape
-    keeps x, not the patches: backward rebuilds them bit for bit from x.data
-    for the weight gradient and drops them before the product that _col2im
-    scatters, so one patch matrix is alive at a time. x.data must therefore
-    not change in place between this call and backward.
+    times the kernel rows, plus the bias tiled over each sample.
+
+    The samples are cut into a fixed grid of blocks (`_sample_blocks`): the
+    fewest blocks of whole samples with about _BLOCK_ROWS patch rows each.
+    The grid depends on the input's shape alone, never on the worker count,
+    and an input smaller than one block is one block. _split deals the
+    blocks out to the workers. The forward runs each block's patch copy,
+    patch matmul and bias add on that block's worker. Each block is one
+    matmul whatever the worker count, so the bits never depend on it. They
+    equal the single whole-input matmul's unless OpenBLAS takes its
+    small-matrix path, whose bits differ, for a block and not for the whole
+    (on 0.3.31 with AVX-512: the patch matmul up to M·N·K ≈ 1.7e5 at 144
+    floats per row). No block of cnn-small's is that small (tested). The matmuls
+    are np.dot with out= buffers the caller allocates: np.dot gives the
+    bits of `@` and lets go of the interpreter lock while BLAS runs, which
+    np.matmul (numpy 2.4) does not, so two matmuls on two workers overlap.
+
+    The tape keeps x, not the patches: backward rebuilds them bit for bit
+    from x.data, so x.data must not change in place between this call and
+    backward. Backward then runs two jobs, one beside the other: the weight
+    gradient, one matmul over all the rows, and the bias gradient, one row
+    sum. Neither is cut by rows, because a cut would change the order of
+    its sums. The rebuilt patches are freed before the input gradient, so
+    one patch matrix is alive at a time. That gradient's matmul and its
+    _col2im scatter run per block of the grid, in one _split; the network
+    input has no gradient path, so its layer skips them.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects [B,C,H,W] and [O,C,kh,kw], got {x.shape}, {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
-    b = x.shape[0]
+    b, _, h, wd = x.shape
     co, ci, kh, kw = w.shape
+    oh, ow = _conv_geometry(h, wd, kh, kw, stride, padding)
+    rows, width = oh * ow, kh * kw * ci  # patch rows per sample, floats per row
+    bounds = _sample_blocks(b, rows)
     x_data = x.data
-    cols, oh, ow = _im2col(x_data, kh, kw, stride, padding)
-    wmat = w.data.transpose(0, 2, 3, 1).reshape(co, kh * kw * ci)  # rows match cols' layout
-    y = cols @ wmat.T
-    del cols
-    # the same elementwise adds as y += bias, over rows of one whole sample
-    y.reshape(b, oh * ow * co)[...] += np.tile(bias.data, oh * ow)
+    wmat = w.data.transpose(0, 2, 3, 1).reshape(co, width)  # rows match cols' layout
+    cols, copy = _im2col(x_data, kh, kw, stride, padding)
+    y = np.empty((b * rows, co), dtype=DTYPE)
+    per_sample = y.reshape(b, rows * co)
+    tiled = np.tile(bias.data, rows)
+
+    def forward(lo, hi):
+        copy(lo, hi)
+        np.dot(cols[lo * rows : hi * rows], wmat.T, out=y[lo * rows : hi * rows])
+        # the same elementwise adds as y += bias, over rows of whole samples
+        np.add(per_sample[lo:hi], tiled, out=per_sample[lo:hi])
+
+    _over_blocks(bounds, forward, rows * (width + co))
+    del cols, copy
     out = Tensor(y.reshape(b, oh, ow, co).transpose(0, 3, 1, 2))
 
     def bwd(g):
-        g2 = g.transpose(0, 2, 3, 1).reshape(b * oh * ow, co)
-        cols = _im2col(x_data, kh, kw, stride, padding)[0]
-        dw = (g2.T @ cols).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
+        g2 = g.transpose(0, 2, 3, 1).reshape(b * rows, co)
+        cols, copy = _im2col(x_data, kh, kw, stride, padding)
+        _over_blocks(bounds, copy, rows * width)
+        del copy  # and with it the padded copy of x
+        dw = np.empty((co, width), dtype=DTYPE)
+        db = np.empty(co, dtype=DTYPE)
+        jobs = (lambda: np.dot(g2.T, cols, out=dw), lambda: np.sum(g2, axis=0, out=db))
+
+        def run(lo, hi):
+            for job in jobs[lo:hi]:
+                job()
+
+        _split(2, run, g2.size + cols.size)
         del cols
-        db = g2.sum(axis=0)
-        # the network input has no gradient path: skip its patch gradient
-        dx = _col2im(g2 @ wmat, x.shape, kh, kw, stride, padding) if x._needs else None
-        return dx, dw, db
+        dx = None
+        if x._needs:
+            dcols = np.empty((b * rows, width), dtype=DTYPE)
+            dx, scatter = _col2im(dcols, x.shape, kh, kw, stride, padding)
+
+            def input_grad(lo, hi):
+                np.dot(g2[lo * rows : hi * rows], wmat, out=dcols[lo * rows : hi * rows])
+                scatter(lo, hi)
+
+            _over_blocks(bounds, input_grad, rows * (co + 2 * width))
+        return dx, dw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2), db
 
     _record(out, (x, w, bias), bwd)
     return out

@@ -1,6 +1,7 @@
-"""Exception hierarchy shared across the library, and the integer check of its configs."""
+"""Exception hierarchy shared across the library, and the number checks of its configs."""
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 class TksnnError(Exception):
@@ -45,3 +46,13 @@ def check_int(name: str, value, minimum: int | None = None, error=ConfigError) -
         raise error(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise error(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_float(name: str, value, error=ConfigError) -> None:
+    """Raise `error` unless value is a finite real number (an integer too, a bool not)."""
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, Real) and math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise error(f"{name} must be a finite number, got {value!r}")

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DTYPE, SurrogateSpec, Tensor
-from .errors import DimensionError, ParameterError
+from .errors import DimensionError, ParameterError, check_float
 
 
 @dataclass(frozen=True)
@@ -62,6 +62,10 @@ class LifConfig:
     detach_reset: bool = False
 
     def __post_init__(self):
+        for name in ("tau_m", "v_th", "v_rest"):
+            check_float(name, getattr(self, name), ParameterError)
+        if not isinstance(self.detach_reset, bool):
+            raise ParameterError(f"detach_reset must be true or false, got {self.detach_reset!r}")
         if self.tau_m <= 1.0:
             raise ParameterError(f"tau_m must exceed 1 (leak in (0,1)), got {self.tau_m}")
         if self.v_rest >= self.v_th:

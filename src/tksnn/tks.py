@@ -17,7 +17,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DTYPE, Tensor
-from .errors import ConfigError, ContractError, DataError, ParameterError, check_int
+from .errors import (
+    ConfigError, ContractError, DataError, ParameterError, check_float, check_int,
+)
 
 TEACHER_MODES = ("tks", "none", "label_smoothing", "per_timestep_labels")
 
@@ -33,6 +35,8 @@ class TeacherConfig:
         if self.mode not in TEACHER_MODES:
             raise ConfigError(f"unknown teacher mode {self.mode!r}")
         check_int("teacher count k", self.k, 1, ParameterError)
+        check_float("temperature", self.tau, ParameterError)
+        check_float("smoothing epsilon", self.epsilon, ParameterError)
         if self.tau <= 0:
             raise ParameterError(f"temperature must be positive, got {self.tau}")
         if not 0.0 <= self.epsilon < 1.0:
@@ -55,6 +59,7 @@ class AlphaSchedule:
 
     def __post_init__(self):
         for a in (self.alpha_start, self.alpha_end):
+            check_float("alpha bound", a, ParameterError)
             if not 0.0 <= a <= 1.0:
                 raise ParameterError(f"alpha bounds must lie in [0,1], got {a}")
         if self.total_epochs < 1:

@@ -18,7 +18,9 @@ import numpy as np
 from . import tks
 from .autodiff import DTYPE, GradTape, SurrogateSpec, backward
 from .data import Dataset, build_dataset, prepare_sequence
-from .errors import ConfigError, ContractError, DataError, TrainingAbort, check_int
+from .errors import (
+    ConfigError, ContractError, DataError, TrainingAbort, check_float, check_int,
+)
 from .lif import LifConfig
 from .network import PRESETS, Model, build_model, load_checkpoint, save_checkpoint, unroll
 from .tks import AlphaSchedule, TeacherConfig
@@ -96,6 +98,22 @@ class OptimConfig:
     eps: float = 1e-8
     grad_clip: float = 0.0
 
+    def __post_init__(self):
+        for f in fields(self):
+            check_float(f.name, getattr(self, f.name))
+        if not self.lr_max > 0:
+            raise ConfigError(f"lr_max must be > 0, got {self.lr_max}")
+        if not 0 <= self.lr_min <= self.lr_max:
+            raise ConfigError(f"lr_min must lie in [0, lr_max={self.lr_max}], got {self.lr_min}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in [0,1), got {getattr(self, name)}")
+        if not self.eps > 0:
+            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        for name in ("weight_decay", "grad_clip"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class DataConfig:
@@ -117,8 +135,12 @@ class DataConfig:
         check_int("n_per_class", self.n_per_class, 0)
         check_int("t_native", self.t_native)
         check_int("seed", self.seed, 0)
+        check_float("noise_sigma", self.noise_sigma)
         if not self.noise_sigma >= 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        for name in ("images", "labels"):  # open() would take an integer as a descriptor
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} must be a path string, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -141,12 +163,15 @@ class RunConfig:
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; available: {PRESETS}")
         for name in ("alpha_start", "alpha_end"):
+            check_float(name, getattr(self, name))
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0,1], got {getattr(self, name)}")
         check_int("t_train", self.t_train, 1)
         check_int("batch_size", self.batch_size, 1)
         check_int("epochs", self.epochs, 0)
         check_int("seed", self.seed, 0)
+        if not (isinstance(self.out_dir, str) and self.out_dir):
+            raise ConfigError(f"out_dir must be a non-empty path string, got {self.out_dir!r}")
         if self.teacher.mode == "tks" and self.teacher.k > self.t_train:
             raise ConfigError(
                 f"teacher.k ({self.teacher.k}) cannot exceed t_train ({self.t_train})"

@@ -186,6 +186,8 @@ def test_surrogate_spec_validation():
         SurrogateSpec(kind="gaussian")
     with pytest.raises(ParameterError):
         SurrogateSpec(width=0.0)
+    with pytest.raises(ParameterError, match="surrogate width must be a finite number"):
+        SurrogateSpec(width="abc")
 
 
 def test_log_clamp_matches_documented_floor():
@@ -347,8 +349,19 @@ def test_split_conv2d_matches_keep_the_patches_oracle_bit_for_bit(stride, paddin
 
 
 def check_conv2d_against_the_oracle(stride, padding, ci, channels_last):
+    x, wt, bias, g = conv_case(stride, padding, ci, channels_last)
+    y_ref, dw_ref, db_ref, dx_ref = ref_conv2d(x, wt, bias, g, stride, padding)
+    y, dw, db, dx = conv2d_and_grads(x, wt, bias, g, stride, padding)
+    assert same_bits(y, y_ref)
+    assert same_bits(dw, dw_ref)
+    assert same_bits(db, db_ref)
+    assert same_bits(dx, dx_ref)
+
+
+def conv_case(stride, padding, ci, channels_last, b=5, co=6, h=9, w=7):
+    """(x, kernel, bias, d loss / d y) of a 3x3 conv2d, x in NCHW or channels-last memory."""
     rng = np.random.default_rng(100 * stride + 10 * padding + ci)
-    b, co, kh, kw, h, w = 5, 6, 3, 3, 9, 7
+    kh, kw = 3, 3
     x = rng.standard_normal((b, h, w, ci)).astype(np.float32).transpose(0, 3, 1, 2)
     if not channels_last:
         x = np.ascontiguousarray(x)
@@ -356,17 +369,55 @@ def check_conv2d_against_the_oracle(stride, padding, ci, channels_last):
     bias = rng.standard_normal(co).astype(np.float32)
     oh, ow = (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
     g = rng.standard_normal((b, co, oh, ow)).astype(np.float32)
-    y_ref, dw_ref, db_ref, dx_ref = ref_conv2d(x, wt, bias, g, stride, padding)
+    return x, wt, bias, g
+
+
+def conv2d_and_grads(x, wt, bias, g, stride, padding):
+    """(y, dw, db, dx) of ad.conv2d for d loss / d y = g."""
     xt, wtt, bt = (Tensor(a, requires_grad=True) for a in (x, wt, bias))
     with GradTape() as tape:
         y = ad.conv2d(xt, wtt, bt, stride=stride, padding=padding)
         # d loss / d y is exactly g
         loss = ad.sum_last(ad.reshape(ad.mul(y, Tensor(g)), (1, -1)))
     backward(loss, tape)
-    assert same_bits(y.data, y_ref)
-    assert same_bits(wtt.grad, dw_ref)
-    assert same_bits(bt.grad, db_ref)
-    assert same_bits(xt.grad, dx_ref)
+    return y.data, wtt.grad, bt.grad, xt.grad
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("samples_per_block, blocks", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("channels_last", [False, True])
+@pytest.mark.parametrize("ci", [1, 2, 3, 16])
+@pytest.mark.parametrize("padding", [0, 1, 2])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_conv2d_bits_do_not_depend_on_the_worker_count_over_several_blocks(
+        stride, padding, ci, channels_last, samples_per_block, blocks, workers, monkeypatch):
+    # with ci=16 (and co=6) blocks this small take OpenBLAS's small-matrix
+    # path, so y differs from one whole-input matmul; it must not differ from
+    # one worker count to another
+    x, wt, bias, g = conv_case(stride, padding, ci, channels_last)
+    rows = g.shape[2] * g.shape[3]
+    monkeypatch.setattr(ad, "_BLOCK_ROWS", samples_per_block * rows)
+    assert len(ad._sample_blocks(len(x), rows)) - 1 == blocks
+    split = conv2d_and_grads(x, wt, bias, g, stride, padding)
+    monkeypatch.setattr(ad, "_WORKERS", 1)
+    alone = conv2d_and_grads(x, wt, bias, g, stride, padding)
+    for got, want in zip(split, alone):
+        assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("items", [80, 160, 250])
+@pytest.mark.parametrize("ci, co, hw", [(2, 16, 32), (16, 32, 16)])
+def test_cnn_small_convs_on_the_grid_match_one_matmul_bit_for_bit(ci, co, hw, items):
+    """cnn-small's two convs at B·T = 80, 160 and 250 run several grid blocks,
+    and every block's matmul gives the rows the single whole-input matmul of
+    the oracle gives them. A BLAS whose row results depend on the row count
+    fails here: the grid would then change cnn-small's bits."""
+    x, wt, bias, g = conv_case(1, 1, ci, channels_last=ci > 2, b=items, co=co, h=hw, w=hw)
+    assert len(ad._sample_blocks(items, hw * hw)) - 1 > 2
+    want = ref_conv2d(x, wt, bias, g, 1, 1)
+    got = conv2d_and_grads(x, wt, bias, g, 1, 1)
+    for name, a, b in zip(("y", "dw", "db", "dx"), got, want):
+        assert same_bits(a, b), name
 
 
 def test_conv2d_tape_keeps_less_than_one_patch_matrix():
@@ -462,9 +513,11 @@ import threading
 import numpy as np
 import tksnn.autodiff as ad
 from tksnn.lif import LifConfig, lif_sequence
-x = np.ones((64, 16, 32, 32), dtype=np.float32)
-cols = ad._im2col(x, 3, 3, 1, 1)[0]
-ad._col2im(cols, x.shape, 3, 3, 1, 1)
+x, w, bias = (ad.Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
+              for shape in ((64, 16, 32, 32), (16, 16, 3, 3), (16,)))
+with ad.GradTape() as tape:
+    loss = ad.mean(ad.conv2d(x, w, bias, 1, 1))
+ad.backward(loss, tape)
 lif_sequence(ad.Tensor(np.ones((10, 8, 65536), dtype=np.float32)), LifConfig(), ad.SurrogateSpec())
 """
 

@@ -118,6 +118,8 @@ def test_bad_synth_setting_exits_1_without_outputs(tiny_config, tmp_path, capsys
     (None, "data.classes=true"),
     (None, "data.seed=-1"),
     (None, "run.seed=-1"),
+    (None, "data.images=1"),
+    (None, "data.labels=0"),
 ])
 def test_config_error_exits_1_without_traceback_or_outputs(tiny_config, tmp_path, capsys,
                                                           config_text, override):
@@ -131,6 +133,38 @@ def test_config_error_exits_1_without_traceback_or_outputs(tiny_config, tmp_path
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("override", [
+    "optimizer.lr_max=abc", "optimizer.beta1=null", "optimizer.lr_max=-1", "optimizer.lr_max=0",
+    "optimizer.lr_max=Infinity", "optimizer.lr_min=-0.001", "optimizer.lr_min=1",
+    "optimizer.weight_decay=-0.01", "optimizer.beta1=1", "optimizer.beta2=-0.5",
+    "optimizer.eps=0", "optimizer.eps=true", "optimizer.grad_clip=-1",
+    "run.out_dir=5", "run.out_dir=", "run.out_dir=null",
+])
+def test_bad_optimizer_or_out_dir_exits_1_and_writes_nothing(tiny_config, tmp_path, capsys,
+                                                             monkeypatch, override):
+    monkeypatch.chdir(tmp_path)  # where a relative out_dir would go
+    assert run(["train", "--config", str(tiny_config), "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and override.split("=")[0].split(".")[1] in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+
+@pytest.mark.parametrize("key,name", [
+    ("lif.tau_m", "tau_m"), ("lif.v_th", "v_th"), ("lif.v_rest", "v_rest"),
+    ("surrogate.width", "surrogate width"), ("teacher.tau", "temperature"),
+    ("teacher.epsilon", "smoothing epsilon"), ("schedule.alpha_start", "alpha_start"),
+    ("schedule.alpha_end", "alpha_end"), ("data.noise_sigma", "noise_sigma"),
+])
+def test_a_float_setting_that_is_not_a_number_names_itself(tiny_config, tmp_path, capsys,
+                                                           key, name):
+    assert run(["train", "--config", str(tiny_config), "--set", f"{key}=abc"]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {name} must be a finite number, got 'abc'" in err
     assert "Traceback" not in err
     assert not (tmp_path / "run").exists()
 

@@ -1,6 +1,7 @@
 """Smoke test: demos/kernel_profile.py runs end to end with one timed repeat."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -29,3 +30,14 @@ def test_kernel_profile_demo_runs(monkeypatch, capsys):
         assert line in out
     assert "0:conv2d" in out and "readout" in out
     assert "(1 worker)" in out
+    # the training step's table: forward and backward ms per layer, with all
+    # workers and with one
+    step = out.split("training step, T=10, B=16:", 1)[1].split("process peak RSS", 1)[0]
+    header = step.splitlines()[1].split()
+    assert header[0] == "layer" and header.count("fwd") == 2 and header.count("bwd") == 2
+    assert "worker" in header
+    ms = {line.split()[0]: [float(v) for v in re.findall(r"([0-9.]+) ms", line)]
+          for line in step.splitlines()[2:]}
+    for layer in ("0:conv2d", "lif", "2:avgpool2d", "3:conv2d", "readout"):
+        assert len(ms[layer]) == 4
+    assert ms["3:conv2d"][1] > 0  # its backward ran, with all workers

@@ -126,6 +126,15 @@ def test_config_validation():
         LifConfig(v_rest=0.5, v_th=0.5)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("tau_m", "abc"), ("tau_m", float("nan")), ("v_th", None), ("v_rest", True),
+    ("detach_reset", "abc"), ("detach_reset", 1),
+])
+def test_config_rejects_settings_of_the_wrong_type(field, value):
+    with pytest.raises(ParameterError, match=field):
+        LifConfig(**{field: value})
+
+
 @pytest.mark.parametrize("kind", ["rectangular", "triangular", "piecewise_quadratic"])
 @pytest.mark.parametrize("detach", [False, True])
 @pytest.mark.parametrize("v_rest", [0.0, -0.2])

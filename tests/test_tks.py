@@ -449,6 +449,12 @@ def test_alpha_epoch_out_of_range():
         alpha_at(50, AlphaSchedule(0.0, 0.7, 50))
 
 
+@pytest.mark.parametrize("bounds", [("abc", 0.7), (0.0, None)])
+def test_alpha_schedule_bounds_must_be_numbers(bounds):
+    with pytest.raises(ParameterError, match="alpha bound must be a finite number"):
+        AlphaSchedule(*bounds, 50)
+
+
 # ---------------------------------------------------------------------------
 # baseline modes
 
@@ -493,3 +499,6 @@ def test_teacher_config_validation():
         TeacherConfig(tau=0.0)
     with pytest.raises(ParameterError):
         TeacherConfig(epsilon=1.0)
+    for field, name in (("tau", "temperature"), ("epsilon", "smoothing epsilon")):
+        with pytest.raises(ParameterError, match=f"{name} must be a finite number"):
+            TeacherConfig(**{field: "abc"})

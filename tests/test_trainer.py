@@ -7,7 +7,9 @@ import pytest
 from tksnn.autodiff import SurrogateSpec, Tensor
 import tksnn.trainer as trainer_mod
 from tksnn.data import build_dataset
-from tksnn.errors import ConfigError, ContractError, DataError, FormatError, TrainingAbort
+from tksnn.errors import (
+    ConfigError, ContractError, DataError, FormatError, ParameterError, TrainingAbort, check_float,
+)
 from tksnn.network import build_model, load_checkpoint
 from tksnn.trainer import (
     AdamW,
@@ -182,12 +184,50 @@ def test_config_data_integers_must_be_integers(field, value):
         DataConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [("images", 1), ("labels", 0), ("labels", None)])
+def test_config_idx_paths_must_be_strings(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be a path string"):
+        DataConfig(kind="idx", **{field: value})
+
+
 def test_config_accepts_numpy_integers():
     cfg = RunConfig(t_train=np.int64(4), epochs=np.int32(2), batch_size=np.int64(8),
                     seed=np.uint8(3), teacher=TeacherConfig(k=np.int16(2)),
                     data=DataConfig(n_per_class=np.int64(6), t_native=np.int64(4),
                                     classes=np.int64(3), seed=np.int64(1)))
     assert cfg.batch_size == 8 and cfg.data.classes == 3
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lr_max", "abc"), ("lr_max", 0.0), ("lr_max", -1.0), ("lr_max", math.inf), ("lr_max", True),
+    ("lr_min", -1e-4), ("lr_min", 1.0), ("lr_min", math.nan), ("weight_decay", -0.01),
+    ("beta1", None), ("beta1", 1.0), ("beta2", -0.1), ("eps", 0.0), ("eps", "1e-8"),
+    ("grad_clip", -1.0),
+])
+def test_optim_config_rejects_bad_values(field, value):
+    with pytest.raises(ConfigError, match=field):
+        OptimConfig(**{field: value})
+
+
+def test_optim_config_accepts_the_edges_of_each_range():
+    OptimConfig(lr_max=1, lr_min=1, weight_decay=0, beta1=0, beta2=np.float32(0.5), grad_clip=0)
+
+
+@pytest.mark.parametrize("out_dir", [5, "", None, b"runs"])
+def test_config_out_dir_must_be_a_non_empty_string(out_dir):
+    with pytest.raises(ConfigError, match="out_dir"):
+        RunConfig(out_dir=out_dir)
+
+
+@pytest.mark.parametrize("value", ["abc", None, True, math.nan, -math.inf, 10**400, [1.0]])
+def test_check_float_rejects_what_is_not_a_finite_number(value):
+    with pytest.raises(ParameterError, match="x must be a finite number"):
+        check_float("x", value, ParameterError)
+
+
+@pytest.mark.parametrize("value", [0, -3, 1.5, np.float32(2.0), np.int64(7)])
+def test_check_float_accepts_finite_numbers(value):
+    check_float("x", value)
 
 
 def test_config_validation_bad_data_kind():
