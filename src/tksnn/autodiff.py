@@ -161,7 +161,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 _MAX_WORKERS = 4  # threads a split uses at most, the calling thread included
-# float32 elements a range must touch to pay for its hand-off to a pool thread
+# float32 elements a run of blocks must touch to pay for its hand-off to a pool thread
 # (about 45 us, more to wake an idle CPU): 8-sample cnn-small evaluation calls
 # at T <= 3 measured slower split, so they, and all of mlp-small, run inline
 _MIN_RANGE_WORK = 1 << 19
@@ -187,8 +187,6 @@ def _libc_getcpu():
 _CPUS = _cpu_set()
 _WORKERS = min(len(_CPUS), _MAX_WORKERS)
 _getcpu = _libc_getcpu()
-_pool: ThreadPoolExecutor | None = None  # made on first use
-_pool_lock = threading.Lock()
 
 
 class _Pin(threading.local):
@@ -198,22 +196,16 @@ class _Pin(threading.local):
 _PIN = _Pin()
 
 
-def _forget_pool():
-    # a forked child has none of the parent's threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _executor() -> ThreadPoolExecutor:
+def _new_pool() -> None:
+    # at import, and in a forked child, which has none of the parent's
+    # threads; the executor starts a thread only when a task finds none idle
     global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="tksnn-split")
-        return _pool
+    _pool = ThreadPoolExecutor(max(_WORKERS - 1, 1), thread_name_prefix="tksnn-split")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def _run_off(cpu: int, fn, lo: int, hi: int) -> None:
@@ -233,32 +225,44 @@ def _run_off(cpu: int, fn, lo: int, hi: int) -> None:
     fn(lo, hi)
 
 
-def _split(n: int, fn, work: int) -> None:
-    """Call fn(lo, hi) over contiguous ranges that cover [0, n), one per worker.
+def _split(bounds: list[int], fn, work: int) -> None:
+    """Call fn(lo, hi) once per block [lo, hi) of the grid `bounds`, the
+    blocks dealt out to the workers in one contiguous run each.
 
-    `work` is the number of float32 elements one of the n items touches. The
-    calling thread runs the first range and a pool of _WORKERS − 1 threads
-    (_WORKERS as it was at the pool's first use) the others. With one
-    worker, or under _MIN_RANGE_WORK elements per range, the call is
-    fn(0, n) inline and starts no thread. Every range has finished
-    when this returns, also when one raises; the first error in range order
-    is then raised as itself. fn must write a disjoint part of the output for
-    each range and must not record a tape op, call a public function of this
-    package (tracing wraps those and assumes one thread) or call _split.
-    Buffers belong in the caller, so that threads allocate nothing large.
+    `bounds` rises from 0 to bounds[-1] in units of the caller's choosing
+    (samples, neurons, jobs) and `work` is the float32 elements one unit
+    touches. The calling thread runs the first run of blocks and _pool
+    the others. With one worker, one block, or under _MIN_RANGE_WORK elements
+    per run, every block runs inline, in order, and no thread is woken.
+    Every run has finished when this returns, also when one raises; the first
+    error in run order is then raised as itself.
+
+    The bit rule: one thread computes a block with the same ops, whichever
+    thread it is, so the results cannot depend on the worker count. A kernel
+    whose bits depend on where it is cut, such as conv2d's matmuls, must
+    pass a grid that depends on the shape alone. fn must write a disjoint
+    part of the output for each block and must not record a tape op, call a
+    public function of this package (tracing wraps those and assumes one
+    thread) or call _split. Buffers belong in the caller, so that threads
+    allocate nothing large.
     """
-    ranges = min(_WORKERS, n, n * work // _MIN_RANGE_WORK)
-    if ranges < 2:
-        fn(0, n)
+    blocks = len(bounds) - 1
+
+    def run(first, last):
+        for k in range(first, last):
+            fn(bounds[k], bounds[k + 1])
+
+    runs = min(_WORKERS, blocks, work * bounds[-1] // _MIN_RANGE_WORK)
+    if runs < 2:
+        run(0, blocks)
         return
-    bounds = [n * k // ranges for k in range(ranges + 1)]
-    pool = _executor()
+    cuts = [blocks * k // runs for k in range(runs + 1)]
     here = _getcpu() if _getcpu is not None else -1
     futures = []
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            futures.append(pool.submit(_run_off, here, fn, lo, hi))
-        fn(bounds[0], bounds[1])
+        for first, last in zip(cuts[1:-1], cuts[2:]):
+            futures.append(_pool.submit(_run_off, here, run, first, last))
+        run(cuts[0], cuts[1])
     finally:
         wait(futures)
     for f in futures:
@@ -447,18 +451,6 @@ def _sample_blocks(b: int, rows: int) -> list[int]:
     return [b * k // n for k in range(n + 1)]
 
 
-def _over_blocks(bounds: list[int], fn, work: int) -> None:
-    """fn(lo, hi) once per block [lo, hi) of the grid `bounds`, the blocks dealt
-    out to the workers by _split; `work` is the float32 elements one sample touches."""
-    n = len(bounds) - 1
-
-    def run(first, last):
-        for k in range(first, last):
-            fn(bounds[k], bounds[k + 1])
-
-    _split(n, run, work * bounds[-1] // n)
-
-
 def _im2col(x: np.ndarray, kh, kw, stride, padding):
     """The patches of x [B,C,H,W] as the matmul operand [B·oh·ow, kh·kw·C],
     and copy(lo, hi), which fills the rows of samples lo:hi.
@@ -517,11 +509,10 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 
     The samples are cut into a fixed grid of blocks (`_sample_blocks`): the
     fewest blocks of whole samples with about _BLOCK_ROWS patch rows each.
-    The grid depends on the input's shape alone, never on the worker count,
-    and an input smaller than one block is one block. _split deals the
-    blocks out to the workers. The forward runs each block's patch copy,
-    patch matmul and bias add on that block's worker. Each block is one
-    matmul whatever the worker count, so the bits never depend on it. They
+    A matmul's bits depend on where its rows are cut, so by _split's bit
+    rule the grid depends on the input's shape alone; an input smaller than
+    one block is one block. The forward runs each block's patch copy, patch
+    matmul and bias add as one _split block. The bits
     equal the single whole-input matmul's unless OpenBLAS takes its
     small-matrix path, whose bits differ, for a block and not for the whole
     (on 0.3.31 with AVX-512: the patch matmul up to M·N·K ≈ 1.7e5 at 144
@@ -532,7 +523,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 
     The tape keeps x, not the patches: backward rebuilds them bit for bit
     from x.data, so x.data must not change in place between this call and
-    backward. Backward then runs two jobs, one beside the other: the weight
+    backward. Backward then runs two jobs as a grid of two blocks: the weight
     gradient, one matmul over all the rows, and the bias gradient, one row
     sum. Neither is cut by rows, because a cut would change the order of
     its sums. The rebuilt patches are freed before the input gradient, so
@@ -562,24 +553,19 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         # the same elementwise adds as y += bias, over rows of whole samples
         np.add(per_sample[lo:hi], tiled, out=per_sample[lo:hi])
 
-    _over_blocks(bounds, forward, rows * (width + co))
+    _split(bounds, forward, rows * (width + co))
     del cols, copy
     out = Tensor(y.reshape(b, oh, ow, co).transpose(0, 3, 1, 2))
 
     def bwd(g):
         g2 = g.transpose(0, 2, 3, 1).reshape(b * rows, co)
         cols, copy = _im2col(x_data, kh, kw, stride, padding)
-        _over_blocks(bounds, copy, rows * width)
+        _split(bounds, copy, rows * width)
         del copy  # and with it the padded copy of x
         dw = np.empty((co, width), dtype=DTYPE)
         db = np.empty(co, dtype=DTYPE)
         jobs = (lambda: np.dot(g2.T, cols, out=dw), lambda: np.sum(g2, axis=0, out=db))
-
-        def run(lo, hi):
-            for job in jobs[lo:hi]:
-                job()
-
-        _split(2, run, g2.size + cols.size)
+        _split([0, 1, 2], lambda k, _: jobs[k](), g2.size + cols.size)
         del cols
         dx = None
         if x._needs:
@@ -590,7 +576,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
                 np.dot(g2[lo * rows : hi * rows], wmat, out=dcols[lo * rows : hi * rows])
                 scatter(lo, hi)
 
-            _over_blocks(bounds, input_grad, rows * (co + 2 * width))
+            _split(bounds, input_grad, rows * (co + 2 * width))
         return dx, dw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2), db
 
     _record(out, (x, w, bias), bwd)
@@ -603,10 +589,9 @@ def avgpool2d(x: Tensor, window: int) -> Tensor:
     The forward adds the window² strided views x[:, :, i::k, j::k] into one
     buffer in row-major (i, j) order, then divides by window²; the backward
     writes g / window² into the same views of one gradient buffer. Both
-    buffers take x's memory order. Both passes cut the samples into one
-    contiguous range per worker (`_split`); a sample's pooled values and
-    gradients come from that sample alone, in the same op order, so the
-    bits do not depend on the number of workers.
+    buffers take x's memory order. Both passes run over a grid of one block
+    of samples per worker (see _split for why the bits do not depend on it):
+    a sample's pooled values and gradients come from that sample alone.
     """
     b, c, h, w = x.shape
     if h % window or w % window:
@@ -628,7 +613,9 @@ def avgpool2d(x: Tensor, window: int) -> Tensor:
             np.add(out, view, out=out)
         np.divide(out, n, out=out)
 
-    _split(b, pool, c * h * w)
+    parts = max(1, min(_WORKERS, b))  # one block per worker
+    bounds = [b * k // parts for k in range(parts + 1)]
+    _split(bounds, pool, c * h * w)
     out = Tensor(acc)
 
     def bwd(g):
@@ -640,7 +627,7 @@ def avgpool2d(x: Tensor, window: int) -> Tensor:
             for i, j in offsets:
                 gx[lo:hi, :, i::k, j::k] = share[lo:hi]
 
-        _split(b, spread, c * h * w)
+        _split(bounds, spread, c * h * w)
         return (gx,)
 
     _record(out, (x,), bwd)

@@ -144,7 +144,7 @@ def run(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (ConfigError, ParameterError, FileNotFoundError) as exc:
+    except (ConfigError, ParameterError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TksnnError as exc:

@@ -259,8 +259,7 @@ def _raise_first_bad_line(path: str, data: bytes):
     raise FormatError(f"{path}: not a 't x y p' event stream")
 
 
-def bin_events(stream: EventStream, t_len: int, width: int, height: int,
-               cap: int | None = None) -> np.ndarray:
+def bin_events(stream: EventStream, t_len: int, width: int, height: int) -> np.ndarray:
     """Accumulate per-polarity event counts into [T, 2, H, W] frames.
 
     The recording is split into t_len equal-duration half-open windows; the
@@ -288,10 +287,7 @@ def bin_events(stream: EventStream, t_len: int, width: int, height: int,
         if bins.min() < 0:
             raise DataError(f"event timestamps before 0 or a negative duration {stream.duration}")
     cell = ((bins * 2 + ev[:, 3]) * height + ev[:, 2]) * width + ev[:, 1]
-    frames = np.bincount(cell, minlength=math.prod(shape)).astype(DTYPE).reshape(shape)
-    if cap is not None:
-        np.minimum(frames, DTYPE(cap), out=frames)
-    return frames
+    return np.bincount(cell, minlength=math.prod(shape)).astype(DTYPE).reshape(shape)
 
 
 def build_dataset(data_cfg, split: str = "train") -> Dataset:

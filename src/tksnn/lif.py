@@ -35,12 +35,12 @@ memory order: channels-last after a conv, a view of dense currents, never a
 copy. The N neurons are cut into tiles of `TILE` consecutive columns, and
 each tile runs the whole time loop, forward or backward, in its own slices
 of the per-step buffers, so its working set stays in cache. The tiles are
-cut into one contiguous run per worker by `autodiff._split`, which runs the
-runs on the process's CPUs. A neuron's recurrence reads only that neuron's
-own values, so every element gets the same ops on the same operands in the
-same order whatever the tile size and worker count: the bits cannot change.
-The calling thread allocates every buffer; the workers only write into
-them. mlp-small's layer (B·128 neurons) is a single tile and runs inline.
+the grid that `autodiff._split` deals out to the process's CPUs. A neuron's
+recurrence reads only that neuron's own values, so every element gets the
+same ops on the same operands in the same order whatever the tile size; for
+the worker count, see _split's bit rule. The calling thread allocates every
+buffer; the workers only write into them. mlp-small's layer (B·128 neurons)
+is a single tile and runs inline.
 """
 
 from __future__ import annotations
@@ -137,27 +137,26 @@ def lif_sequence(currents: Tensor, cfg: LifConfig, surrogate: SurrogateSpec) -> 
     s_step = np.zeros(n, dtype=DTYPE)
     a_step, carry_step = np.empty(n, dtype=DTYPE), np.empty(n, dtype=DTYPE)
 
-    def forward_tiles(lo, hi):
-        for k in range(lo * TILE, min(hi * TILE, n), TILE):
-            tile = slice(k, k + TILE)
-            # s_tile[t] holds the drive I_t / tau_m until step t replaces it with s_t
-            s_tile = s_rows[:, tile]
-            np.multiply(i_rows[:, tile], gain, out=s_tile)
-            v_tile = v_rows[:, tile] if v_rows is not None else None
-            v, s, a, carry = v_step[tile], s_step[tile], a_step[tile], carry_step[tile]
-            for t in range(t_len):
-                np.multiply(v, np.subtract(1, s, out=a), out=carry)
-                if cfg.v_rest != 0.0:
-                    np.add(carry, np.multiply(s, v_rest, out=a), out=carry)
-                np.multiply(carry, leak, out=carry)
-                if v_tile is not None:
-                    v = v_tile[t]
-                s = s_tile[t]
-                np.add(carry, s, out=v)
-                np.greater_equal(v, v_th, out=s)
+    def forward_tile(lo, hi):
+        tile = slice(lo, hi)
+        # s_tile[t] holds the drive I_t / tau_m until step t replaces it with s_t
+        s_tile = s_rows[:, tile]
+        np.multiply(i_rows[:, tile], gain, out=s_tile)
+        v_tile = v_rows[:, tile] if v_rows is not None else None
+        v, s, a, carry = v_step[tile], s_step[tile], a_step[tile], carry_step[tile]
+        for t in range(t_len):
+            np.multiply(v, np.subtract(1, s, out=a), out=carry)
+            if cfg.v_rest != 0.0:
+                np.add(carry, np.multiply(s, v_rest, out=a), out=carry)
+            np.multiply(carry, leak, out=carry)
+            if v_tile is not None:
+                v = v_tile[t]
+            s = s_tile[t]
+            np.add(carry, s, out=v)
+            np.greater_equal(v, v_th, out=s)
 
-    tiles = -(-n // TILE)
-    ad._split(tiles, forward_tiles, t_len * TILE)
+    tiles = list(range(0, n, TILE)) + [n]
+    ad._split(tiles, forward_tile, t_len)
     out = Tensor(s_rows.reshape(shape).transpose(inverse))
 
     def bwd(g):
@@ -165,36 +164,33 @@ def lif_sequence(currents: Tensor, cfg: LifConfig, surrogate: SurrogateSpec) -> 
         grad = np.empty_like(s_rows)
         dv_step, c_step, ds_step, a_step, sg_step = (np.empty(n, dtype=DTYPE) for _ in range(5))
 
-        def backward_tiles(lo, hi):
-            for k in range(lo * TILE, min(hi * TILE, n), TILE):
-                tile = slice(k, k + TILE)
-                v_tile, s_tile, g_tile, grad_tile = (
-                    x[:, tile] for x in (v_rows, s_rows, g_rows, grad))
-                dv, c, ds, a, sg = (
-                    x[tile] for x in (dv_step, c_step, ds_step, a_step, sg_step))
-                for t in range(t_len - 1, -1, -1):
-                    surrogate.derivative(np.subtract(v_tile[t], v_th, out=a), out=sg)
-                    if t == t_len - 1:
-                        np.multiply(g_tile[t], sg, out=dv)
+        def backward_tile(lo, hi):
+            tile = slice(lo, hi)
+            v_tile, s_tile, g_tile, grad_tile = (x[:, tile] for x in (v_rows, s_rows, g_rows, grad))
+            dv, c, ds, a, sg = (x[tile] for x in (dv_step, c_step, ds_step, a_step, sg_step))
+            for t in range(t_len - 1, -1, -1):
+                surrogate.derivative(np.subtract(v_tile[t], v_th, out=a), out=sg)
+                if t == t_len - 1:
+                    np.multiply(g_tile[t], sg, out=dv)
+                else:
+                    np.multiply(dv, leak, out=c)
+                    if cfg.detach_reset:
+                        ds_t = g_tile[t]
                     else:
-                        np.multiply(dv, leak, out=c)
-                        if cfg.detach_reset:
-                            ds_t = g_tile[t]
+                        # (c·v_rest + (−c·v_t)) + gs_t, with each x + (−y)
+                        # written x − y: IEEE defines them as the same operation
+                        ds_t = ds
+                        np.multiply(c, v_tile[t], out=a)
+                        if cfg.v_rest != 0.0:
+                            np.subtract(np.multiply(c, v_rest, out=ds), a, out=ds)
+                            np.add(ds, g_tile[t], out=ds)
                         else:
-                            # (c·v_rest + (−c·v_t)) + gs_t, with each x + (−y)
-                            # written x − y: IEEE defines them as the same operation
-                            ds_t = ds
-                            np.multiply(c, v_tile[t], out=a)
-                            if cfg.v_rest != 0.0:
-                                np.subtract(np.multiply(c, v_rest, out=ds), a, out=ds)
-                                np.add(ds, g_tile[t], out=ds)
-                            else:
-                                np.subtract(g_tile[t], a, out=ds)
-                        np.multiply(c, np.subtract(1, s_tile[t], out=a), out=dv)
-                        np.add(dv, np.multiply(ds_t, sg, out=sg), out=dv)
-                    np.multiply(dv, gain, out=grad_tile[t])
+                            np.subtract(g_tile[t], a, out=ds)
+                    np.multiply(c, np.subtract(1, s_tile[t], out=a), out=dv)
+                    np.add(dv, np.multiply(ds_t, sg, out=sg), out=dv)
+                np.multiply(dv, gain, out=grad_tile[t])
 
-        ad._split(tiles, backward_tiles, t_len * TILE)
+        ad._split(tiles, backward_tile, t_len)
         return (grad.reshape(shape).transpose(inverse),)
 
     ad._record(out, (currents,), bwd)

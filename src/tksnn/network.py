@@ -207,8 +207,8 @@ def unroll(model: Model, inputs) -> TemporalOutput:
     if data.ndim < 2:
         raise DimensionError(f"unroll expects [T,B,...] inputs, got {data.shape}")
     t_len, batch = data.shape[:2]
-    if t_len < 1:
-        raise ParameterError("unroll needs at least one timestep")
+    if t_len < 1 or batch < 1:
+        raise ParameterError(f"unroll needs one timestep and one sample, got T={t_len}, B={batch}")
     h = Tensor(data.reshape((t_len * batch,) + data.shape[2:]))
     for layer in model.layers:
         if layer.kind == "lif":

@@ -36,7 +36,8 @@ def bad_header_copies(tmp_path):
 
 @pytest.fixture
 def workers(request, monkeypatch):
-    """Split every kernel over `request.param` workers, however little work it has."""
+    """Cut every split kernel's grid into runs for `request.param` workers, however
+    little work it has. This forces the cut, not the pool's thread count."""
     monkeypatch.setattr(ad, "_WORKERS", request.param)
     monkeypatch.setattr(ad, "_MIN_RANGE_WORK", 1)
     return request.param

@@ -420,6 +420,25 @@ def test_cnn_small_convs_on_the_grid_match_one_matmul_bit_for_bit(ci, co, hw, it
         assert same_bits(a, b), name
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+def test_split_kernels_on_zero_samples_return_empty_values_and_zero_parameter_grads(workers):
+    from tksnn.lif import LifConfig, lif_sequence
+
+    x, wt, bias, g = conv_case(1, 1, 2, False, b=0, co=4, h=8, w=8)
+    y, dw, db, dx = conv2d_and_grads(x, wt, bias, g, 1, 1)
+    assert y.shape == (0, 4, 8, 8) and dx.shape == x.shape
+    assert same_bits(dw, np.zeros_like(wt)) and same_bits(db, np.zeros_like(bias))
+    leaf = Tensor(y, requires_grad=True)
+    with GradTape() as tape:
+        pooled = ad.avgpool2d(leaf, 2)
+        spikes = lif_sequence(ad.reshape(pooled, (3, 0, 4, 4, 4)), LifConfig(), SurrogateSpec())
+    assert pooled.shape == (0, 4, 4, 4) and spikes.shape == (3, 0, 4, 4, 4)
+    pool_node, _, lif_node = tape._nodes
+    (g_lif,) = lif_node.bwd(np.zeros(spikes.shape, dtype=np.float32))
+    (g_pool,) = pool_node.bwd(np.zeros(pooled.shape, dtype=np.float32))
+    assert g_lif.shape == spikes.shape and g_pool.shape == y.shape
+
+
 def test_conv2d_tape_keeps_less_than_one_patch_matrix():
     """Between forward and backward a taped conv2d keeps its output and the
     weight matrix, not the [B·oh·ow, kh·kw·C] patches."""
@@ -446,26 +465,42 @@ def test_conv2d_tape_keeps_less_than_one_patch_matrix():
 # _split: the kernels' work split over threads
 
 
-def test_split_cuts_contiguous_ranges_that_cover_every_item(monkeypatch):
+def test_split_deals_the_blocks_out_in_contiguous_runs(monkeypatch):
     monkeypatch.setattr(ad, "_WORKERS", 3)
+    bounds = [0, 1, 3, 4, 6, 7, 9, 10]
     seen = []
-    ad._split(7, lambda lo, hi: seen.append((lo, hi)), ad._MIN_RANGE_WORK)
-    assert sorted(seen) == [(0, 2), (2, 4), (4, 7)]
+    ad._split(bounds, lambda lo, hi: seen.append((lo, hi, threading.get_ident())),
+              ad._MIN_RANGE_WORK)
+    assert sorted((lo, hi) for lo, hi, _ in seen) == list(zip(bounds, bounds[1:]))
+    # 7 blocks over 3 workers: runs of 2, 2 and 3 blocks, each run on one
+    # thread in block order, the first on the caller's
+    by_thread = {}
+    for lo, _, thread in seen:
+        by_thread.setdefault(thread, []).append(lo)
+    assert by_thread.pop(threading.get_ident()) == [0, 1]
+    second, third = [3, 4], [6, 7, 9]
+    for los in by_thread.values():  # a pool of one thread runs both, in either order
+        assert los in (second, third, second + third, third + second)
 
 
-@pytest.mark.parametrize("count, work", [(1, 1 << 30), (2, ad._MIN_RANGE_WORK // 8)])
-def test_split_runs_inline_with_one_worker_or_little_work(monkeypatch, count, work):
+@pytest.mark.parametrize("count, bounds, work", [
+    (1, [0, 3, 5, 8], 1 << 30),  # one worker
+    (3, [0, 8], 1 << 30),  # one block
+    (2, [0, 3, 5, 8], ad._MIN_RANGE_WORK // 8),  # little work
+])
+def test_split_runs_inline_in_block_order_with_one_worker_block_or_little_work(
+        monkeypatch, count, bounds, work):
     monkeypatch.setattr(ad, "_WORKERS", count)
-    monkeypatch.setattr(ad, "_executor", lambda: pytest.fail("a pool was used"))
+    monkeypatch.setattr(ad._pool, "submit", lambda *a: pytest.fail("a pool was used"))
     seen = []
-    ad._split(8, lambda lo, hi: seen.append((lo, hi, threading.get_ident())), work)
-    assert seen == [(0, 8, threading.get_ident())]
+    ad._split(bounds, lambda lo, hi: seen.append((lo, hi, threading.get_ident())), work)
+    assert seen == [(lo, hi, threading.get_ident()) for lo, hi in zip(bounds, bounds[1:])]
 
 
-@pytest.mark.parametrize("failing", [0, 2])  # the calling thread's range, a pool thread's
-def test_split_raises_the_error_itself_after_every_range_has_finished(monkeypatch, failing):
+@pytest.mark.parametrize("failing", [0, 4])  # the calling thread's run, a pool thread's
+def test_split_raises_the_error_itself_after_every_run_has_finished(monkeypatch, failing):
     monkeypatch.setattr(ad, "_WORKERS", 3)
-    error = RuntimeError("range failed")
+    error = RuntimeError("block failed")
     finished = []
 
     def fn(lo, hi):
@@ -475,9 +510,46 @@ def test_split_raises_the_error_itself_after_every_range_has_finished(monkeypatc
         finished.append(lo)
 
     with pytest.raises(RuntimeError) as info:
-        ad._split(3, fn, ad._MIN_RANGE_WORK)
+        ad._split([0, 2, 4, 6], fn, ad._MIN_RANGE_WORK)
     assert info.value is error
-    assert sorted(finished) == sorted({0, 1, 2} - {failing})
+    assert sorted(finished) == sorted({0, 2, 4} - {failing})
+
+
+def test_pool_submissions_of_each_split_call_of_cnn_small(monkeypatch):
+    """Pool submissions per _split call with two workers, pinned: every call
+    of a cnn-small training step (B=16, T=10) splits once, and an untaped
+    8-sample unroll splits its big early kernels only from T=4 on."""
+    from tksnn import TeacherConfig, build_model, objective, unroll
+    from tksnn.lif import LifConfig
+
+    monkeypatch.setattr(ad, "_WORKERS", 2)
+    calls = []
+    split, submit = ad._split, ad._pool.submit
+
+    def counting_split(bounds, fn, work):
+        calls.append([fn.__qualname__.split(".")[0], 0])
+        split(bounds, fn, work)
+
+    def counting_submit(*args):
+        calls[-1][1] += 1
+        return submit(*args)
+
+    monkeypatch.setattr(ad, "_split", counting_split)
+    monkeypatch.setattr(ad._pool, "submit", counting_submit)
+    model = build_model("cnn-small", (2, 32, 32), 10, LifConfig(), SurrogateSpec(), 0)
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0, 3, size=(10, 16, 2, 32, 32)).astype(np.float32)
+    with GradTape() as tape:
+        loss, _, _ = objective(unroll(model, x), np.arange(16) % 10, TeacherConfig(), 0.5)
+    backward(loss, tape)
+    assert [count for _, count in calls] == [1] * 15
+    layers = ["conv2d", "lif_sequence", "avgpool2d"] * 2
+    submitted = {1: [0] * 6, 2: [0] * 6, 4: [1, 0, 0, 1, 0, 0], 6: [1, 0, 0, 1, 0, 0],
+                 8: [1, 1, 1, 1, 0, 0], 10: [1, 1, 1, 1, 0, 0]}
+    for t_len, counts in submitted.items():
+        calls.clear()
+        unroll(model, rng.uniform(0, 3, size=(t_len, 8, 2, 32, 32)).astype(np.float32))
+        assert calls == [list(call) for call in zip(layers, counts)], t_len
 
 
 def test_a_tape_records_nothing_from_ops_on_another_thread():
@@ -525,10 +597,10 @@ lif_sequence(ad.Tensor(np.ones((10, 8, 65536), dtype=np.float32)), LifConfig(), 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
 def test_a_process_on_one_cpu_starts_no_thread():
     code = ("import os\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-            + BIG_KERNELS + "print(ad._WORKERS, threading.active_count(), ad._pool is None)")
+            + BIG_KERNELS + "print(ad._WORKERS, threading.active_count(), len(ad._pool._threads))")
     done = run_python(code)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["1", "1", "True"]
+    assert done.stdout.split() == ["1", "1", "0"]
 
 
 def test_an_idle_pool_lets_the_interpreter_exit():
@@ -537,3 +609,20 @@ def test_an_idle_pool_lets_the_interpreter_exit():
     done = run_python(code)  # a pool that kept the interpreter alive would time out
     assert done.returncode == 0, done.stderr
     assert int(done.stdout) == 2  # the caller and one idle pool thread
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+def test_a_forked_child_splits_on_a_pool_of_its_own():
+    code = "import tksnn.autodiff as ad\nad._WORKERS = 2\n" + BIG_KERNELS + """
+import os
+parent_pool = ad._pool
+pid = os.fork()
+if pid == 0:
+    seen = []
+    ad._split([0, 1, 2], lambda lo, hi: seen.append(threading.get_ident()), ad._MIN_RANGE_WORK)
+    os._exit(0 if ad._pool is not parent_pool and len(set(seen)) == 2 else 3)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+    done = run_python(code)  # a child waiting on the parent's threads would time out
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0"]

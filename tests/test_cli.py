@@ -290,3 +290,23 @@ def test_module_form_runs_the_cli(tmp_path):
                           text=True, env=env, cwd=tmp_path, timeout=60)
     assert done.returncode == 0
     assert done.stdout.startswith("usage: tksnn")
+
+
+def test_eval_of_a_directory_as_checkpoint_exits_1(tiny_config, tmp_path, capsys):
+    assert run(["eval", "--config", str(tiny_config), "--checkpoint", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_train_on_a_directory_as_idx_images_exits_1_and_writes_nothing(tmp_path, capsys):
+    lp = tmp_path / "lb.idx"
+    save_idx(str(tmp_path / "im.idx"), str(lp), np.zeros((3, 2, 2), dtype=np.uint8), np.arange(3))
+    config = tmp_path / "idx.json"
+    config.write_text(json.dumps({
+        "data": {"kind": "idx", "images": str(tmp_path), "labels": str(lp)},
+        "run": {"out_dir": str(tmp_path / "run")},
+    }))
+    assert run(["train", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()

@@ -345,13 +345,11 @@ def test_bin_events_window_assignment(tmp_path):
     assert frames[1, 1, 1, 1] == 1.0  # final event kept in closed last window
 
 
-def test_bin_events_conserves_count_and_caps():
+def test_bin_events_conserves_count():
     ev = np.array([[0, 0, 0, 1], [10, 0, 0, 1], [10, 0, 0, 1], [20, 0, 0, 1]], dtype=np.int64)
     stream = EventStream(events=ev, duration=20)
     frames = bin_events(stream, t_len=4, width=1, height=1)
     assert frames.sum() == 4.0
-    capped = bin_events(stream, t_len=1, width=1, height=1, cap=3)
-    assert capped.sum() == 3.0
 
 
 def test_bin_events_out_of_bounds_coordinates():
@@ -411,7 +409,7 @@ def ref_load_events(path):
     return EventStream(events=ev, duration=int(ev[-1, 0]))
 
 
-def ref_bin_events(stream, t_len, width, height, cap=None):
+def ref_bin_events(stream, t_len, width, height):
     frames = np.zeros((t_len, 2, height, width), dtype=np.float32)
     ev = stream.events
     if len(ev) == 0:
@@ -421,8 +419,6 @@ def ref_bin_events(stream, t_len, width, height, cap=None):
     else:
         bins = np.minimum((ev[:, 0] * t_len) // stream.duration, t_len - 1)
     np.add.at(frames, (bins, ev[:, 3], ev[:, 2], ev[:, 1]), 1.0)
-    if cap is not None:
-        np.minimum(frames, np.float32(cap), out=frames)
     return frames
 
 
@@ -542,9 +538,8 @@ def test_bin_events_matches_scatter_add_reference():
             ev[:, 0] -= ev[0, 0]
             duration = 0 if trial == 0 else int(ev[-1, 0])  # a zero duration bins all in window 0
             stream = EventStream(events=ev, duration=duration)
-            for cap in (None, 1, int(rng.integers(2, 5))):
-                got = bin_events(stream, t_len, w + 1, h, cap)
-                assert got.tobytes() == ref_bin_events(stream, t_len, w + 1, h, cap).tobytes()
+            got = bin_events(stream, t_len, w + 1, h)
+            assert got.tobytes() == ref_bin_events(stream, t_len, w + 1, h).tobytes()
     # one cell hit many times
     ev = np.tile([[7, 1, 2, 1]], (5000, 1))
     ev[:, 0] = np.arange(5000)

@@ -278,7 +278,7 @@ def test_an_mlp_small_step_runs_on_the_calling_thread(monkeypatch):
     """mlp-small's LIF layer (B·128 neurons) is one tile: nothing is handed to a pool."""
     from tksnn import TeacherConfig, build_model, objective, unroll
 
-    monkeypatch.setattr(ad, "_executor", lambda: pytest.fail("a pool was used"))
+    monkeypatch.setattr(ad._pool, "submit", lambda *a: pytest.fail("a pool was used"))
     model = build_model("mlp-small", (40,), 4, LifConfig(), SUR, 0)
     x = np.random.default_rng(0).uniform(size=(10, 32, 40)).astype(np.float32)
     with GradTape() as tape:

@@ -114,6 +114,13 @@ def test_unroll_rejects_empty_sequence():
         unroll(tiny_model(), np.ones((0, 2, 8), dtype=np.float32))
 
 
+@pytest.mark.parametrize("preset, sample", [("mlp-small", (8,)), ("cnn-small", (2, 8, 8))])
+def test_unroll_rejects_an_empty_batch(preset, sample):
+    model = build_model(preset, sample, 3, LifConfig(), SurrogateSpec(), 0)
+    with pytest.raises(ParameterError, match="B=0"):
+        unroll(model, np.ones((2, 0) + sample, dtype=np.float32))
+
+
 @pytest.mark.parametrize("shape", [(), (5,)])
 def test_unroll_rejects_input_without_time_and_batch_axes(shape):
     with pytest.raises(DimensionError):
