@@ -8,8 +8,6 @@ reproduce bit-identically on one machine.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -18,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ContractError, DimensionError, ParameterError, TapeError, check_float
+from .errors import (
+    ContractError, DimensionError, ParameterError, TapeError, check_float, check_int,
+)
 
 DTYPE = np.float32
 
@@ -167,33 +167,11 @@ _MAX_WORKERS = 4  # threads a split uses at most, the calling thread included
 _MIN_RANGE_WORK = 1 << 19
 
 
-def _cpu_set() -> frozenset[int]:
-    try:
-        return frozenset(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return frozenset(range(os.cpu_count() or 1))
-
-
-def _libc_getcpu():
-    """glibc's sched_getcpu (the CPU the calling thread runs on), or None."""
-    try:
-        fn = ctypes.CDLL(None).sched_getcpu
-    except (OSError, AttributeError):  # not a glibc platform
-        return None
-    fn.restype, fn.argtypes = ctypes.c_int, []
-    return fn
-
-
-_CPUS = _cpu_set()
-_WORKERS = min(len(_CPUS), _MAX_WORKERS)
-_getcpu = _libc_getcpu()
-
-
-class _Pin(threading.local):
-    away_from = -1  # the CPU this pool thread is kept off, -1 for none
-
-
-_PIN = _Pin()
+# one per CPU the process may run on at import
+try:
+    _WORKERS = min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
+except AttributeError:  # no affinity call on this platform
+    _WORKERS = min(os.cpu_count() or 1, _MAX_WORKERS)
 
 
 def _new_pool() -> None:
@@ -208,23 +186,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 
-def _run_off(cpu: int, fn, lo: int, hi: int) -> None:
-    """fn(lo, hi) on a pool thread kept off `cpu`, the CPU of the thread that split.
-
-    Left to the scheduler, a thread woken for a few ms of work can be queued
-    behind its waker on one CPU while another idles (measured on a 2-vCPU VM:
-    no overlap for bursts under ~30 ms), so the pool thread leaves it.
-    """
-    if cpu >= 0 and _PIN.away_from != cpu:
-        others = _CPUS - {cpu}
-        # a CPU set that changed since import only costs the placement
-        with contextlib.suppress(OSError):
-            if others:
-                os.sched_setaffinity(0, others)
-        _PIN.away_from = cpu
-    fn(lo, hi)
-
-
 def _split(bounds: list[int], fn, work: int) -> None:
     """Call fn(lo, hi) once per block [lo, hi) of the grid `bounds`, the
     blocks dealt out to the workers in one contiguous run each.
@@ -232,8 +193,10 @@ def _split(bounds: list[int], fn, work: int) -> None:
     `bounds` rises from 0 to bounds[-1] in units of the caller's choosing
     (samples, neurons, jobs) and `work` is the float32 elements one unit
     touches. The calling thread runs the first run of blocks and _pool
-    the others. With one worker, one block, or under _MIN_RANGE_WORK elements
-    per run, every block runs inline, in order, and no thread is woken.
+    the others; a pool thread runs where the OS schedules it, within the CPU
+    set of the thread whose split started it. With one worker, one block, or
+    under _MIN_RANGE_WORK elements per run, every block runs inline, in
+    order, and no thread is woken.
     Every run has finished when this returns, also when one raises; the first
     error in run order is then raised as itself.
 
@@ -257,11 +220,10 @@ def _split(bounds: list[int], fn, work: int) -> None:
         run(0, blocks)
         return
     cuts = [blocks * k // runs for k in range(runs + 1)]
-    here = _getcpu() if _getcpu is not None else -1
     futures = []
     try:
         for first, last in zip(cuts[1:-1], cuts[2:]):
-            futures.append(_pool.submit(_run_off, here, run, first, last))
+            futures.append(_pool.submit(run, first, last))
         run(cuts[0], cuts[1])
     finally:
         wait(futures)
@@ -430,6 +392,13 @@ def spike(v: Tensor, v_th: float, s: SurrogateSpec) -> Tensor:
 
 
 def _conv_geometry(h, w, kh, kw, stride, padding):
+    """Output height and width; ParameterError for a stride under 1 or a
+    negative padding, DimensionError for a kernel larger than the padded input."""
+    check_int("conv stride", stride, 1, ParameterError)
+    check_int("conv padding", padding, 0, ParameterError)
+    if kh > h + 2 * padding or kw > w + 2 * padding:
+        raise DimensionError(f"conv kernel {kh}x{kw} larger than the padded input "
+                             f"{h}x{w} (padding {padding})")
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
     return oh, ow
@@ -593,6 +562,9 @@ def avgpool2d(x: Tensor, window: int) -> Tensor:
     of samples per worker (see _split for why the bits do not depend on it):
     a sample's pooled values and gradients come from that sample alone.
     """
+    check_int("avgpool2d window", window, 1, ParameterError)
+    if x.ndim != 4:
+        raise DimensionError(f"avgpool2d expects [B,C,H,W], got {x.shape}")
     b, c, h, w = x.shape
     if h % window or w % window:
         raise DimensionError(f"avgpool2d window {window} does not divide spatial dims {h}x{w}")

@@ -82,12 +82,14 @@ def evaluate(model: Model, data: Dataset, t_test: int) -> EvalReport:
     Each unroll call holds all t_test steps of its samples at once, so it takes
     max(1, min(BATCH, BUDGET // (t_test * model.widest_activation)))
     samples: the whole batch for small models, fewer for wide or long ones.
-    Labels must name one of the model's classes.
+    The data set must be nonempty and its labels must name the model's classes.
     """
     if t_test < 1:
         raise ParameterError("t_test must be >= 1")
     labels = data.labels
-    if len(labels) and labels.max() >= model.class_count:
+    if not len(labels):
+        raise DataError("the evaluation set is empty")
+    if labels.max() >= model.class_count:
         raise DataError(f"label {labels.max()} outside the model's {model.class_count} classes")
     n = data.inputs.shape[0]
     per_call = max(1, min(BATCH, BUDGET // (t_test * model.widest_activation)))

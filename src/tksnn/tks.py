@@ -70,9 +70,12 @@ def _as_array(v) -> np.ndarray:
     return v.data if isinstance(v, Tensor) else np.asarray(v, dtype=DTYPE)
 
 
-def _one_hot(labels, c: int) -> np.ndarray:
-    """Labels [B] as float32 one-hot rows [B, c]; DataError unless each is an integer in [0, c)."""
+def _one_hot(labels, b: int, c: int) -> np.ndarray:
+    """Labels [b] as float32 one-hot rows [b, c]; DataError unless there are b of
+    them, each an integer in [0, c)."""
     labels = np.asarray(labels)
+    if labels.shape != (b,):
+        raise DataError(f"{b} samples need {b} labels, got an array of shape {labels.shape}")
     if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= c:
         raise DataError(f"labels must be integers in [0,{c})")
     return (labels[:, None] == np.arange(c)).astype(DTYPE)
@@ -91,7 +94,7 @@ def select_teachers(v, labels, k: int) -> np.ndarray:
     """
     va = _as_array(v)
     t_len = va.shape[0]
-    onehot = _one_hot(labels, va.shape[-1])
+    onehot = _one_hot(labels, va.shape[1], va.shape[-1])
     if not 1 <= k <= t_len:
         raise ParameterError(f"teacher count k={k} must be in [1, T={t_len}]")
     true_prob = (va * onehot).sum(axis=-1)  # [T, B]
@@ -103,9 +106,13 @@ def teacher_signal(q, selected: np.ndarray, tau: float) -> TeacherSignal:
     """Mean of the selected sub-models' logits, temperature-softmaxed, detached."""
     qa = _as_array(q)
     selected = np.asarray(selected, dtype=np.int64)
-    if selected.ndim != 2 or selected.shape[1] < 1:
-        raise ContractError("teacher selection must be a nonempty [B,k] index array")
-    picked = qa[selected, np.arange(qa.shape[1])[:, None], :]  # [B, k, C]
+    t_len, b = qa.shape[:2]
+    if selected.ndim != 2 or selected.shape[0] != b or selected.shape[1] < 1:
+        raise ContractError(f"teacher selection must be a nonempty [B={b},k] index array, "
+                            f"got shape {selected.shape}")
+    if selected.size and (selected.min() < 0 or selected.max() >= t_len):
+        raise ContractError(f"teacher timesteps must lie in [0,{t_len})")
+    picked = qa[selected, np.arange(b)[:, None], :]  # [B, k, C]
     z = ad.softmax_temperature(Tensor(picked.mean(axis=1)), tau).data
     return TeacherSignal(z=z, selected=selected)
 
@@ -124,7 +131,7 @@ def ce_loss(o: Tensor, labels) -> Tensor:
     o = ad.as_tensor(o)
     if o.ndim != 2:
         raise ContractError(f"ce_loss takes the aggregate o [B,C], got shape {o.shape}")
-    return _cross_entropy(o, _one_hot(labels, o.shape[-1]))
+    return _cross_entropy(o, _one_hot(labels, *o.shape))
 
 
 def final_loss(l_ce: Tensor, l_tks: Tensor, alpha: float, tau: float) -> Tensor:
@@ -150,8 +157,8 @@ def baseline_loss(mode: str, out, labels, epsilon: float = 0.0) -> Tensor:
     """Comparison losses on unroll's output: plain CE, label smoothing, per-step labels."""
     if mode == "none":
         return ce_loss(out.o, labels)
-    c = out.o.shape[-1]
-    onehot = _one_hot(labels, c)
+    b, c = out.o.shape
+    onehot = _one_hot(labels, b, c)
     if mode == "label_smoothing":
         return _cross_entropy(out.o, onehot * (1.0 - epsilon) + epsilon / c)
     if mode == "per_timestep_labels":

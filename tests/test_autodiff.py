@@ -231,6 +231,36 @@ def test_avgpool_window_must_divide_spatial_dims():
         ad.avgpool2d(Tensor(np.zeros((1, 2, 8, 6), dtype=np.float32)), 4)
 
 
+BAD_GEOMETRY = {
+    "pool window 0": (lambda x, w, b: ad.avgpool2d(x, 0), ParameterError, "window must be >= 1"),
+    "pool window -2": (lambda x, w, b: ad.avgpool2d(x, -2), ParameterError, "window must be >= 1"),
+    "pool window 2.0": (lambda x, w, b: ad.avgpool2d(x, 2.0), ParameterError,
+                        "window must be an integer"),
+    "pool rank 3": (lambda x, w, b: ad.avgpool2d(ad.reshape(x, (2, 4, 4)), 2), DimensionError,
+                    r"\[B,C,H,W\]"),
+    "conv stride 0": (lambda x, w, b: ad.conv2d(x, w, b, stride=0), ParameterError,
+                      "stride must be >= 1"),
+    "conv stride -1": (lambda x, w, b: ad.conv2d(x, w, b, stride=-1), ParameterError,
+                       "stride must be >= 1"),
+    "conv padding -1": (lambda x, w, b: ad.conv2d(x, w, b, padding=-1), ParameterError,
+                        "padding must be >= 0"),
+    "conv kernel too tall": (lambda x, w, b: ad.conv2d(x, Tensor(np.zeros((3, 2, 5, 3))), b),
+                             DimensionError, "larger than the padded input"),
+    "conv kernel too wide": (
+        lambda x, w, b: ad.conv2d(x, Tensor(np.zeros((3, 2, 3, 7))), b, padding=1),
+        DimensionError, "larger than the padded input"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_GEOMETRY)
+def test_pool_and_conv_reject_bad_geometry_with_typed_errors(case):
+    op, error, match = BAD_GEOMETRY[case]
+    x = Tensor(np.ones((1, 2, 4, 4), dtype=np.float32))
+    w, b = Tensor(np.ones((3, 2, 3, 3), dtype=np.float32)), Tensor(np.zeros(3, dtype=np.float32))
+    with pytest.raises(error, match=match):
+        op(x, w, b)
+
+
 def unsplit_avgpool(data, g, k):
     """(y, dx) of the single-pass pool: the bit-exact oracle for the split one."""
     views = [(slice(None), slice(None), slice(i, None, k), slice(j, None, k))
@@ -601,6 +631,26 @@ def test_a_process_on_one_cpu_starts_no_thread():
     done = run_python(code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["1", "1", "0"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a CPU affinity call and two CPUs")
+def test_split_blocks_run_within_the_cpus_the_caller_narrowed_to_after_import():
+    code = """
+import os, threading
+import tksnn.autodiff as ad
+ad._WORKERS = 2
+allowed = {min(os.sched_getaffinity(0))}
+os.sched_setaffinity(0, allowed)
+seen = []
+ad._split([0, 1, 2], lambda lo, hi: seen.append((threading.get_ident(), os.sched_getaffinity(0))),
+          ad._MIN_RANGE_WORK)
+assert len({thread for thread, _ in seen}) == 2, seen  # one block on a pool thread
+print(all(cpus <= allowed for _, cpus in seen))
+"""
+    done = run_python(code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True"]
 
 
 def test_an_idle_pool_lets_the_interpreter_exit():

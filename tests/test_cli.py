@@ -191,6 +191,15 @@ def test_empty_training_set_exits_2(tiny_config, tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_eval_on_an_empty_set_exits_2(tiny_config, tmp_path, capsys):
+    assert run(["train", "--config", str(tiny_config)]) == 0
+    capsys.readouterr()
+    assert run(["eval", "--config", str(tiny_config), "--checkpoint",
+                str(tmp_path / "run" / "model.ckpt"), "--set", "data.n_per_class=0"]) == 2
+    err = capsys.readouterr().err
+    assert "evaluation set is empty" in err and "Traceback" not in err
+
+
 def test_eval_truncated_checkpoint_exits_2(tiny_config, tmp_path, capsys):
     assert run(["train", "--config", str(tiny_config)]) == 0
     ckpt = tmp_path / "run" / "model.ckpt"

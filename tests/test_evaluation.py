@@ -195,6 +195,15 @@ def test_evaluate_rejects_labels_beyond_model_classes():
         evaluate(model, data, t_test=2)
 
 
+def test_evaluate_rejects_an_empty_set_before_any_numpy_warning():
+    # a numpy RuntimeWarning fails the test (pyproject's filterwarnings)
+    data = small_dataset()
+    empty = Dataset(data.inputs[:0], data.labels[:0], data.class_count, data.temporal)
+    model = build_model("mlp-small", data.sample_shape, 3, LifConfig(), SurrogateSpec(), seed=0)
+    with pytest.raises(DataError, match="evaluation set is empty"):
+        evaluate(model, empty, t_test=2)
+
+
 def test_sweep_contains_matched_timestep_entry():
     data = small_dataset()
     model = build_model("mlp-small", data.sample_shape, data.class_count,

@@ -252,6 +252,38 @@ def test_every_loss_rejects_out_of_range_labels():
             select_teachers(v, labels, 1)
 
 
+LOSSES_OF_LABELS = {
+    "select_teachers": lambda out, labels: select_teachers(out.v.data, labels, 1),
+    "ce_loss": lambda out, labels: ce_loss(out.o, labels),
+    "label_smoothing": lambda out, labels: baseline_loss("label_smoothing", out, labels, 0.1),
+    "per_timestep_labels": lambda out, labels: baseline_loss("per_timestep_labels", out, labels),
+}
+
+
+@pytest.mark.parametrize("labels", [[2], [0, 1], [0, 1, 2, 0], [[0], [1], [2]]])
+@pytest.mark.parametrize("loss", LOSSES_OF_LABELS)
+def test_every_loss_rejects_a_label_count_other_than_the_batch(loss, labels):
+    # B=3: a single label must not broadcast over the whole batch
+    rng = np.random.default_rng(0)
+    out = temporal(softmax(rng.normal(size=(4, 3, 3))).astype(np.float32))
+    with pytest.raises(DataError, match="3 samples need 3 labels"):
+        LOSSES_OF_LABELS[loss](out, np.array(labels))
+    LOSSES_OF_LABELS[loss](out, np.array([2, 0, 1]))
+
+
+@pytest.mark.parametrize("selected, match", [
+    ([[0], [4], [1]], r"in \[0,4\)"),  # a timestep past T
+    ([[0], [-1], [1]], r"in \[0,4\)"),  # a negative one would count from the end
+    ([[0], [1]], r"\[B=3,k\]"),  # too few rows
+    ([[0], [1], [2], [3]], r"\[B=3,k\]"),  # too many
+    ([0, 1, 2], r"\[B=3,k\]"),  # not [B,k]
+])
+def test_teacher_rejects_a_selection_that_does_not_index_the_outputs(selected, match):
+    q = np.zeros((4, 3, 2), dtype=np.float32)
+    with pytest.raises(ContractError, match=match):
+        teacher_signal(q, np.array(selected), 1.0)
+
+
 def test_final_loss_degeneracies_and_hand_value():
     def mix(l_ce, l_tks, alpha, tau):
         return final_loss(Tensor(l_ce), Tensor(l_tks), alpha, tau).item()
