@@ -52,9 +52,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -167,7 +164,9 @@ _MAX_WORKERS = 4  # threads a split uses at most, the calling thread included
 _MIN_RANGE_WORK = 1 << 19
 
 
-# one per CPU the process may run on at import
+# one per CPU the process may run on, read once at import: a process that
+# narrows its affinity later still cuts large splits into that many runs, so
+# one that wants one worker sets its affinity before importing tksnn
 try:
     _WORKERS = min(len(os.sched_getaffinity(0)), _MAX_WORKERS)
 except AttributeError:  # no affinity call on this platform

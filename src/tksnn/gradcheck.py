@@ -87,7 +87,7 @@ def op_checks(seed: int) -> dict[str, float]:
     currents = rng.uniform(-0.5, 2.0, size=(6, 3, 5)).astype(DTYPE)
     spike_mix = rng.normal(size=currents.shape).astype(DTYPE)
     (_, fused), (_, reference) = lif_pair(
-        LifConfig(v_rest=-0.2), SurrogateSpec("triangular"), currents, spike_mix
+        LifConfig(), SurrogateSpec("triangular"), currents, spike_mix
     )
     out["lif_sequence"] = rel_error(fused, reference)
     return out
@@ -105,7 +105,7 @@ def lif_pair(cfg: LifConfig, surrogate: SurrogateSpec, currents: np.ndarray,
     backward(loss, tape)
 
     step_in = [Tensor(c, requires_grad=True) for c in currents]
-    v = Tensor(np.full(currents.shape[1:], cfg.v_rest, dtype=DTYPE))
+    v = Tensor(np.zeros(currents.shape[1:], dtype=DTYPE))
     s_t = Tensor(np.zeros(currents.shape[1:], dtype=DTYPE))
     spikes = []
     with GradTape() as tape:

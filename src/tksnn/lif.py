@@ -1,13 +1,12 @@
 """Discrete-time Leaky Integrate-and-Fire dynamics.
 
-Update rule per step t (hard multiplicative reset), starting from
-v_{-1} = v_rest and s_{-1} = 0:
+Update rule per step t (hard reset to 0), starting from v_{-1} = 0 and
+s_{-1} = 0:
 
-    v_t = (1 - 1/tau_m) * (v_{t-1} * (1 - s_{t-1}) + v_rest * s_{t-1}) + (1/tau_m) * I_t
+    v_t = (1 - 1/tau_m) * v_{t-1} * (1 - s_{t-1}) + (1/tau_m) * I_t
     s_t = H(v_t - v_th)
 
-With v_rest = 0 this is the plain product form; nonzero v_rest replaces the
-carried potential after a spike.
+The reset factor (1 - s_{t-1}) is differentiated like any other term.
 
 `lif_sequence` runs a whole [T, B, ...] current sequence as one tape op. Its
 forward repeats the update above op for op, so spikes and potentials equal
@@ -22,7 +21,7 @@ order, with H' replaced by the surrogate derivative sg evaluated at the
 stored v_t:
 
     c_{t+1} = (1 - 1/tau_m) * dv_{t+1}                   (c_T = 0)
-    ds_t    = c_{t+1} * (v_rest - v_t) + gs_t            (reset term dropped with detach_reset)
+    ds_t    = gs_t - c_{t+1} * v_t
     dv_t    = c_{t+1} * (1 - s_t) + ds_t * sg(v_t - v_th)
     dI_t    = (1/tau_m) * dv_t
 
@@ -58,20 +57,14 @@ from .errors import DimensionError, ParameterError, check_float
 class LifConfig:
     tau_m: float = 2.0
     v_th: float = 0.5
-    v_rest: float = 0.0
-    detach_reset: bool = False
 
     def __post_init__(self):
-        for name in ("tau_m", "v_th", "v_rest"):
+        for name in ("tau_m", "v_th"):
             check_float(name, getattr(self, name), ParameterError)
-        if not isinstance(self.detach_reset, bool):
-            raise ParameterError(f"detach_reset must be true or false, got {self.detach_reset!r}")
         if self.tau_m <= 1.0:
             raise ParameterError(f"tau_m must exceed 1 (leak in (0,1)), got {self.tau_m}")
-        if self.v_rest >= self.v_th:
-            raise ParameterError(
-                f"v_rest ({self.v_rest}) must be below v_th ({self.v_th})"
-            )
+        if self.v_th <= 0.0:
+            raise ParameterError(f"v_th must be above the reset potential 0, got {self.v_th}")
 
 
 def lif_step(
@@ -85,14 +78,9 @@ def lif_step(
     differentiable through the surrogate."""
     if current.shape != v.shape:
         raise DimensionError(f"input current shape {current.shape} != state shape {v.shape}")
-    if cfg.detach_reset:
-        # reset factor treated as a constant in backward; forward values unchanged
-        s_prev = s_prev.detach()
     # 1 − s_prev written 1 + (−s_prev): IEEE defines them as the same operation
     keep = ad.add(Tensor(np.ones_like(s_prev.data)), ad.scale(s_prev, -1.0))
     carry = ad.mul(v, keep)
-    if cfg.v_rest != 0.0:
-        carry = ad.add(carry, ad.scale(s_prev, cfg.v_rest))
     leak = 1.0 - 1.0 / cfg.tau_m
     v_new = ad.add(ad.scale(carry, leak), ad.scale(current, 1.0 / cfg.tau_m))
     return v_new, ad.spike(v_new, cfg.v_th, surrogate)
@@ -116,7 +104,7 @@ def lif_sequence(currents: Tensor, cfg: LifConfig, surrogate: SurrogateSpec) -> 
     t_len = i_seq.shape[0]
     leak = DTYPE(1.0 - 1.0 / cfg.tau_m)
     gain = DTYPE(1.0 / cfg.tau_m)
-    v_rest, v_th = DTYPE(cfg.v_rest), DTYPE(cfg.v_th)
+    v_th = DTYPE(cfg.v_th)
     # both loops run on [T, N] views in the currents' memory order (channels-
     # last after a conv), views and not copies of dense currents: every pass
     # reads memory in order, and the spikes keep that order for the next layer
@@ -133,8 +121,7 @@ def lif_sequence(currents: Tensor, cfg: LifConfig, surrogate: SurrogateSpec) -> 
     # only a recorded op's backward reads the potentials
     v_rows = np.empty_like(i_rows) if ad._active_tape() is not None and currents._needs else None
     # per-step scratch: each tile runs in its own slice
-    v_step = np.full(n, v_rest, dtype=DTYPE)
-    s_step = np.zeros(n, dtype=DTYPE)
+    v_step, s_step = np.zeros(n, dtype=DTYPE), np.zeros(n, dtype=DTYPE)
     a_step, carry_step = np.empty(n, dtype=DTYPE), np.empty(n, dtype=DTYPE)
 
     def forward_tile(lo, hi):
@@ -146,8 +133,6 @@ def lif_sequence(currents: Tensor, cfg: LifConfig, surrogate: SurrogateSpec) -> 
         v, s, a, carry = v_step[tile], s_step[tile], a_step[tile], carry_step[tile]
         for t in range(t_len):
             np.multiply(v, np.subtract(1, s, out=a), out=carry)
-            if cfg.v_rest != 0.0:
-                np.add(carry, np.multiply(s, v_rest, out=a), out=carry)
             np.multiply(carry, leak, out=carry)
             if v_tile is not None:
                 v = v_tile[t]
@@ -174,20 +159,11 @@ def lif_sequence(currents: Tensor, cfg: LifConfig, surrogate: SurrogateSpec) -> 
                     np.multiply(g_tile[t], sg, out=dv)
                 else:
                     np.multiply(dv, leak, out=c)
-                    if cfg.detach_reset:
-                        ds_t = g_tile[t]
-                    else:
-                        # (c·v_rest + (−c·v_t)) + gs_t, with each x + (−y)
-                        # written x − y: IEEE defines them as the same operation
-                        ds_t = ds
-                        np.multiply(c, v_tile[t], out=a)
-                        if cfg.v_rest != 0.0:
-                            np.subtract(np.multiply(c, v_rest, out=ds), a, out=ds)
-                            np.add(ds, g_tile[t], out=ds)
-                        else:
-                            np.subtract(g_tile[t], a, out=ds)
+                    # gs_t + (−c·v_t) written gs_t − c·v_t: IEEE defines them
+                    # as the same operation
+                    np.subtract(g_tile[t], np.multiply(c, v_tile[t], out=a), out=ds)
                     np.multiply(c, np.subtract(1, s_tile[t], out=a), out=dv)
-                    np.add(dv, np.multiply(ds_t, sg, out=sg), out=dv)
+                    np.add(dv, np.multiply(ds, sg, out=sg), out=dv)
                 np.multiply(dv, gain, out=grad_tile[t])
 
         ad._split(tiles, backward_tile, t_len)

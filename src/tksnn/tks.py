@@ -71,8 +71,10 @@ def _as_array(v) -> np.ndarray:
 
 
 def _one_hot(labels, b: int, c: int) -> np.ndarray:
-    """Labels [b] as float32 one-hot rows [b, c]; DataError unless there are b of
-    them, each an integer in [0, c)."""
+    """Labels [b] as float32 one-hot rows [b, c]; DataError unless b > 0 and there
+    are b of them, each an integer in [0, c)."""
+    if b == 0:
+        raise DataError("an empty batch (B=0) has no labels to score")
     labels = np.asarray(labels)
     if labels.shape != (b,):
         raise DataError(f"{b} samples need {b} labels, got an array of shape {labels.shape}")

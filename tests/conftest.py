@@ -10,6 +10,7 @@ HEADER_DEFECTS = {
     "no preset": lambda h: h.pop("preset"),
     "no layer_shapes": lambda h: h.pop("layer_shapes"),
     "unknown lif key": lambda h: h["lif"].update(tau_s=1.0),
+    "retired lif key": lambda h: h["lif"].update(v_rest=0.0),
     "tau_m below 1": lambda h: h["lif"].update(tau_m=0.5),
     "no epoch": lambda h: h.pop("epoch"),
     "fractional epoch": lambda h: h.update(epoch=1.5),

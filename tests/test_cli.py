@@ -155,7 +155,7 @@ def test_bad_optimizer_or_out_dir_exits_1_and_writes_nothing(tiny_config, tmp_pa
 
 
 @pytest.mark.parametrize("key,name", [
-    ("lif.tau_m", "tau_m"), ("lif.v_th", "v_th"), ("lif.v_rest", "v_rest"),
+    ("lif.tau_m", "tau_m"), ("lif.v_th", "v_th"),
     ("surrogate.width", "surrogate width"), ("teacher.tau", "temperature"),
     ("teacher.epsilon", "smoothing epsilon"), ("schedule.alpha_start", "alpha_start"),
     ("schedule.alpha_end", "alpha_end"), ("data.noise_sigma", "noise_sigma"),

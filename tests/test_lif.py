@@ -13,9 +13,9 @@ from tksnn.lif import LifConfig, lif_sequence, lif_step
 SUR = SurrogateSpec()
 
 
-def fresh(shape, cfg):
-    """(v, s_prev) every sequence starts from: v = v_rest everywhere, no prior spikes."""
-    return Tensor(np.full(shape, cfg.v_rest, dtype=np.float32)), Tensor(np.zeros(shape))
+def fresh(shape):
+    """(v, s_prev) every sequence starts from: v = 0 everywhere, no prior spikes."""
+    return Tensor(np.zeros(shape, dtype=np.float32)), Tensor(np.zeros(shape))
 
 
 def step(v, s, current, cfg):
@@ -24,14 +24,14 @@ def step(v, s, current, cfg):
 
 def test_charge_to_threshold_spikes():
     cfg = LifConfig(tau_m=2.0, v_th=0.5)
-    v, s = step(*fresh((1, 1), cfg), np.array([[1.0]], dtype=np.float32), cfg)
+    v, s = step(*fresh((1, 1)), np.array([[1.0]], dtype=np.float32), cfg)
     assert v.data[0, 0] == pytest.approx(0.5)
     assert s.data[0, 0] == 1.0
 
 
 def test_zero_input_never_spikes():
     cfg = LifConfig()
-    v, s = fresh((2, 3), cfg)
+    v, s = fresh((2, 3))
     zero = np.zeros((2, 3), dtype=np.float32)
     for _ in range(20):
         v, s = step(v, s, zero, cfg)
@@ -49,7 +49,7 @@ def test_reset_term_annihilates_carryover():
 def test_shape_mismatch_is_dimension_error():
     cfg = LifConfig()
     with pytest.raises(DimensionError):
-        lif_step(*fresh((2, 3), cfg), Tensor(np.zeros((2, 4))), cfg, SUR)
+        lif_step(*fresh((2, 3)), Tensor(np.zeros((2, 4))), cfg, SUR)
 
 
 def test_leak_contracts_potential_without_input():
@@ -67,7 +67,7 @@ def test_leak_contracts_potential_without_input():
 @pytest.mark.parametrize("current", [1.0, 1.5, 3.0])
 def test_strong_constant_input_spikes_every_step(current):
     cfg = LifConfig(tau_m=2.0, v_th=0.5)
-    v, s = fresh((1, 1), cfg)
+    v, s = fresh((1, 1))
     drive = np.full((1, 1), current, dtype=np.float32)
     for _ in range(8):
         v, s = step(v, s, drive, cfg)
@@ -77,58 +77,23 @@ def test_strong_constant_input_spikes_every_step(current):
 def test_spikes_are_binary_for_any_magnitude():
     cfg = LifConfig()
     rng = np.random.default_rng(0)
-    v, s = fresh((4, 8), cfg)
+    v, s = fresh((4, 8))
     for _ in range(5):
         drive = (rng.normal(size=(4, 8)) * 100).astype(np.float32)
         v, s = step(v, s, drive, cfg)
         assert set(np.unique(s.data)) <= {0.0, 1.0}
 
 
-def test_detach_reset_changes_gradients_not_forward():
-    rng = np.random.default_rng(1)
-    drive = rng.uniform(0, 2, size=(3, 2, 4)).astype(np.float32)  # [T,B,N]
-
-    def run(detach):
-        cfg = LifConfig(detach_reset=detach)
-        w = Tensor(np.full((4,), 1.0), requires_grad=True)
-        v, s = fresh((2, 4), cfg)
-        vs = []
-        with GradTape() as tape:
-            total = None
-            for t in range(3):
-                current = ad.mul(Tensor(drive[t]), w)
-                v, s = lif_step(v, s, current, cfg, SUR)
-                vs.append(v.data.copy())
-                term = ad.mean(s)
-                total = term if total is None else ad.add(total, term)
-        backward(total, tape)
-        return np.stack(vs), w.grad.copy()
-
-    v_plain, g_plain = run(False)
-    v_detached, g_detached = run(True)
-    assert np.array_equal(v_plain, v_detached)
-    assert not np.array_equal(g_plain, g_detached)
-
-
-def test_nonzero_rest_potential_reset_target():
-    cfg = LifConfig(tau_m=2.0, v_th=0.5, v_rest=-0.2)
-    v, s = fresh((1, 1), cfg)
-    assert v.data[0, 0] == pytest.approx(-0.2)
-    # after a spike the carried potential becomes v_rest, then leaks
-    v, _ = step(Tensor([[0.9]]), Tensor([[1.0]]), np.zeros((1, 1), dtype=np.float32), cfg)
-    assert v.data[0, 0] == pytest.approx(0.5 * -0.2)
-
-
 def test_config_validation():
     with pytest.raises(ParameterError):
         LifConfig(tau_m=1.0)
-    with pytest.raises(ParameterError):
-        LifConfig(v_rest=0.5, v_th=0.5)
+    for v_th in (0.0, -0.1):
+        with pytest.raises(ParameterError, match="v_th"):
+            LifConfig(v_th=v_th)
 
 
 @pytest.mark.parametrize("field,value", [
-    ("tau_m", "abc"), ("tau_m", float("nan")), ("v_th", None), ("v_rest", True),
-    ("detach_reset", "abc"), ("detach_reset", 1),
+    ("tau_m", "abc"), ("tau_m", float("nan")), ("v_th", None),
 ])
 def test_config_rejects_settings_of_the_wrong_type(field, value):
     with pytest.raises(ParameterError, match=field):
@@ -136,14 +101,11 @@ def test_config_rejects_settings_of_the_wrong_type(field, value):
 
 
 @pytest.mark.parametrize("kind", ["rectangular", "triangular", "piecewise_quadratic"])
-@pytest.mark.parametrize("detach", [False, True])
-@pytest.mark.parametrize("v_rest", [0.0, -0.2])
-def test_fused_sequence_matches_per_step_chain(v_rest, detach, kind):
+def test_fused_sequence_matches_per_step_chain(kind):
     rng = np.random.default_rng(7)
     currents = rng.uniform(-0.5, 2.0, size=(8, 3, 6)).astype(np.float32)
     mix = rng.normal(size=currents.shape).astype(np.float32)
-    cfg = LifConfig(v_rest=v_rest, detach_reset=detach)
-    (s_fused, g_fused), (s_ref, g_ref) = lif_pair(cfg, SurrogateSpec(kind), currents, mix)
+    (s_fused, g_fused), (s_ref, g_ref) = lif_pair(LifConfig(), SurrogateSpec(kind), currents, mix)
     assert np.array_equal(s_fused, s_ref)
     assert 0 < s_ref.sum() < s_ref.size  # both firing and silent steps
     assert np.abs(g_ref).max() > 0
@@ -166,12 +128,8 @@ def test_fused_sequence_computes_no_surrogate_without_tape(monkeypatch):
     assert calls == []
 
 
-CONFIGS = [LifConfig(v_rest=v_rest, detach_reset=detach)
-           for v_rest in (0.0, -0.2) for detach in (False, True)]
-
-
-@pytest.mark.parametrize("cfg", CONFIGS)
-def test_untaped_sequence_gives_the_taped_spikes(cfg):
+def test_untaped_sequence_gives_the_taped_spikes():
+    cfg = LifConfig()
     rng = np.random.default_rng(3)
     currents = Tensor(rng.uniform(-0.5, 2.0, size=(9, 4, 3, 5)).astype(np.float32),
                       requires_grad=True)
@@ -209,33 +167,26 @@ def untiled_lif(i_seq, g, cfg, surrogate):
     bit-exact oracle for the tiled and split kernel."""
     t_len = i_seq.shape[0]
     leak, gain = np.float32(1.0 - 1.0 / cfg.tau_m), np.float32(1.0 / cfg.tau_m)
-    v_rest, v_th = np.float32(cfg.v_rest), np.float32(cfg.v_th)
+    v_th = np.float32(cfg.v_th)
     s_seq, v_seq = np.empty_like(i_seq), np.empty_like(i_seq)
-    v, s = np.full_like(i_seq[0], v_rest), np.zeros_like(i_seq[0])
+    v, s = np.zeros_like(i_seq[0]), np.zeros_like(i_seq[0])
     a, carry = np.empty_like(v), np.empty_like(v)
     np.multiply(i_seq, gain, out=s_seq)
     for t in range(t_len):
         np.multiply(v, np.subtract(1, s, out=a), out=carry)
-        if cfg.v_rest != 0.0:
-            np.add(carry, np.multiply(s, v_rest, out=a), out=carry)
         np.multiply(carry, leak, out=carry)
         v, s = v_seq[t], s_seq[t]
         np.add(carry, s, out=v)
         np.greater_equal(v, v_th, out=s)
     grad = np.empty_like(i_seq)
-    dv, c, ds = (np.empty_like(i_seq[0]) for _ in range(3))
+    dv, c = np.empty_like(i_seq[0]), np.empty_like(i_seq[0])
     for t in range(t_len - 1, -1, -1):
         sg = surrogate.derivative(v_seq[t] - v_th)
         if t == t_len - 1:
             np.multiply(g[t], sg, out=dv)
         else:
             np.multiply(dv, leak, out=c)
-            if cfg.detach_reset:
-                ds = g[t]
-            elif cfg.v_rest != 0.0:
-                ds = c * v_rest - c * v_seq[t] + g[t]
-            else:
-                ds = g[t] - c * v_seq[t]
+            ds = g[t] - c * v_seq[t]
             dv = c * (1 - s_seq[t]) + ds * sg
         np.multiply(dv, gain, out=grad[t])
     return s_seq, grad
@@ -249,10 +200,7 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
 @pytest.mark.parametrize("kind", SURROGATE_KINDS)
-@pytest.mark.parametrize("detach", [False, True])
-@pytest.mark.parametrize("v_rest", [0.0, -0.2])
-def test_tiled_sequence_matches_the_untiled_loop_bit_for_bit(monkeypatch, v_rest, detach, kind,
-                                                             workers):
+def test_tiled_sequence_matches_the_untiled_loop_bit_for_bit(monkeypatch, kind, workers):
     # 6·4·5·3 = 360 neurons per step: 52 tiles of 7, the last one short
     monkeypatch.setattr(lif, "TILE", 7)
     rng = np.random.default_rng(11)
@@ -260,7 +208,7 @@ def test_tiled_sequence_matches_the_untiled_loop_bit_for_bit(monkeypatch, v_rest
     # comes in another memory order
     i_seq = rng.uniform(-0.5, 2.0, size=(9, 6, 4, 5, 3)).astype(np.float32).transpose(0, 1, 4, 2, 3)
     g = rng.normal(size=i_seq.shape).astype(np.float32)
-    cfg, surrogate = LifConfig(v_rest=v_rest, detach_reset=detach), SurrogateSpec(kind, 0.7)
+    cfg, surrogate = LifConfig(), SurrogateSpec(kind, 0.7)
     s_ref, grad_ref = untiled_lif(i_seq, g, cfg, surrogate)
     currents = Tensor(i_seq, requires_grad=True)
     with GradTape() as tape:

@@ -271,6 +271,13 @@ def test_every_loss_rejects_a_label_count_other_than_the_batch(loss, labels):
     LOSSES_OF_LABELS[loss](out, np.array([2, 0, 1]))
 
 
+@pytest.mark.parametrize("loss", LOSSES_OF_LABELS)
+def test_every_loss_rejects_an_empty_batch(loss):
+    out = temporal(np.zeros((4, 0, 3), dtype=np.float32))
+    with pytest.raises(DataError, match=r"empty batch \(B=0\)"):
+        LOSSES_OF_LABELS[loss](out, np.array([], dtype=np.int64))
+
+
 @pytest.mark.parametrize("selected, match", [
     ([[0], [4], [1]], r"in \[0,4\)"),  # a timestep past T
     ([[0], [-1], [1]], r"in \[0,4\)"),  # a negative one would count from the end
