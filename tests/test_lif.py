@@ -11,6 +11,10 @@ from tksnn.gradcheck import lif_pair
 from tksnn.lif import LifConfig, lif_sequence, lif_step
 
 SUR = SurrogateSpec()
+# the one neuron rule at four leak/threshold settings: the default, a slower
+# leak, a lower threshold, and a fast leak with a high threshold
+NEURONS = [LifConfig(), LifConfig(tau_m=4.0), LifConfig(v_th=0.3), LifConfig(tau_m=1.5, v_th=1.0)]
+NEURON_IDS = ["default", "slow-leak", "low-threshold", "fast-leak-high-threshold"]
 
 
 def fresh(shape):
@@ -93,7 +97,8 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field,value", [
-    ("tau_m", "abc"), ("tau_m", float("nan")), ("v_th", None),
+    ("tau_m", "abc"), ("tau_m", float("nan")), ("tau_m", True), ("v_th", None),
+    ("v_th", "abc"), ("v_th", float("inf")),
 ])
 def test_config_rejects_settings_of_the_wrong_type(field, value):
     with pytest.raises(ParameterError, match=field):
@@ -101,11 +106,12 @@ def test_config_rejects_settings_of_the_wrong_type(field, value):
 
 
 @pytest.mark.parametrize("kind", ["rectangular", "triangular", "piecewise_quadratic"])
-def test_fused_sequence_matches_per_step_chain(kind):
+@pytest.mark.parametrize("cfg", NEURONS, ids=NEURON_IDS)
+def test_fused_sequence_matches_per_step_chain(cfg, kind):
     rng = np.random.default_rng(7)
     currents = rng.uniform(-0.5, 2.0, size=(8, 3, 6)).astype(np.float32)
     mix = rng.normal(size=currents.shape).astype(np.float32)
-    (s_fused, g_fused), (s_ref, g_ref) = lif_pair(LifConfig(), SurrogateSpec(kind), currents, mix)
+    (s_fused, g_fused), (s_ref, g_ref) = lif_pair(cfg, SurrogateSpec(kind), currents, mix)
     assert np.array_equal(s_fused, s_ref)
     assert 0 < s_ref.sum() < s_ref.size  # both firing and silent steps
     assert np.abs(g_ref).max() > 0
@@ -128,8 +134,8 @@ def test_fused_sequence_computes_no_surrogate_without_tape(monkeypatch):
     assert calls == []
 
 
-def test_untaped_sequence_gives_the_taped_spikes():
-    cfg = LifConfig()
+@pytest.mark.parametrize("cfg", NEURONS, ids=NEURON_IDS)
+def test_untaped_sequence_gives_the_taped_spikes(cfg):
     rng = np.random.default_rng(3)
     currents = Tensor(rng.uniform(-0.5, 2.0, size=(9, 4, 3, 5)).astype(np.float32),
                       requires_grad=True)
@@ -200,7 +206,8 @@ def same_bits(a, b):
 
 @pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
 @pytest.mark.parametrize("kind", SURROGATE_KINDS)
-def test_tiled_sequence_matches_the_untiled_loop_bit_for_bit(monkeypatch, kind, workers):
+@pytest.mark.parametrize("cfg", NEURONS, ids=NEURON_IDS)
+def test_tiled_sequence_matches_the_untiled_loop_bit_for_bit(monkeypatch, cfg, kind, workers):
     # 6·4·5·3 = 360 neurons per step: 52 tiles of 7, the last one short
     monkeypatch.setattr(lif, "TILE", 7)
     rng = np.random.default_rng(11)
@@ -208,7 +215,7 @@ def test_tiled_sequence_matches_the_untiled_loop_bit_for_bit(monkeypatch, kind, 
     # comes in another memory order
     i_seq = rng.uniform(-0.5, 2.0, size=(9, 6, 4, 5, 3)).astype(np.float32).transpose(0, 1, 4, 2, 3)
     g = rng.normal(size=i_seq.shape).astype(np.float32)
-    cfg, surrogate = LifConfig(), SurrogateSpec(kind, 0.7)
+    surrogate = SurrogateSpec(kind, 0.7)
     s_ref, grad_ref = untiled_lif(i_seq, g, cfg, surrogate)
     currents = Tensor(i_seq, requires_grad=True)
     with GradTape() as tape:

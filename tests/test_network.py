@@ -234,8 +234,11 @@ def test_cnn_preset_builds_and_runs():
     assert out.q.shape == (2, 3, 5)
 
 
-def test_cnn_unroll_untaped_equals_taped():
-    model = build_model("cnn-small", (2, 8, 8), 4, LIF, SUR, 1)
+@pytest.mark.parametrize("cfg", [LIF, LifConfig(tau_m=4.0), LifConfig(v_th=0.3),
+                                 LifConfig(tau_m=1.5, v_th=1.0)],
+                         ids=["default", "slow-leak", "low-threshold", "fast-leak-high-threshold"])
+def test_cnn_unroll_untaped_equals_taped(cfg):
+    model = build_model("cnn-small", (2, 8, 8), 4, cfg, SUR, 1)
     x = np.random.default_rng(2).poisson(0.6, size=(5, 3, 2, 8, 8)).astype(np.float32)
     untaped = unroll(model, x)
     with ad.GradTape() as tape:
