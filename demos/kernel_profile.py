@@ -13,6 +13,11 @@ step (`tracemalloc`). A fresh 4 KB page costs a fault, so the count shows
 how many new pages a kernel touches; it repeats exactly from run to run of
 the same code, where wall time on a shared host does not.
 
+Before that trace it splits one mlp-small TKS training step (B=32, T=10,
+40 inputs, on the calling thread) into forward plus loss, backward, with
+`lif_sequence`'s backward shown apart, and `AdamW.step`, each as a median ms
+and a share of the step.
+
 Run from the repository root:
 
     PYTHONPATH=src python3 demos/kernel_profile.py
@@ -46,6 +51,7 @@ from tksnn import autodiff, network  # noqa: E402
 SHAPE = (2, 32, 32)
 CLASSES = 4
 REPEATS = 20
+MLP_FEATURES = 40
 
 
 def faults() -> int:
@@ -201,6 +207,57 @@ def profile_train_step(model, rng, t_len: int = 10, batch: int = 16):
                                           for c in columns))
 
 
+def profile_mlp_step(rng, t_len: int = 10, batch: int = 32):
+    """Median ms of the parts of an mlp-small TKS training step, over
+    10 x REPEATS steps after a warm-up. Only `lif_sequence`'s tape node is
+    wrapped, to time its backward, so the other parts run as in training."""
+    model = build_model("mlp-small", (MLP_FEATURES,), CLASSES, LifConfig(), SurrogateSpec(), 0)
+    opt = AdamW(model.parameters(), lr=5e-3)
+    teacher = TeacherConfig(mode="tks", k=2, tau=3.0)
+    lif_nodes, lif_spent, parts = [], {}, {}
+    lif_sequence = network.lif_sequence
+
+    def recorded_lif(*args):
+        tape = autodiff._active_tape()
+        first = len(tape)
+        result = lif_sequence(*args)
+        lif_nodes.extend(tape._nodes[first:])
+        return result
+
+    network.lif_sequence = recorded_lif
+    try:
+        for r in range(10 * REPEATS + 2):
+            x = rng.uniform(size=(t_len, batch, MLP_FEATURES)).astype(np.float32)
+            y = rng.integers(0, CLASSES, size=batch)
+            lif_nodes.clear()
+            lif_spent.clear()
+            t0 = time.perf_counter()
+            with GradTape() as tape:
+                loss, _, _ = objective(unroll(model, x), y, teacher, 0.5)
+            t1 = time.perf_counter()
+            for node in lif_nodes:
+                node.bwd = timed("lif", node.bwd, lif_spent)
+            backward(loss, tape)
+            t2 = time.perf_counter()
+            opt.step()
+            t3 = time.perf_counter()
+            if r < 2:  # warm-up
+                continue
+            for name, spent_ms in (("forward+loss", (t1 - t0) * 1e3),
+                                   ("backward", (t2 - t1) * 1e3),
+                                   ("  lif_sequence", lif_spent["lif"][0]),
+                                   ("AdamW.step", (t3 - t2) * 1e3)):
+                parts.setdefault(name, []).append(spent_ms)
+    finally:
+        network.lif_sequence = lif_sequence
+    ms = {name: statistics.median(v) for name, v in parts.items()}
+    step = ms["forward+loss"] + ms["backward"] + ms["AdamW.step"]
+    print(f"mlp-small TKS step, T={t_len}, B={batch}: {step:.3f} ms "
+          f"(sum of the medians of its parts)")
+    for name, m in ms.items():
+        print(f"  {name:14s}{m:9.3f} ms {100 * m / step:5.1f}%")
+
+
 def trace_train_step(model, rng, t_len: int = 10, batch: int = 16):
     """Allocation peak of one training step (numpy reports its buffers to
     tracemalloc). It runs after every timed and counted pass, because
@@ -236,6 +293,7 @@ def main():
     print(f"process peak RSS after training {peak_rss_mb():.1f} MB")
     for t_len in (1, 10):
         profile_unroll(new_model(), rng, t_len)
+    profile_mlp_step(rng)
     trace_train_step(new_model(), rng)
 
 

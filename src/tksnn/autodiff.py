@@ -244,11 +244,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = Tensor(a.data * b.data)
-    _record(
-        out,
-        (a, b),
-        lambda g: (_unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)),
-    )
+
+    def bwd(g):  # an input with no grad path gets None, and no product
+        return (_unbroadcast(g * b.data, a.shape) if a._needs else None,
+                _unbroadcast(g * a.data, b.shape) if b._needs else None)
+
+    _record(out, (a, b), bwd)
     return out
 
 
@@ -266,7 +267,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     out = Tensor(a.data @ b.data)
-    _record(out, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    _record(out, (a, b), lambda g: (g @ b.data.T if a._needs else None,
+                                    a.data.T @ g if b._needs else None))
     return out
 
 

@@ -62,6 +62,7 @@ def op_checks(seed: int) -> dict[str, float]:
     a0 = rng.normal(size=(3, 4)).astype(DTYPE)
     b0 = rng.normal(size=(4, 2)).astype(DTYPE)
     out["matmul"] = check_scalar_fn(lambda x: ad.mean(ad.matmul(x, Tensor(b0))), a0)
+    out["matmul_b"] = check_scalar_fn(lambda x: ad.mean(ad.matmul(Tensor(a0), x)), b0)
     out["add"] = check_scalar_fn(lambda x: ad.mean(ad.add(x, Tensor(b0.T))), a0[:2])
     out["mul"] = check_scalar_fn(lambda x: ad.mean(ad.mul(x, Tensor(a0))), a0)
     out["log"] = check_scalar_fn(
@@ -90,6 +91,10 @@ def op_checks(seed: int) -> dict[str, float]:
         LifConfig(), SurrogateSpec("triangular"), currents, spike_mix
     )
     out["lif_sequence"] = rel_error(fused, reference)
+    # a constant first operand broadcast over a leading axis, as a
+    # cross-entropy multiplies its [B,C] target into [T,B,C] log-probabilities
+    log_p = rng.normal(size=(2,) + a0.shape).astype(DTYPE)
+    out["mul_const_first"] = check_scalar_fn(lambda x: ad.mean(ad.mul(Tensor(a0), x)), log_p)
     return out
 
 

@@ -16,18 +16,21 @@ takes the same operands in the same order, so writing in place changes no
 bit. Only backward reads the potentials, so the [T, B, ...] sequence of v_t
 is kept only when a tape records the op: inference keeps the spikes alone,
 and each v_t overwrites v_{t-1} in one buffer. The backward runs the
-recurrence in reverse time, in place in per-step buffers in the same op
-order, with H' replaced by the surrogate derivative sg evaluated at the
-stored v_t:
+recurrence in reverse time, with H' replaced by the surrogate derivative sg
+evaluated at the stored v_t:
 
     c_{t+1} = (1 - 1/tau_m) * dv_{t+1}                   (c_T = 0)
     ds_t    = gs_t - c_{t+1} * v_t
     dv_t    = c_{t+1} * (1 - s_t) + ds_t * sg(v_t - v_th)
     dI_t    = (1/tau_m) * dv_t
 
-where gs_t is the gradient reaching s_t from the layers above. `lif_step` is
-the single-step reference: the same update built from tape ops, against
-which the fused op is tested.
+where gs_t is the gradient reaching s_t from the layers above. It works in
+the [T, ...] gradient buffer itself: one call writes sg for every step into
+it, step t overwrites its sg_t with dv_t (a few per-step buffers hold c, ds
+and 1 - s_t), and one multiply by 1/tau_m at the end turns every dv_t into
+dI_t. Every element still gets the same ops on the same operands in the same
+order. `lif_step` is the single-step reference: the same update built from
+tape ops, against which the fused op is tested.
 
 Tiles and threads. Both loops see the sequence as a [T, N] array in its
 memory order: channels-last after a conv, a view of dense currents, never a
@@ -147,24 +150,24 @@ def lif_sequence(currents: Tensor, cfg: LifConfig, surrogate: SurrogateSpec) -> 
     def bwd(g):
         g_rows = rows(g)  # a view when g has the currents' memory order
         grad = np.empty_like(s_rows)
-        dv_step, c_step, ds_step, a_step, sg_step = (np.empty(n, dtype=DTYPE) for _ in range(5))
+        c_step, ds_step, a_step = (np.empty(n, dtype=DTYPE) for _ in range(3))
 
         def backward_tile(lo, hi):
             tile = slice(lo, hi)
             v_tile, s_tile, g_tile, grad_tile = (x[:, tile] for x in (v_rows, s_rows, g_rows, grad))
-            dv, c, ds, a, sg = (x[tile] for x in (dv_step, c_step, ds_step, a_step, sg_step))
-            for t in range(t_len - 1, -1, -1):
-                surrogate.derivative(np.subtract(v_tile[t], v_th, out=a), out=sg)
-                if t == t_len - 1:
-                    np.multiply(g_tile[t], sg, out=dv)
-                else:
-                    np.multiply(dv, leak, out=c)
-                    # gs_t + (−c·v_t) written gs_t − c·v_t: IEEE defines them
-                    # as the same operation
-                    np.subtract(g_tile[t], np.multiply(c, v_tile[t], out=a), out=ds)
-                    np.multiply(c, np.subtract(1, s_tile[t], out=a), out=dv)
-                    np.add(dv, np.multiply(ds, sg, out=sg), out=dv)
-                np.multiply(dv, gain, out=grad_tile[t])
+            c, ds, a = (x[tile] for x in (c_step, ds_step, a_step))
+            # grad_tile[t] holds sg_t, then dv_t once step t has run, then dI_t
+            surrogate.derivative(np.subtract(v_tile, v_th, out=grad_tile), out=grad_tile)
+            np.multiply(g_tile[t_len - 1], grad_tile[t_len - 1], out=grad_tile[t_len - 1])
+            for t in range(t_len - 2, -1, -1):
+                np.multiply(grad_tile[t + 1], leak, out=c)
+                # gs_t + (−c·v_t) written gs_t − c·v_t: IEEE defines them
+                # as the same operation
+                np.subtract(g_tile[t], np.multiply(c, v_tile[t], out=ds), out=ds)
+                np.multiply(ds, grad_tile[t], out=ds)
+                np.multiply(c, np.subtract(1, s_tile[t], out=a), out=c)
+                np.add(c, ds, out=grad_tile[t])
+            np.multiply(grad_tile, gain, out=grad_tile)
 
         ad._split(tiles, backward_tile, t_len)
         return (grad.reshape(shape).transpose(inverse),)

@@ -27,7 +27,15 @@ from .tks import AlphaSchedule, TeacherConfig
 
 
 class AdamW:
-    """Adaptive-moment update with decoupled weight decay; clears grads on step."""
+    """Adaptive-moment update with decoupled weight decay; clears grads on step.
+
+    The moments of all parameters live in one flat float32 buffer each, and
+    `m[i]`, `v[i]` are views of parameter i's part. A step gathers the
+    parameters and grads into flat scratch, runs each elementwise op of the
+    update once over all of them and writes the parameters back. Every
+    element gets the ops and float32 scalars of a per-parameter loop, so the
+    bits are the same.
+    """
 
     def __init__(self, params, lr: float, weight_decay: float = 0.01,
                  betas=(0.9, 0.999), eps: float = 1e-8):
@@ -38,8 +46,15 @@ class AdamW:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        shapes = [p.shape for p in self.params]
+        bounds = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+        # flat moments, then scratch for the parameters, the grads and two temporaries
+        self._flat = [np.zeros(bounds[-1], dtype=DTYPE) for _ in range(6)]
+
+        def views(flat):
+            return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
+
+        self.m, self.v, self._p, self._g = (views(flat) for flat in self._flat[:4])
 
     def step(self):
         for name, p in zip(self.names, self.params):
@@ -49,32 +64,44 @@ class AdamW:
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            if self.weight_decay:
-                p.data *= DTYPE(1.0 - self.lr * self.weight_decay)
-            m *= DTYPE(self.beta1)
-            m += DTYPE(1.0 - self.beta1) * g
-            v *= DTYPE(self.beta2)
-            v += DTYPE(1.0 - self.beta2) * (g * g)
-            m_hat = m / DTYPE(bc1)
-            v_hat = v / DTYPE(bc2)
-            p.data -= DTYPE(self.lr) * m_hat / (np.sqrt(v_hat) + DTYPE(self.eps))
-            p.grad = None
+        for p, p_flat, g_flat in zip(self.params, self._p, self._g):
+            p_flat[...] = p.data
+            g_flat[...] = p.grad
+        m, v, p, g, a, b = self._flat
+        if self.weight_decay:
+            p *= DTYPE(1.0 - self.lr * self.weight_decay)
+        m *= DTYPE(self.beta1)
+        m += np.multiply(DTYPE(1.0 - self.beta1), g, out=a)
+        v *= DTYPE(self.beta2)
+        v += np.multiply(DTYPE(1.0 - self.beta2), np.multiply(g, g, out=a), out=a)
+        np.multiply(DTYPE(self.lr), np.divide(m, DTYPE(bc1), out=a), out=a)  # lr · m_hat
+        np.add(np.sqrt(np.divide(v, DTYPE(bc2), out=b), out=b), DTYPE(self.eps), out=b)
+        p -= np.divide(a, b, out=a)
+        for param, p_flat in zip(self.params, self._p):
+            param.data[...] = p_flat
+            param.grad = None
 
     def moment_blobs(self):
-        out = []
-        for m, v in zip(self.m, self.v):
-            out.append(m)
-            out.append(v)
-        return out
+        return [blob for pair in zip(self.m, self.v) for blob in pair]
 
     def load_state(self, step_count: int, moments):
+        """Take a step count and the moments in `moment_blobs` order (m0, v0, m1, …).
+
+        ContractError, with nothing changed, unless there are two moments per
+        parameter, each of its parameter's shape.
+        """
+        moments = list(moments)
+        if len(moments) != 2 * len(self.params):
+            raise ContractError(f"AdamW.load_state needs {2 * len(self.params)} moments "
+                                f"(m and v for each parameter), got {len(moments)}")
+        for k, arr in enumerate(moments):
+            name, shape = self.names[k // 2], self.params[k // 2].shape
+            if np.shape(arr) != shape:
+                raise ContractError(f"AdamW.load_state: {'mv'[k % 2]} moment of {name} has shape "
+                                    f"{np.shape(arr)}, the parameter {shape}")
         self.step_count = int(step_count)
-        it = iter(moments)
-        for i in range(len(self.params)):
-            self.m[i] = next(it).astype(DTYPE)
-            self.v[i] = next(it).astype(DTYPE)
+        for into, arr in zip(self.moment_blobs(), moments):
+            into[...] = arr  # cast to float32 as astype would
 
 
 def cosine_lr(epoch: int, total_epochs: int, lr_max: float, lr_min: float) -> float:

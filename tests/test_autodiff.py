@@ -101,6 +101,28 @@ def test_reused_tensor_accumulates_both_contributions():
     assert np.allclose(w.grad, 2 * 3.0 + 5.0)
 
 
+def test_matmul_and_mul_compute_no_gradient_for_an_input_without_a_grad_path():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(3, 4)))
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    target = Tensor(rng.normal(size=(3, 2)))
+    with GradTape() as tape:
+        y = ad.matmul(x, w)  # a first Linear: the network input has no grad path
+        ad.mul(target, y)  # a cross-entropy: the constant target comes first
+        ad.matmul(Tensor(x.data.T), y)
+        ad.mul(y, target)
+    g = rng.normal(size=(3, 2)).astype(np.float32)
+    dx, dw = tape._nodes[0].bwd(g)
+    assert dx is None and np.array_equal(dw, x.data.T @ g)
+    d_target, dy = tape._nodes[1].bwd(g)
+    assert d_target is None and np.array_equal(dy, g * target.data)
+    g2 = rng.normal(size=(4, 2)).astype(np.float32)
+    d_const, dy = tape._nodes[2].bwd(g2)
+    assert d_const is None and np.array_equal(dy, x.data @ g2)
+    dy, d_target = tape._nodes[3].bwd(g)
+    assert d_target is None and np.array_equal(dy, g * target.data)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_all_ops_match_finite_differences(seed):
     worst = max(op_checks(seed).values())

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 DEMO = Path(__file__).resolve().parents[1] / "demos" / "kernel_profile.py"
 
@@ -41,3 +42,14 @@ def test_kernel_profile_demo_runs(monkeypatch, capsys):
     for layer in ("0:conv2d", "lif", "2:avgpool2d", "3:conv2d", "readout"):
         assert len(ms[layer]) == 4
     assert ms["3:conv2d"][1] > 0  # its backward ran, with all workers
+    # the mlp-small step: three parts that add up to the step, and the LIF
+    # layer's backward within the backward
+    mlp = out.split("mlp-small TKS step, T=10, B=32:", 1)[1].split("allocation peak", 1)[0]
+    step = float(re.match(r" ([0-9.]+) ms", mlp).group(1))
+    parts = {name.strip(): (float(m), float(share)) for name, m, share in
+             re.findall(r"^ {2}(.+?) +([0-9.]+) ms +([0-9.]+)%$", mlp, re.M)}
+    assert list(parts) == ["forward+loss", "backward", "lif_sequence", "AdamW.step"]
+    whole = ("forward+loss", "backward", "AdamW.step")
+    assert sum(parts[n][0] for n in whole) == pytest.approx(step, abs=0.01)
+    assert sum(parts[n][1] for n in whole) == pytest.approx(100, abs=0.2)
+    assert 0 < parts["lif_sequence"][0] < parts["backward"][0]

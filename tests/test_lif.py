@@ -207,13 +207,18 @@ def same_bits(a, b):
 @pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
 @pytest.mark.parametrize("kind", SURROGATE_KINDS)
 @pytest.mark.parametrize("cfg", NEURONS, ids=NEURON_IDS)
-def test_tiled_sequence_matches_the_untiled_loop_bit_for_bit(monkeypatch, cfg, kind, workers):
+@pytest.mark.parametrize("t_len", [1, 2, 9])  # at T=1 the backward's time loop never runs
+def test_tiled_sequence_matches_the_untiled_loop_bit_for_bit(monkeypatch, t_len, cfg, kind,
+                                                            workers):
     # 6·4·5·3 = 360 neurons per step: 52 tiles of 7, the last one short
     monkeypatch.setattr(lif, "TILE", 7)
     rng = np.random.default_rng(11)
     # channels-last currents, as a conv writes them; the gradient from above
-    # comes in another memory order
-    i_seq = rng.uniform(-0.5, 2.0, size=(9, 6, 4, 5, 3)).astype(np.float32).transpose(0, 1, 4, 2, 3)
+    # comes in another memory order. Drives up to twice the threshold make
+    # some neurons, not all, spike at t=0
+    top = 2.0 * cfg.v_th * cfg.tau_m
+    i_seq = rng.uniform(-0.5, top, size=(t_len, 6, 4, 5, 3)).astype(np.float32).transpose(
+        0, 1, 4, 2, 3)
     g = rng.normal(size=i_seq.shape).astype(np.float32)
     surrogate = SurrogateSpec(kind, 0.7)
     s_ref, grad_ref = untiled_lif(i_seq, g, cfg, surrogate)

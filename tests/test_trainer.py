@@ -116,6 +116,125 @@ def test_adamw_step_direction_opposes_gradient():
     assert np.all(np.sign(before - p.data) == np.sign(g))
 
 
+MLP_SMALL_SHAPES = [(40, 128), (128,), (128, 4), (4,)]
+
+
+class LoopAdamW:
+    """AdamW as a loop over the parameters, one set of numpy ops for each: the
+    bit-exact oracle for the one pass over all of them."""
+
+    def __init__(self, arrays, lr, weight_decay, betas=(0.9, 0.999), eps=1e-8):
+        self.params = [a.copy() for a in arrays]
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+        self.lr, self.weight_decay, self.eps = lr, weight_decay, eps
+        self.beta1, self.beta2 = betas
+        self.step_count = 0
+
+    def step(self, grads):
+        self.step_count += 1
+        t = self.step_count
+        bc1 = 1.0 - self.beta1 ** t
+        bc2 = 1.0 - self.beta2 ** t
+        f32 = np.float32
+        for p, m, v, g in zip(self.params, self.m, self.v, grads):
+            if self.weight_decay:
+                p *= f32(1.0 - self.lr * self.weight_decay)
+            m *= f32(self.beta1)
+            m += f32(1.0 - self.beta1) * g
+            v *= f32(self.beta2)
+            v += f32(1.0 - self.beta2) * (g * g)
+            m_hat = m / f32(bc1)
+            v_hat = v / f32(bc2)
+            p -= f32(self.lr) * m_hat / (np.sqrt(v_hat) + f32(self.eps))
+
+
+def mlp_small_run(steps, seed=0):
+    """(initial parameter arrays, per-step grads) in mlp-small's shapes; the
+    grads' scales vary by parameter and step, so every moment moves."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=shape).astype(np.float32) for shape in MLP_SMALL_SHAPES]
+    grads = [[(rng.normal(size=shape) * rng.uniform(1e-3, 3.0)).astype(np.float32)
+              for shape in MLP_SMALL_SHAPES] for _ in range(steps)]
+    return arrays, grads
+
+
+def pooled_adamw(arrays, **kw):
+    params = [(f"p{i}", make_param(a)) for i, a in enumerate(arrays)]
+    return params, AdamW(params, **kw)
+
+
+def take_steps(params, opt, grads):
+    for step in grads:
+        for (_, p), g in zip(params, step):
+            p.grad = g.copy()
+        opt.step()
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(np.asarray(a).view(np.uint32),
+                                                 np.asarray(b).view(np.uint32))
+
+
+def test_adamw_one_pass_matches_the_per_parameter_loop_bit_for_bit():
+    arrays, grads = mlp_small_run(50)
+    kw = dict(lr=5e-3, weight_decay=0.01)
+    params, opt = pooled_adamw(arrays, **kw)
+    reference = LoopAdamW(arrays, **kw)
+    take_steps(params, opt, grads)
+    for step in grads:
+        reference.step(step)
+    for (_, p), ref in zip(params, reference.params):
+        assert same_bits(p.data, ref)
+    blobs = [a for pair in zip(reference.m, reference.v) for a in pair]
+    assert all(same_bits(a, b) for a, b in zip(opt.moment_blobs(), blobs))
+    assert all(p.grad is None for _, p in params)
+
+
+def test_adamw_resumed_from_its_moments_matches_an_uninterrupted_run():
+    arrays, grads = mlp_small_run(50, seed=1)
+    kw = dict(lr=5e-3, weight_decay=0.01)
+    params, opt = pooled_adamw(arrays, **kw)
+    take_steps(params, opt, grads)
+    resumed, first = pooled_adamw(arrays, **kw)
+    take_steps(resumed, first, grads[:20])
+    # a fresh optimizer over the same parameters, as a checkpoint resume builds
+    second = AdamW(resumed, **kw)
+    second.load_state(first.step_count, [b.copy() for b in first.moment_blobs()])
+    take_steps(resumed, second, grads[20:])
+    for (_, p), (_, q) in zip(params, resumed):
+        assert same_bits(p.data, q.data)
+    assert all(same_bits(a, b) for a, b in zip(opt.moment_blobs(), second.moment_blobs()))
+
+
+@pytest.mark.parametrize("case", ["too few", "too many", "flat for a matrix", "wrong length"])
+def test_adamw_load_state_rejects_wrong_moments_before_taking_any(case):
+    m0, v0 = np.full((3, 2), 0.5, np.float32), np.full((3, 2), 0.25, np.float32)
+    m1, v1 = np.full(4, 0.5, np.float32), np.full(4, 0.25, np.float32)
+    moments = {"too few": [m0, v0, m1],
+               "too many": [m0, v0, m1, v1, v1],
+               "flat for a matrix": [m0, v0.reshape(6), m1, v1],
+               "wrong length": [m0, v0, m1, v1[:3]]}[case]
+    params = [("w", make_param(np.ones((3, 2)))), ("b", make_param(np.ones(4)))]
+    opt = AdamW(params, lr=0.1)
+    with pytest.raises(ContractError, match="load_state"):
+        opt.load_state(7, moments)
+    assert opt.step_count == 0
+    assert not any(blob.any() for blob in opt.moment_blobs())
+
+
+def test_adamw_load_state_casts_the_moments_into_its_own_buffers():
+    params = [("w", make_param(np.ones((3, 2)))), ("b", make_param(np.ones(4)))]
+    opt = AdamW(params, lr=0.1)
+    moments = [np.full((3, 2), 0.1), np.full((3, 2), 0.2), np.full(4, 0.3), np.full(4, 0.4)]
+    opt.load_state(5, moments)
+    assert opt.step_count == 5
+    for blob, want in zip(opt.moment_blobs(), moments):
+        assert blob.dtype == np.float32 and np.array_equal(blob, want.astype(np.float32))
+    moments[0][...] = 9.0  # the optimizer holds copies, not the caller's arrays
+    assert opt.m[0][0, 0] == np.float32(0.1)
+
+
 # ---------------------------------------------------------------------------
 # schedules
 
