@@ -5,8 +5,9 @@ backward of the tape ops each layer recorded, and one untaped unroll layer
 by layer (B=8 samples of 2x32x32 event-like frames, T=1 and T=10). It
 counts minor page faults (`getrusage` `ru_minflt`) per step and per
 unroll. The LIF, conv and pooling kernels split their work over the CPUs of
-the process's affinity set (at most four): it prints that worker count, and
-every time with all workers and with one, repeats of the two alternating. It
+the process's affinity set (at most four), read once when `tksnn` is
+imported: it prints that worker count, and every table has one column, for
+that count. For one worker's figures, run it under `taskset -c 0`. It
 also prints the process's peak resident set size after training
 (`ru_maxrss`) and, last of all, the allocation peak of one traced training
 step (`tracemalloc`). A fresh 4 KB page costs a fault, so the count shows
@@ -24,9 +25,9 @@ Run from the repository root:
 
 Like the benchmark, it runs BLAS on one thread and switches numpy's
 huge-page advice off, so its fault counts compare with the benchmark's runs.
-Times are medians over the repeats that follow a warm-up; faults, counted
-with all workers, are given as median and mean, because the allocator
-returns memory to the system only now and then.
+Times are medians over the repeats that follow a warm-up; faults are given
+as median and mean, because the allocator returns memory to the system
+only now and then.
 """
 
 import os
@@ -113,17 +114,6 @@ def timed_layers(model, recorded=None):
         network.lif_sequence = lif_sequence
 
 
-@contextlib.contextmanager
-def workers(n: int):
-    """Split the kernels over n workers (the calling thread included)."""
-    saved = autodiff._WORKERS
-    autodiff._WORKERS = n
-    try:
-        yield
-    finally:
-        autodiff._WORKERS = saved
-
-
 def timed_backward(recorded, spent):
     """Wrap the backward of each (tape node, name) in `recorded`, so that
     backward adds its (ms, faults) to spent[name]."""
@@ -131,39 +121,36 @@ def timed_backward(recorded, spent):
         node.bwd = timed(name, node.bwd, spent)
 
 
-def settings():
-    """(label, worker count) of the two settings every time is taken with."""
+def column_label() -> str:
+    """The column label: this process's worker count, the calling thread included."""
     n = autodiff._WORKERS
-    return [(f"{n} workers", n), ("1 worker", 1)]
+    return f"{n} worker" + ("s" if n != 1 else "")
 
 
 def profile_unroll(model, rng, t_len: int, batch: int = 8):
-    per_layer, totals, flts = {}, {}, []
+    per_layer, totals, flts = {}, [], []
     with timed_layers(model) as spent:
         for r in range(REPEATS + 2):
-            for label, n in settings():
-                x = frames(rng, t_len, batch)
-                spent.clear()
-                with workers(n):
-                    f0, t0 = faults(), time.perf_counter()
-                    unroll(model, x)
-                    t1, f1 = time.perf_counter(), faults()
-                if r < 2:  # warm-up
-                    continue
-                totals.setdefault(label, []).append(t1 - t0)
-                if n == autodiff._WORKERS:
-                    flts.append(f1 - f0)
-                for name, s in spent.items():
-                    per_layer.setdefault(name, {}).setdefault(label, []).append(s)
-    labels = [label for label, _ in settings()]
-    print(f"untaped unroll, T={t_len}, B={batch}: "
-          + ", ".join(f"{statistics.median(totals[lb]) * 1e3:.2f} ms ({lb})" for lb in labels)
-          + f", minor faults median {statistics.median(flts):.0f}, mean {statistics.fmean(flts):.0f}")
-    print(f"  {'layer':14s}" + "".join(f"{lb:>14s}" for lb in labels) + "    faults")
-    for name, by_label in per_layer.items():
-        ms = [statistics.median(v[0] for v in by_label[lb]) for lb in labels]
-        flt = statistics.median(v[1] for v in by_label[labels[0]])
-        print(f"  {name:14s}" + "".join(f"{m:11.3f} ms" for m in ms) + f"{flt:10.0f}")
+            x = frames(rng, t_len, batch)
+            spent.clear()
+            f0, t0 = faults(), time.perf_counter()
+            unroll(model, x)
+            t1, f1 = time.perf_counter(), faults()
+            if r < 2:  # warm-up
+                continue
+            totals.append(t1 - t0)
+            flts.append(f1 - f0)
+            for name, s in spent.items():
+                per_layer.setdefault(name, []).append(s)
+    label = column_label()
+    print(f"untaped unroll, T={t_len}, B={batch}: {statistics.median(totals) * 1e3:.2f} ms "
+          f"({label}), minor faults median {statistics.median(flts):.0f}, "
+          f"mean {statistics.fmean(flts):.0f}")
+    print(f"  {'layer':14s}{label:>14s}    faults")
+    for name, spent_by_repeat in per_layer.items():
+        ms = statistics.median(v[0] for v in spent_by_repeat)
+        flt = statistics.median(v[1] for v in spent_by_repeat)
+        print(f"  {name:14s}{ms:11.3f} ms{flt:10.0f}")
 
 
 def profile_train_step(model, rng, t_len: int = 10, batch: int = 16):
@@ -172,39 +159,36 @@ def profile_train_step(model, rng, t_len: int = 10, batch: int = 16):
     the step time only)."""
     opt = AdamW(model.parameters(), lr=1e-3)
     teacher = TeacherConfig(mode="tks", k=2, tau=3.0)
-    times, flts, per_layer = {}, [], {}
+    times, flts, per_layer = [], [], {}
     recorded, backs = [], {}
     with timed_layers(model, recorded) as fwds:
         for r in range(REPEATS + 2):
-            for label, n in settings():
-                x = frames(rng, t_len, batch)
-                y = rng.integers(0, CLASSES, size=batch)
-                for kept in (fwds, backs, recorded):
-                    kept.clear()
-                with workers(n):
-                    f0, t0 = faults(), time.perf_counter()
-                    with GradTape() as tape:
-                        loss, _, _ = objective(unroll(model, x), y, teacher, 0.5)
-                    timed_backward(recorded, backs)
-                    backward(loss, tape)
-                    opt.step()
-                    t1, f1 = time.perf_counter(), faults()
-                if r < 2:  # warm-up
-                    continue
-                times.setdefault(label, []).append(t1 - t0)
-                if n == autodiff._WORKERS:
-                    flts.append(f1 - f0)
-                for part, spent in (("fwd", fwds), ("bwd", backs)):
-                    for name, s in spent.items():
-                        per_layer.setdefault(name, {}).setdefault((part, label), []).append(s[0])
-    print(f"training step, T={t_len}, B={batch}: "
-          + ", ".join(f"{statistics.median(v) * 1e3:.1f} ms ({lb})" for lb, v in times.items())
-          + f", minor faults median {statistics.median(flts):.0f}, mean {statistics.fmean(flts):.0f}")
-    columns = [(part, label) for label, _ in settings() for part in ("fwd", "bwd")]
-    print(f"  {'layer':14s}" + "".join(f"{part + ' ' + lb:>17s}" for part, lb in columns))
-    for name, by_column in per_layer.items():
-        print(f"  {name:14s}" + "".join(f"{statistics.median(by_column[c]):14.3f} ms"
-                                          for c in columns))
+            x = frames(rng, t_len, batch)
+            y = rng.integers(0, CLASSES, size=batch)
+            for kept in (fwds, backs, recorded):
+                kept.clear()
+            f0, t0 = faults(), time.perf_counter()
+            with GradTape() as tape:
+                loss, _, _ = objective(unroll(model, x), y, teacher, 0.5)
+            timed_backward(recorded, backs)
+            backward(loss, tape)
+            opt.step()
+            t1, f1 = time.perf_counter(), faults()
+            if r < 2:  # warm-up
+                continue
+            times.append(t1 - t0)
+            flts.append(f1 - f0)
+            for part, spent in (("fwd", fwds), ("bwd", backs)):
+                for name, s in spent.items():
+                    per_layer.setdefault(name, {}).setdefault(part, []).append(s[0])
+    label = column_label()
+    print(f"training step, T={t_len}, B={batch}: {statistics.median(times) * 1e3:.1f} ms "
+          f"({label}), minor faults median {statistics.median(flts):.0f}, "
+          f"mean {statistics.fmean(flts):.0f}")
+    print(f"  {'layer':14s}" + "".join(f"{part + ' ' + label:>17s}" for part in ("fwd", "bwd")))
+    for name, by_part in per_layer.items():
+        print(f"  {name:14s}" + "".join(f"{statistics.median(by_part[part]):14.3f} ms"
+                                          for part in ("fwd", "bwd")))
 
 
 def profile_mlp_step(rng, t_len: int = 10, batch: int = 32):
@@ -286,8 +270,8 @@ def main():
     core = getattr(np, "_core", None) or np.core
     core.multiarray._set_madvise_hugepage(False)
     rng = np.random.default_rng(0)
-    print(f"workers: {autodiff._WORKERS} (CPUs in this process's affinity set, "
-          f"at most {autodiff._MAX_WORKERS})")
+    print(f"workers: {autodiff._WORKERS} (CPUs in this process's affinity set at import, "
+          f"at most {autodiff._MAX_WORKERS}; run under `taskset -c 0` for one)")
     # training first, in a fresh process, as in the benchmark's cnn set-up
     profile_train_step(new_model(), rng)
     print(f"process peak RSS after training {peak_rss_mb():.1f} MB")

@@ -11,7 +11,6 @@ from .network import Model, TemporalOutput, build_model, unroll
 from .tks import (
     AlphaSchedule,
     TeacherConfig,
-    TeacherSignal,
     alpha_at,
     baseline_loss,
     ce_loss,

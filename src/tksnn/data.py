@@ -143,14 +143,16 @@ def _read_idx(path: str, magic: int, what: str) -> np.ndarray:
     return np.frombuffer(data, dtype=np.uint8, offset=head).reshape(dims)
 
 
-def load_idx(images_path: str, labels_path: str) -> Dataset:
-    """Load an IDX image/label pair; pixels scaled to [0,1]."""
+def load_idx(images_path: str, labels_path: str, classes: int) -> Dataset:
+    """Load an IDX image/label pair of a `classes`-class task; pixels scaled to [0,1].
+    The class count comes from the caller, so a train and a test file agree on it."""
     images = _read_idx(images_path, IDX_IMAGES_MAGIC, "pixel")
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label").astype(np.int64)
     if len(labels) != len(images):
         raise FormatError(f"image count {len(images)} != label count {len(labels)}")
+    if len(labels) and labels.max() >= classes:
+        raise DataError(f"{labels_path}: label {labels.max()} is not below data.classes={classes}")
     inputs = images.astype(DTYPE) / DTYPE(255.0)
-    classes = int(labels.max()) + 1 if len(labels) else 0
     return Dataset(inputs=inputs, labels=labels, class_count=classes, temporal=False)
 
 
@@ -296,9 +298,8 @@ def build_dataset(data_cfg, split: str = "train") -> Dataset:
         seed = data_cfg.seed if split == "train" else data_cfg.seed + 1
         return synth_temporal(data_cfg.n_per_class, data_cfg.t_native,
                               data_cfg.classes, data_cfg.noise_sigma, seed)
-    if data_cfg.kind == "idx":
-        if split != "train":
-            raise ConfigError(f"idx data has no {split!r} split: point data.images/data.labels "
-                              "at the test files and pass --split train")
-        return load_idx(data_cfg.images, data_cfg.labels)
-    raise ParameterError(f"unknown data kind {data_cfg.kind!r}")
+    # "idx", the one other kind DataConfig accepts
+    if split != "train":
+        raise ConfigError(f"idx data has no {split!r} split: point data.images/data.labels "
+                          "at the test files and pass --split train")
+    return load_idx(data_cfg.images, data_cfg.labels, data_cfg.classes)

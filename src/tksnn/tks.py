@@ -43,14 +43,6 @@ class TeacherConfig:
             raise ParameterError(f"smoothing epsilon must be in [0,1), got {self.epsilon}")
 
 
-@dataclass
-class TeacherSignal:
-    """Detached teacher distribution z [B,C] plus the chosen timestep indices."""
-
-    z: np.ndarray
-    selected: np.ndarray  # [B, k] timestep indices
-
-
 @dataclass(frozen=True)
 class AlphaSchedule:
     alpha_start: float = 0.0
@@ -104,8 +96,9 @@ def select_teachers(v, labels, k: int) -> np.ndarray:
     return np.sort(order[:k], axis=0).T.astype(np.int64)
 
 
-def teacher_signal(q, selected: np.ndarray, tau: float) -> TeacherSignal:
-    """Mean of the selected sub-models' logits, temperature-softmaxed, detached."""
+def teacher_signal(q, selected: np.ndarray, tau: float) -> np.ndarray:
+    """Teacher z [B,C]: the mean of the selected sub-models' logits,
+    temperature-softmaxed, as a plain (gradient-detached) array."""
     qa = _as_array(q)
     selected = np.asarray(selected, dtype=np.int64)
     t_len, b = qa.shape[:2]
@@ -115,17 +108,16 @@ def teacher_signal(q, selected: np.ndarray, tau: float) -> TeacherSignal:
     if selected.size and (selected.min() < 0 or selected.max() >= t_len):
         raise ContractError(f"teacher timesteps must lie in [0,{t_len})")
     picked = qa[selected, np.arange(b)[:, None], :]  # [B, k, C]
-    z = ad.softmax_temperature(Tensor(picked.mean(axis=1)), tau).data
-    return TeacherSignal(z=z, selected=selected)
+    return ad.softmax_temperature(Tensor(picked.mean(axis=1)), tau).data
 
 
-def tks_loss(v: Tensor, z: TeacherSignal | np.ndarray) -> Tensor:
-    """Mean over timesteps and batch of CE(teacher || sub-model)."""
+def tks_loss(v: Tensor, z: np.ndarray) -> Tensor:
+    """Mean over timesteps and batch of CE(teacher z [B,C] || sub-model)."""
     v = ad.as_tensor(v)
-    za = z.z if isinstance(z, TeacherSignal) else np.asarray(z, dtype=DTYPE)
-    if v.shape[-2:] != za.shape:
-        raise ContractError(f"teacher shape {za.shape} does not match outputs {v.shape}")
-    return _cross_entropy(v, za)
+    z = np.asarray(z, dtype=DTYPE)
+    if v.shape[-2:] != z.shape:
+        raise ContractError(f"teacher shape {z.shape} does not match outputs {v.shape}")
+    return _cross_entropy(v, z)
 
 
 def ce_loss(o: Tensor, labels) -> Tensor:

@@ -123,7 +123,6 @@ class OptimConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    grad_clip: float = 0.0
 
     def __post_init__(self):
         for f in fields(self):
@@ -137,9 +136,8 @@ class OptimConfig:
                 raise ConfigError(f"{name} must lie in [0,1), got {getattr(self, name)}")
         if not self.eps > 0:
             raise ConfigError(f"eps must be > 0, got {self.eps}")
-        for name in ("weight_decay", "grad_clip"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass(frozen=True)
@@ -269,17 +267,6 @@ class EpochReport:
         return json.dumps(asdict(self))
 
 
-def _clip_grads(params, max_norm: float):
-    total = 0.0
-    for p in params:
-        total += float((p.grad.astype(np.float64) ** 2).sum())
-    norm = math.sqrt(total)
-    if norm > max_norm:
-        factor = DTYPE(max_norm / norm)
-        for p in params:
-            p.grad = p.grad * factor
-
-
 def train_epoch(model: Model, data: Dataset, cfg: RunConfig, epoch: int,
                 opt: AdamW, alpha: float) -> EpochReport:
     """One pass over the training set; returns mean losses and train accuracy."""
@@ -304,8 +291,6 @@ def train_epoch(model: Model, data: Dataset, cfg: RunConfig, epoch: int,
                 f"non-finite loss at epoch {epoch} batch {bi}: l_ce={l_ce} l_tks={l_tks}"
             )
         backward(loss, tape)
-        if cfg.optim.grad_clip > 0:
-            _clip_grads(opt.params, cfg.optim.grad_clip)
         opt.step()
         correct += int((out.o.data.argmax(axis=1) == y).sum())
         sum_ce += l_ce

@@ -78,6 +78,14 @@ def test_unknown_override_key_exits_1(tiny_config, tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_grad_clip_is_an_unknown_optimizer_key(tiny_config, tmp_path, capsys):
+    # there is no gradient clipping: the setting is refused, not ignored
+    assert run(["train", "--config", str(tiny_config), "--set", "optimizer.grad_clip=1"]) == 1
+    err = capsys.readouterr().err
+    assert "unknown config key" in err and "grad_clip" in err and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_invalid_config_value_exits_1_without_outputs(tiny_config, tmp_path, capsys):
     code = run(["train", "--config", str(tiny_config), "--set", "run.t_train=0"])
     assert code == 1
@@ -141,7 +149,7 @@ def test_config_error_exits_1_without_traceback_or_outputs(tiny_config, tmp_path
     "optimizer.lr_max=abc", "optimizer.beta1=null", "optimizer.lr_max=-1", "optimizer.lr_max=0",
     "optimizer.lr_max=Infinity", "optimizer.lr_min=-0.001", "optimizer.lr_min=1",
     "optimizer.weight_decay=-0.01", "optimizer.beta1=1", "optimizer.beta2=-0.5",
-    "optimizer.eps=0", "optimizer.eps=true", "optimizer.grad_clip=-1",
+    "optimizer.eps=0", "optimizer.eps=true",
     "run.out_dir=5", "run.out_dir=", "run.out_dir=null",
 ])
 def test_bad_optimizer_or_out_dir_exits_1_and_writes_nothing(tiny_config, tmp_path, capsys,
@@ -242,6 +250,18 @@ def test_idx_train_then_eval_on_the_train_split(tmp_path, capsys):
     # there are no separate test files to score, so the default test split is refused
     assert run(["eval", "--config", str(config), "--checkpoint", ckpt]) == 1
     assert "--split train" in capsys.readouterr().err
+
+
+def test_idx_label_outside_data_classes_exits_2_and_names_the_setting(tmp_path, capsys):
+    ip, lp = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
+    save_idx(ip, lp, np.zeros((4, 2, 2), dtype=np.uint8), np.array([0, 1, 5, 2]))
+    config = tmp_path / "idx.json"
+    config.write_text(json.dumps({
+        "data": {"kind": "idx", "images": ip, "labels": lp},  # classes defaults to 4
+        "run": {"t_train": 3, "epochs": 1, "out_dir": str(tmp_path / "run")},
+    }))
+    assert run(["train", "--config", str(config)]) == 2
+    assert "label 5 is not below data.classes=4" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):

@@ -186,13 +186,21 @@ def test_idx_round_trip(tmp_path):
     labels = np.array([0, 1, 2, 1, 0], dtype=np.uint8)
     ip, lp = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
     save_idx(ip, lp, images, labels)
-    ds = load_idx(ip, lp)
+    ds = load_idx(ip, lp, 3)
     assert ds.inputs.shape == (5, 4, 3)
     assert ds.inputs.dtype == np.float32
     assert np.allclose(ds.inputs, images / 255.0, atol=1e-7)
     assert np.array_equal(ds.labels, labels)
     assert ds.class_count == 3
     assert not ds.temporal
+
+
+def test_idx_class_count_comes_from_the_caller(tmp_path):
+    ip, lp = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
+    save_idx(ip, lp, np.zeros((3, 2, 2), dtype=np.uint8), np.array([0, 1, 1]))
+    assert load_idx(ip, lp, 5).class_count == 5  # not the largest label + 1
+    with pytest.raises(DataError, match=re.escape("label 1 is not below data.classes=1")):
+        load_idx(ip, lp, 1)
 
 
 def test_idx_byte_exact_resave(tmp_path):
@@ -202,7 +210,7 @@ def test_idx_byte_exact_resave(tmp_path):
     p1 = [str(tmp_path / n) for n in ("a.im", "a.lb")]
     p2 = [str(tmp_path / n) for n in ("b.im", "b.lb")]
     save_idx(*p1, images, labels)
-    ds = load_idx(*p1)
+    ds = load_idx(*p1, 2)
     save_idx(*p2, (ds.inputs * 255.0).round().astype(np.uint8), ds.labels)
     for a, b in zip(p1, p2):
         assert open(a, "rb").read() == open(b, "rb").read()
@@ -219,7 +227,7 @@ def write_idx_pair(tmp_path, images=None, labels=None):
 
 def assert_idx_error(tmp_path, message, **files):
     with pytest.raises(FormatError, match=re.escape(message)):
-        load_idx(*write_idx_pair(tmp_path, **files))
+        load_idx(*write_idx_pair(tmp_path, **files), 2)
 
 
 def test_idx_bad_magic(tmp_path):
@@ -250,7 +258,7 @@ def test_idx_count_mismatch(tmp_path):
     with open(lp, "wb") as f:
         f.write(struct.pack(">II", 0x801, 3) + b"\x00\x00\x00")
     with pytest.raises(FormatError, match="image count 2 != label count 3"):
-        load_idx(ip, lp)
+        load_idx(ip, lp, 2)
 
 
 @pytest.mark.parametrize("images,labels", [
@@ -284,7 +292,7 @@ def test_save_idx_rejects_values_that_are_not_bytes_and_writes_nothing(tmp_path,
 def test_save_idx_accepts_whole_numbers_of_any_dtype(tmp_path):
     ip, lp = str(tmp_path / "im.idx"), str(tmp_path / "lb.idx")
     save_idx(ip, lp, np.full((2, 1, 2), 255.0), [0, 3])
-    ds = load_idx(ip, lp)
+    ds = load_idx(ip, lp, 4)
     assert np.array_equal(ds.inputs, np.ones((2, 1, 2), dtype=np.float32))
     assert ds.labels.tolist() == [0, 3]
 

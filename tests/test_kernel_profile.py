@@ -10,6 +10,13 @@ import pytest
 DEMO = Path(__file__).resolve().parents[1] / "demos" / "kernel_profile.py"
 
 
+def load_demo():
+    spec = importlib.util.spec_from_file_location("kernel_profile", DEMO)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    return demo
+
+
 def test_kernel_profile_demo_runs(monkeypatch, capsys):
     # the demo pins BLAS threads and switches numpy's huge-page advice off
     # for its process; give both back to the tests that run after it
@@ -18,9 +25,7 @@ def test_kernel_profile_demo_runs(monkeypatch, capsys):
     multiarray = (getattr(np, "_core", None) or np.core).multiarray
     huge_pages = multiarray._set_madvise_hugepage(False)
     try:
-        spec = importlib.util.spec_from_file_location("kernel_profile", DEMO)
-        demo = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(demo)
+        demo = load_demo()
         monkeypatch.setattr(demo, "REPEATS", 1)
         demo.main()
     finally:
@@ -30,18 +35,27 @@ def test_kernel_profile_demo_runs(monkeypatch, capsys):
                  "untaped unroll, T=1, B=8:", "untaped unroll, T=10, B=8:", "process peak RSS after training"):
         assert line in out
     assert "0:conv2d" in out and "readout" in out
-    assert "(1 worker)" in out
-    # the training step's table: forward and backward ms per layer, with all
-    # workers and with one
+    # every figure is taken at the process's own worker count, one column
+    label = demo.column_label()
+    assert "1 workers" not in out
+    # the training step's table: forward and backward ms per layer
     step = out.split("training step, T=10, B=16:", 1)[1].split("process peak RSS", 1)[0]
+    assert f"ms ({label}), minor faults" in step.splitlines()[0]
     header = step.splitlines()[1].split()
-    assert header[0] == "layer" and header.count("fwd") == 2 and header.count("bwd") == 2
-    assert "worker" in header
+    assert header[0] == "layer" and header.count("fwd") == 1 and header.count("bwd") == 1
     ms = {line.split()[0]: [float(v) for v in re.findall(r"([0-9.]+) ms", line)]
           for line in step.splitlines()[2:]}
-    for layer in ("0:conv2d", "lif", "2:avgpool2d", "3:conv2d", "readout"):
-        assert len(ms[layer]) == 4
-    assert ms["3:conv2d"][1] > 0  # its backward ran, with all workers
+    assert list(ms) == ["0:conv2d", "lif", "2:avgpool2d", "3:conv2d", "5:avgpool2d",
+                        "6:flatten", "readout"]
+    assert all(len(v) == 2 for v in ms.values())
+    assert ms["3:conv2d"][1] > 0  # its backward ran
+    # each unroll's table: one ms column and the layer's faults
+    for t_len in (1, 10):
+        unrolled = out.split(f"untaped unroll, T={t_len}, B=8:", 1)[1].splitlines()
+        assert f"ms ({label}), minor faults" in unrolled[0]
+        assert unrolled[1].split() == ["layer", *label.split(), "faults"]
+        assert [line.split()[0] for line in unrolled[2:9]] == list(ms)
+        assert all(len(re.findall(r"[0-9.]+ ms", line)) == 1 for line in unrolled[2:9])
     # the mlp-small step: three parts that add up to the step, and the LIF
     # layer's backward within the backward
     mlp = out.split("mlp-small TKS step, T=10, B=32:", 1)[1].split("allocation peak", 1)[0]
@@ -53,3 +67,17 @@ def test_kernel_profile_demo_runs(monkeypatch, capsys):
     assert sum(parts[n][0] for n in whole) == pytest.approx(step, abs=0.01)
     assert sum(parts[n][1] for n in whole) == pytest.approx(100, abs=0.2)
     assert 0 < parts["lif_sequence"][0] < parts["backward"][0]
+
+
+@pytest.mark.parametrize("count,label", [(1, "1 worker"), (2, "2 workers"), (4, "4 workers")])
+def test_kernel_profile_labels_its_one_column_with_the_worker_count(monkeypatch, count, label):
+    demo = load_demo()
+    monkeypatch.setattr(demo.autodiff, "_WORKERS", count)
+    assert demo.column_label() == label
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO.parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_demo_sets_the_worker_count(demo):
+    # the count is the process's own, read at import; one-worker figures come
+    # from running a demo under `taskset -c 0`
+    assert not re.search(r"_WORKERS\s*=[^=]", demo.read_text())

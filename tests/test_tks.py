@@ -12,7 +12,6 @@ from tksnn.network import Linear, Model, TemporalOutput, build_model, unroll
 from tksnn.tks import (
     AlphaSchedule,
     TeacherConfig,
-    TeacherSignal,
     alpha_at,
     baseline_loss,
     ce_loss,
@@ -124,29 +123,29 @@ def test_select_invariant_to_per_timestep_logit_shift():
 
 def test_teacher_single_selection_is_softmax_of_that_row():
     q = np.array([[[2.0, 0.0, 1.0]], [[0.0, 5.0, 0.0]]], dtype=np.float32)
-    sig = teacher_signal(q, np.array([[1]]), 1.0)
-    assert np.allclose(sig.z, softmax([0.0, 5.0, 0.0]), atol=1e-6)
+    z = teacher_signal(q, np.array([[1]]), 1.0)
+    assert np.allclose(z, softmax([0.0, 5.0, 0.0]), atol=1e-6)
 
 
 def test_teacher_symmetric_logits_uniform_for_any_tau():
     q = np.zeros((3, 1, 2), dtype=np.float32)
     for tau in (0.5, 1.0, 5.0):
-        sig = teacher_signal(q, np.array([[0, 2]]), tau)
-        assert np.allclose(sig.z, [[0.5, 0.5]])
+        z = teacher_signal(q, np.array([[0, 2]]), tau)
+        assert np.allclose(z, [[0.5, 0.5]])
 
 
 def test_teacher_mean_then_softmax_hand_case():
     q = np.array([[[2.0, 0.0]], [[0.0, 2.0]]], dtype=np.float32)
-    sig = teacher_signal(q, np.array([[0, 1]]), 1.0)
-    assert np.allclose(sig.z, [[0.5, 0.5]], atol=1e-6)  # mean logits [1,1]
+    z = teacher_signal(q, np.array([[0, 1]]), 1.0)
+    assert np.allclose(z, [[0.5, 0.5]], atol=1e-6)  # mean logits [1,1]
 
 
 def test_teacher_exhaustive_selection_equals_softmax_of_mean_logits():
     rng = np.random.default_rng(4)
     q = rng.normal(size=(7, 5, 3)).astype(np.float32)
     sel = np.tile(np.arange(7), (5, 1))
-    sig = teacher_signal(q, sel, 1.0)
-    assert np.allclose(sig.z, softmax(q.mean(axis=0)), atol=1e-6)
+    z = teacher_signal(q, sel, 1.0)
+    assert np.allclose(z, softmax(q.mean(axis=0)), atol=1e-6)
 
 
 def test_teacher_rejects_empty_selection():
@@ -162,9 +161,10 @@ def test_teacher_is_gradient_detached():
         v = ad.softmax_temperature(q, 1.0)
         before = len(tape)
         sel = select_teachers(v.data, np.array([0, 1]), 2)
-        sig = teacher_signal(q.data, sel, 3.0)
+        z = teacher_signal(q.data, sel, 3.0)
         assert len(tape) == before
-        loss = tks_loss(v, sig)
+        assert type(z) is np.ndarray  # a plain array, which no tape can record through
+        loss = tks_loss(v, z)
     backward(loss, tape)
     g1 = q.grad.copy()
     # a perturbed teacher changes the loss target, but gradient flows only
@@ -172,7 +172,7 @@ def test_teacher_is_gradient_detached():
     q2 = Tensor(q.data.copy(), requires_grad=True)
     with GradTape() as tape2:
         v2 = ad.softmax_temperature(q2, 1.0)
-        loss2 = tks_loss(v2, TeacherSignal(z=sig.z.copy(), selected=sel))
+        loss2 = tks_loss(v2, z.copy())
     backward(loss2, tape2)
     assert np.array_equal(g1, q2.grad)
 
@@ -182,19 +182,19 @@ def test_teacher_is_gradient_detached():
 
 
 def test_tks_loss_perfect_onehot_fit_is_zero():
-    z = TeacherSignal(z=np.array([[0.0, 1.0]], dtype=np.float32), selected=np.array([[0]]))
+    z = np.array([[0.0, 1.0]], dtype=np.float32)
     v = probs([[0.0, 1.0]], [[0.0, 1.0]])
     assert tks_loss(Tensor(v), z).item() == pytest.approx(0.0, abs=1e-6)
 
 
 def test_tks_loss_uniform_entropy():
-    z = TeacherSignal(z=np.array([[0.5, 0.5]], dtype=np.float32), selected=np.array([[0]]))
+    z = np.array([[0.5, 0.5]], dtype=np.float32)
     v = probs([[0.5, 0.5]], [[0.5, 0.5]], [[0.5, 0.5]])
     assert tks_loss(Tensor(v), z).item() == pytest.approx(np.log(2), abs=1e-6)
 
 
 def test_tks_loss_clamped_divergence():
-    z = TeacherSignal(z=np.array([[0.5, 0.5]], dtype=np.float32), selected=np.array([[0]]))
+    z = np.array([[0.5, 0.5]], dtype=np.float32)
     v = probs([[1.0, 0.0]])
     # -0.5*log(1) - 0.5*log(clamp) with the documented 1e-12 floor
     assert tks_loss(Tensor(v), z).item() == pytest.approx(-0.5 * LOG_K, rel=1e-5)
@@ -205,13 +205,12 @@ def test_tks_loss_lower_bound_is_teacher_entropy():
     for _ in range(50):
         z = softmax(rng.normal(size=(4, 5))).astype(np.float32)
         v = softmax(rng.normal(size=(6, 4, 5))).astype(np.float32)
-        sig = TeacherSignal(z=z, selected=np.zeros((4, 1), dtype=int))
-        loss = tks_loss(Tensor(v), sig).item()
+        loss = tks_loss(Tensor(v), z).item()
         entropy = float(-(z * np.log(np.maximum(z, 1e-12))).sum(axis=1).mean())
         assert loss >= entropy - 1e-6
     # equality when every sub-model matches the teacher
     v_eq = np.tile(z[None], (6, 1, 1))
-    assert tks_loss(Tensor(v_eq), sig).item() == pytest.approx(entropy, abs=1e-6)
+    assert tks_loss(Tensor(v_eq), z).item() == pytest.approx(entropy, abs=1e-6)
 
 
 def test_ce_loss_perfect_prediction():
@@ -346,8 +345,8 @@ def test_objective_tks_is_final_loss_of_ce_and_tks():
     cfg = TeacherConfig(mode="tks", k=2, tau=3.0)
     _, loss, l_ce, l_tks, out, y = objective_tape(cfg, 0.4)
     ce = ce_loss(out.o, y)
-    sig = teacher_signal(out.q.data, select_teachers(out.v.data, y, cfg.k), cfg.tau)
-    distill = tks_loss(out.v, sig)
+    z = teacher_signal(out.q.data, select_teachers(out.v.data, y, cfg.k), cfg.tau)
+    distill = tks_loss(out.v, z)
     assert (l_ce, l_tks) == (ce.item(), distill.item())
     assert loss.item() == final_loss(ce, distill, 0.4, cfg.tau).item()
 
@@ -355,9 +354,9 @@ def test_objective_tks_is_final_loss_of_ce_and_tks():
 def test_objective_tks_at_zero_alpha_is_ce_and_still_reports_tks():
     cfg = TeacherConfig(mode="tks", k=2, tau=3.0)
     _, loss, l_ce, l_tks, out, y = objective_tape(cfg, 0.0)
-    sig = teacher_signal(out.q.data, select_teachers(out.v.data, y, cfg.k), cfg.tau)
+    z = teacher_signal(out.q.data, select_teachers(out.v.data, y, cfg.k), cfg.tau)
     assert loss.item() == l_ce == ce_loss(out.o, y).item()
-    assert l_tks == tks_loss(out.v, sig).item() > 0.0
+    assert l_tks == tks_loss(out.v, z).item() > 0.0
 
 
 def test_objective_comparison_modes_report_own_loss_as_ce():
@@ -419,7 +418,7 @@ def oracle_objective(v, q, y, cfg, alpha):
     true_prob = np.take_along_axis(v, np.broadcast_to(y[None, :, None], (t, b, 1)), axis=2)[..., 0]
     selected = np.sort(np.argsort(-true_prob, axis=0, kind="stable")[: cfg.k], axis=0).T
     assert np.array_equal(select_teachers(v, y, cfg.k), selected)
-    z = teacher_signal(q, selected, cfg.tau).z
+    z = teacher_signal(q, selected, cfg.tau)
     c_ce, c_tks = F(1.0 - alpha), F(alpha * cfg.tau * cfg.tau)
     l_ce, g_o = gathered_ce(o, y, c_ce)
     l_tks, g_v = weighted_ce(v, z, c_tks)

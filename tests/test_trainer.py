@@ -1,12 +1,15 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tksnn.autodiff import SurrogateSpec, Tensor
 import tksnn.trainer as trainer_mod
-from tksnn.data import build_dataset
+from tksnn.data import build_dataset, save_idx
+from tksnn.evaluation import evaluate
 from tksnn.errors import (
     ConfigError, ContractError, DataError, FormatError, ParameterError, TrainingAbort, check_float,
 )
@@ -264,6 +267,17 @@ def test_config_round_trip():
     assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
+def test_readme_config_block_is_every_default():
+    # the README says each field of its config block "defaults to the values
+    # shown": the block must name every field, at its default
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [b for b in re.findall(r"```json\n(.*?)```", readme, re.S) if '"model"' in b]
+    assert len(blocks) == 1
+    raw = json.loads(blocks[0])
+    assert raw == config_to_dict(RunConfig())
+    assert config_from_dict(raw) == RunConfig()
+
+
 def test_config_rejects_unknown_section_and_key():
     with pytest.raises(ConfigError):
         config_from_dict({"optimiser": {}})
@@ -321,7 +335,6 @@ def test_config_accepts_numpy_integers():
     ("lr_max", "abc"), ("lr_max", 0.0), ("lr_max", -1.0), ("lr_max", math.inf), ("lr_max", True),
     ("lr_min", -1e-4), ("lr_min", 1.0), ("lr_min", math.nan), ("weight_decay", -0.01),
     ("beta1", None), ("beta1", 1.0), ("beta2", -0.1), ("eps", 0.0), ("eps", "1e-8"),
-    ("grad_clip", -1.0),
 ])
 def test_optim_config_rejects_bad_values(field, value):
     with pytest.raises(ConfigError, match=field):
@@ -329,7 +342,7 @@ def test_optim_config_rejects_bad_values(field, value):
 
 
 def test_optim_config_accepts_the_edges_of_each_range():
-    OptimConfig(lr_max=1, lr_min=1, weight_decay=0, beta1=0, beta2=np.float32(0.5), grad_clip=0)
+    OptimConfig(lr_max=1, lr_min=1, weight_decay=0, beta1=0, beta2=np.float32(0.5))
 
 
 @pytest.mark.parametrize("out_dir", [5, "", None, b"runs"])
@@ -539,42 +552,17 @@ def test_empty_training_set_is_data_error(tmp_path):
     assert not (tmp_path / "run").exists()  # no checkpoint, no metrics file
 
 
-# ---------------------------------------------------------------------------
-# gradient clipping
-
-
-def grads(*values):
-    params = [make_param(np.zeros(len(v))) for v in values]
-    for p, v in zip(params, values):
-        p.grad = np.asarray(v, dtype=np.float32)
-    return params
-
-
-def global_norm(params):
-    return math.sqrt(sum(float((p.grad.astype(np.float64) ** 2).sum()) for p in params))
-
-
-def test_clip_above_max_norm_rescales_to_max_norm_keeping_direction():
-    params = grads([3.0, -4.0], [12.0])  # global norm 13
-    before = [p.grad.copy() for p in params]
-    trainer_mod._clip_grads(params, 1.3)
-    assert global_norm(params) == pytest.approx(1.3, rel=1e-6)
-    for p, g in zip(params, before):
-        assert np.allclose(p.grad, g / 10.0, rtol=1e-6, atol=0)
-
-
-def test_clip_at_or_below_max_norm_leaves_grads_bit_unchanged():
-    for max_norm in (13.0, 20.0):
-        params = grads([3.0, -4.0], [12.0])
-        before = [p.grad.copy() for p in params]
-        trainer_mod._clip_grads(params, max_norm)
-        for p, g in zip(params, before):
-            assert np.array_equal(p.grad, g)
-
-
-def test_small_grad_clip_changes_the_trained_checkpoint(tmp_path):
-    fit(tiny_cfg(tmp_path, out_dir=str(tmp_path / "free")))
-    fit(tiny_cfg(tmp_path, out_dir=str(tmp_path / "clip"), optim=OptimConfig(grad_clip=0.05)))
-    assert (tmp_path / "free" / "model.ckpt").read_bytes() != (
-        tmp_path / "clip" / "model.ckpt"
-    ).read_bytes()
+def test_idx_train_and_test_files_with_different_label_sets_share_the_class_count(tmp_path):
+    # the train files hold labels {0,1,2}, the test files {0,...,3}: both
+    # are 4-class sets because data.classes says so, not their largest label
+    rng = np.random.default_rng(0)
+    paths = {}
+    for split, labels in (("train", np.arange(12) % 3), ("test", np.arange(8) % 4)):
+        paths[split] = (str(tmp_path / f"{split}.im"), str(tmp_path / f"{split}.lb"))
+        save_idx(*paths[split], rng.integers(0, 256, size=(len(labels), 4, 4)), labels)
+    data = DataConfig(kind="idx", images=paths["train"][0], labels=paths["train"][1], classes=4)
+    model, _ = fit(tiny_cfg(tmp_path, data=data, t_train=3))
+    test = build_dataset(DataConfig(kind="idx", images=paths["test"][0],
+                                    labels=paths["test"][1], classes=4))
+    assert evaluate(model, test, t_test=3).n_samples == 8
+    assert model.class_count == test.class_count == 4
