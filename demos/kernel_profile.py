@@ -17,7 +17,7 @@ the same code, where wall time on a shared host does not.
 Before that trace it splits one mlp-small TKS training step (B=32, T=10,
 40 inputs, on the calling thread) into forward plus loss, backward, with
 `lif_sequence`'s backward shown apart, and `AdamW.step`, each as a median ms
-and a share of the step.
+and a share of the step, and prints how many tape nodes the step records.
 
 Run from the repository root:
 
@@ -198,7 +198,7 @@ def profile_mlp_step(rng, t_len: int = 10, batch: int = 32):
     model = build_model("mlp-small", (MLP_FEATURES,), CLASSES, LifConfig(), SurrogateSpec(), 0)
     opt = AdamW(model.parameters(), lr=5e-3)
     teacher = TeacherConfig(mode="tks", k=2, tau=3.0)
-    lif_nodes, lif_spent, parts = [], {}, {}
+    lif_nodes, lif_spent, parts, tape_nodes = [], {}, {}, set()
     lif_sequence = network.lif_sequence
 
     def recorded_lif(*args):
@@ -219,6 +219,7 @@ def profile_mlp_step(rng, t_len: int = 10, batch: int = 32):
             with GradTape() as tape:
                 loss, _, _ = objective(unroll(model, x), y, teacher, 0.5)
             t1 = time.perf_counter()
+            tape_nodes.add(len(tape))
             for node in lif_nodes:
                 node.bwd = timed("lif", node.bwd, lif_spent)
             backward(loss, tape)
@@ -236,8 +237,9 @@ def profile_mlp_step(rng, t_len: int = 10, batch: int = 32):
         network.lif_sequence = lif_sequence
     ms = {name: statistics.median(v) for name, v in parts.items()}
     step = ms["forward+loss"] + ms["backward"] + ms["AdamW.step"]
+    (nodes,) = tape_nodes  # the same graph every step
     print(f"mlp-small TKS step, T={t_len}, B={batch}: {step:.3f} ms "
-          f"(sum of the medians of its parts)")
+          f"(sum of the medians of its parts), {nodes} tape nodes")
     for name, m in ms.items():
         print(f"  {name:14s}{m:9.3f} ms {100 * m / step:5.1f}%")
 

@@ -22,7 +22,7 @@ from .errors import (
 
 DTYPE = np.float32
 
-LOG_FLOOR = 1e-12  # clamp applied inside every log; documented, mirrored in test oracles
+LOG_FLOOR = 1e-12  # clamp applied inside cross_entropy's log; mirrored in test oracles
 
 
 class Tensor:
@@ -260,49 +260,48 @@ def scale(a: Tensor, c: float) -> Tensor:
     return out
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b, plus the bias row added to every row if given, as one tape node."""
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise DimensionError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = Tensor(a.data @ b.data)
-    _record(out, (a, b), lambda g: (g @ b.data.T if a._needs else None,
-                                    a.data.T @ g if b._needs else None))
+    y = a.data @ b.data
+    out = Tensor(y if bias is None else y + bias.data)
+    inputs = (a, b) if bias is None else (a, b, bias)
+
+    def bwd(g):  # one gradient per input; the bias's is the column sums of g
+        return (g @ b.data.T if a._needs else None, a.data.T @ g if b._needs else None,
+                None if bias is None else _unbroadcast(g, bias.shape))[:len(inputs)]
+
+    _record(out, inputs, bwd)
     return out
 
 
-def log(a: Tensor) -> Tensor:
-    """log with the documented clamp: log(max(x, LOG_FLOOR)); zero grad where clamped."""
-    clamped = np.maximum(a.data, DTYPE(LOG_FLOOR))
-    out = Tensor(np.log(clamped))
-    mask = (a.data >= LOG_FLOOR).astype(DTYPE)
-    _record(out, (a,), lambda g: (g * mask / clamped,))
+def cross_entropy(p: Tensor, target) -> Tensor:
+    """Mean over the leading axes of -sum_c target * log(max(p, LOG_FLOOR)) as one tape
+    node, with no gradient where p is clamped; a [B,C] target broadcasts over [T,B,C]."""
+    neg = -np.asarray(target, dtype=DTYPE)
+    clamped = np.maximum(p.data, DTYPE(LOG_FLOOR))
+    out = Tensor(np.mean(np.sum(neg * np.log(clamped), axis=-1)))
+    n = DTYPE(p.size // p.shape[-1])
+
+    def bwd(g):  # ((g/n)·target)·mask / clamped, in one buffer that starts as the mask
+        grad = (p.data >= LOG_FLOOR).astype(DTYPE)
+        np.multiply(g / n * neg, grad, out=grad)
+        return (np.divide(grad, clamped, out=grad),)
+
+    _record(out, (p,), bwd)
     return out
 
 
 def mean(a: Tensor, axis=None) -> Tensor:
+    """Mean over one axis, or all; backward hands on a read-only broadcast view."""
     out = Tensor(np.mean(a.data, axis=axis))
-    if axis is None:
-        n = DTYPE(a.size)
-        _record(out, (a,), lambda g: (np.broadcast_to(g / n, a.shape).astype(DTYPE),))
-    else:
-        n = DTYPE(a.shape[axis])
-
-        def bwd(g):
-            return (np.broadcast_to(np.expand_dims(g / n, axis), a.shape).astype(DTYPE),)
-
-        _record(out, (a,), bwd)
-    return out
-
-
-def sum_last(a: Tensor) -> Tensor:
-    out = Tensor(np.sum(a.data, axis=-1))
-    _record(
-        out,
-        (a,),
-        lambda g: (np.broadcast_to(np.expand_dims(g, -1), a.shape).astype(DTYPE),),
-    )
+    n = DTYPE(a.size if axis is None else a.shape[axis])
+    spread = () if axis is None else axis  # the axes g lacks
+    _record(out, (a,), lambda g: (np.broadcast_to(np.expand_dims(g / n, spread), a.shape),))
     return out
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -39,6 +40,14 @@ def _timestep_counts(text: str) -> list[int]:
         return [int(entry) for entry in text.split(",")]
     except ValueError as exc:  # int() names the entry it could not read
         raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+
+
+def _seed_count(text: str) -> int:
+    """The --seeds of gradcheck: an integer of at least 1; argparse names a bad one."""
+    with contextlib.suppress(ValueError):
+        if int(text) >= 1:
+            return int(text)
+    raise argparse.ArgumentTypeError(f"{text!r} is not an integer of at least 1")
 
 
 def _load_config(path: str, overrides):
@@ -130,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--seeds", type=int, default=10)
+    p.add_argument("--seeds", type=_seed_count, default=10)
     p.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -65,9 +65,6 @@ def op_checks(seed: int) -> dict[str, float]:
     out["matmul_b"] = check_scalar_fn(lambda x: ad.mean(ad.matmul(Tensor(a0), x)), b0)
     out["add"] = check_scalar_fn(lambda x: ad.mean(ad.add(x, Tensor(b0.T))), a0[:2])
     out["mul"] = check_scalar_fn(lambda x: ad.mean(ad.mul(x, Tensor(a0))), a0)
-    out["log"] = check_scalar_fn(
-        lambda x: ad.mean(ad.log(x)), np.abs(a0) + DTYPE(0.5)
-    )
     out["mean"] = check_scalar_fn(lambda x: ad.mean(x), a0)
     out["softmax"] = check_scalar_fn(
         lambda x: ad.mean(ad.mul(ad.softmax_temperature(x, 2.0), Tensor(a0))), a0
@@ -91,10 +88,23 @@ def op_checks(seed: int) -> dict[str, float]:
         LifConfig(), SurrogateSpec("triangular"), currents, spike_mix
     )
     out["lif_sequence"] = rel_error(fused, reference)
-    # a constant first operand broadcast over a leading axis, as a
-    # cross-entropy multiplies its [B,C] target into [T,B,C] log-probabilities
+    # a constant first operand broadcast over a leading axis
     log_p = rng.normal(size=(2,) + a0.shape).astype(DTYPE)
     out["mul_const_first"] = check_scalar_fn(lambda x: ad.mean(ad.mul(Tensor(a0), x)), log_p)
+    # with a bias, as a Linear layer records it; the mix weighs each output differently
+    c0 = rng.normal(size=2).astype(DTYPE)
+    mm_mix = Tensor(rng.normal(size=(3, 2)).astype(DTYPE))
+
+    def linear(x, w, bias):
+        return ad.mean(ad.mul(ad.matmul(x, w, bias), mm_mix))
+
+    out["matmul_bias_x"] = check_scalar_fn(lambda x: linear(x, Tensor(b0), Tensor(c0)), a0)
+    out["matmul_bias_w"] = check_scalar_fn(lambda w: linear(Tensor(a0), w, Tensor(c0)), b0)
+    out["matmul_bias_b"] = check_scalar_fn(lambda c: linear(Tensor(a0), Tensor(b0), c), c0)
+    # a [B,C] target broadcast over [T,B,C] probabilities, as the TKS loss has it
+    target = rng.uniform(size=a0.shape).astype(DTYPE)
+    p0 = np.abs(rng.normal(size=(2,) + a0.shape)).astype(DTYPE) + DTYPE(0.5)
+    out["cross_entropy"] = check_scalar_fn(lambda p: ad.cross_entropy(p, target), p0)
     return out
 
 
@@ -103,10 +113,10 @@ def lif_pair(cfg: LifConfig, surrogate: SurrogateSpec, currents: np.ndarray,
     """((spikes, dloss/dcurrents) from `lif_sequence`, the same from `lif_step`
     chained over T) for loss = mean(spike_mix * spikes), currents [T,B,N]."""
     mix = Tensor(spike_mix)
-    fused_in = Tensor(currents, requires_grad=True)
-    with GradTape() as tape:
-        fused = lif_sequence(fused_in, cfg, surrogate)
-        loss = ad.mean(ad.mul(fused, mix))
+    fused_in = Tensor(currents.reshape((-1,) + currents.shape[2:]), requires_grad=True)
+    with GradTape() as tape:  # on the [T·B,N] rows a network feeds it
+        fused = lif_sequence(fused_in, len(currents), cfg, surrogate)
+        loss = ad.mean(ad.mul(fused, ad.reshape(mix, fused.shape)))
     backward(loss, tape)
 
     step_in = [Tensor(c, requires_grad=True) for c in currents]
@@ -120,7 +130,8 @@ def lif_pair(cfg: LifConfig, surrogate: SurrogateSpec, currents: np.ndarray,
         reference = ad.stack(spikes)
         loss = ad.mean(ad.mul(reference, mix))
     backward(loss, tape)
-    return (fused.data, fused_in.grad), (reference.data, np.stack([x.grad for x in step_in]))
+    return ((fused.data.reshape(currents.shape), fused_in.grad.reshape(currents.shape)),
+            (reference.data, np.stack([x.grad for x in step_in])))
 
 
 def spike_backward_check(spec: SurrogateSpec, seed: int) -> float:

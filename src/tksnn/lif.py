@@ -8,8 +8,9 @@ s_{-1} = 0:
 
 The reset factor (1 - s_{t-1}) is differentiated like any other term.
 
-`lif_sequence` runs a whole [T, B, ...] current sequence as one tape op. Its
-forward repeats the update above op for op, so spikes and potentials equal
+`lif_sequence` runs a whole current sequence, the [T·B, ...] rows a network
+holds, as one tape op (no reshape around it is recorded). Its forward
+repeats the update above op for op, so spikes and potentials equal
 those of `lif_step` chained over T bit for bit. It steps through time in a
 few per-step buffers that each op writes in place (`out=`); every op still
 takes the same operands in the same order, so writing in place changes no
@@ -99,12 +100,14 @@ def _memory_order(a: np.ndarray) -> tuple[int, ...]:
     return (0,) + tuple(sorted(range(1, a.ndim), key=lambda k: -a.strides[k]))
 
 
-def lif_sequence(currents: Tensor, cfg: LifConfig, surrogate: SurrogateSpec) -> Tensor:
-    """Spikes [T,B,...] for input currents [T,B,...] from a fresh state, as one tape op."""
-    i_seq = currents.data
-    if i_seq.ndim < 2 or i_seq.shape[0] < 1:
-        raise DimensionError(f"lif_sequence expects [T,B,...] currents, got {i_seq.shape}")
-    t_len = i_seq.shape[0]
+def lif_sequence(currents: Tensor, t_len: int, cfg: LifConfig,
+                 surrogate: SurrogateSpec) -> Tensor:
+    """Spikes [T·B,...] for input currents [T·B,...] (row t·B + b holds step t of
+    sample b) from a fresh state, as one tape op."""
+    rows_in = currents.data
+    if rows_in.ndim < 1 or t_len < 1 or rows_in.shape[0] % t_len:
+        raise DimensionError(f"lif_sequence needs [T·B,...] currents, T={t_len}: {rows_in.shape}")
+    i_seq = rows_in.reshape((t_len, rows_in.shape[0] // t_len) + rows_in.shape[1:])
     leak = DTYPE(1.0 - 1.0 / cfg.tau_m)
     gain = DTYPE(1.0 / cfg.tau_m)
     v_th = DTYPE(cfg.v_th)
@@ -145,10 +148,10 @@ def lif_sequence(currents: Tensor, cfg: LifConfig, surrogate: SurrogateSpec) -> 
 
     tiles = list(range(0, n, TILE)) + [n]
     ad._split(tiles, forward_tile, t_len)
-    out = Tensor(s_rows.reshape(shape).transpose(inverse))
+    out = Tensor(s_rows.reshape(shape).transpose(inverse).reshape(rows_in.shape))
 
     def bwd(g):
-        g_rows = rows(g)  # a view when g has the currents' memory order
+        g_rows = rows(g.reshape(i_seq.shape))  # a view when g has the currents' memory order
         grad = np.empty_like(s_rows)
         c_step, ds_step, a_step = (np.empty(n, dtype=DTYPE) for _ in range(3))
 
@@ -170,7 +173,7 @@ def lif_sequence(currents: Tensor, cfg: LifConfig, surrogate: SurrogateSpec) -> 
             np.multiply(grad_tile, gain, out=grad_tile)
 
         ad._split(tiles, backward_tile, t_len)
-        return (grad.reshape(shape).transpose(inverse),)
+        return (grad.reshape(shape).transpose(inverse).reshape(rows_in.shape),)
 
     ad._record(out, (currents,), bwd)
     return out

@@ -7,8 +7,9 @@ output (mean of the distributions over time).
 
 Execution is multi-step: each stateless layer (Linear, Conv2d, AvgPool2d,
 Flatten, the readout) runs once over all T·B sample-steps, and each LIF layer
-is one `lif.lif_sequence` tape op over the whole [T,B,...] sequence. A step
-records a handful of tape nodes per layer, independent of T.
+is one `lif.lif_sequence` tape op on those rows. A layer records one tape
+node whatever T (none for a Flatten of the input), as do the readout's
+reshape to [T,B,C], the softmax and the mean over time.
 
 Layout: `unroll` views a C-contiguous input (as `data.prepare_sequence` makes
 it) as [T·B, ...] without a copy. A conv writes its output channels-last, and
@@ -48,7 +49,7 @@ class Linear:
         self.b = Tensor(np.zeros(out_features, dtype=DTYPE), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return ad.add(ad.matmul(x, self.w), self.b)
+        return ad.matmul(x, self.w, self.b)
 
     def params(self):
         return [("w", self.w), ("b", self.b)]
@@ -212,8 +213,7 @@ def unroll(model: Model, inputs) -> TemporalOutput:
     h = Tensor(data.reshape((t_len * batch,) + data.shape[2:]))
     for layer in model.layers:
         if layer.kind == "lif":
-            currents = ad.reshape(h, (t_len, batch) + h.shape[1:])
-            h = ad.reshape(lif_sequence(currents, model.lif_cfg, model.surrogate), h.shape)
+            h = lif_sequence(h, t_len, model.lif_cfg, model.surrogate)
         else:
             h = layer.forward(h)
     q = ad.reshape(model.readout.forward(h), (t_len, batch, -1))

@@ -75,12 +75,6 @@ def _one_hot(labels, b: int, c: int) -> np.ndarray:
     return (labels[:, None] == np.arange(c)).astype(DTYPE)
 
 
-def _cross_entropy(p: Tensor, target: np.ndarray) -> Tensor:
-    """Every loss here: the mean over leading axes of -sum_c target * log p, with a [B,C]
-    target broadcast over T. The sign sits in the target; negation is exact in IEEE."""
-    return ad.mean(ad.sum_last(ad.mul(Tensor(-target), ad.log(p))))
-
-
 def select_teachers(v, labels, k: int) -> np.ndarray:
     """Per sample: the k timesteps with highest true-class probability.
 
@@ -117,7 +111,7 @@ def tks_loss(v: Tensor, z: np.ndarray) -> Tensor:
     z = np.asarray(z, dtype=DTYPE)
     if v.shape[-2:] != z.shape:
         raise ContractError(f"teacher shape {z.shape} does not match outputs {v.shape}")
-    return _cross_entropy(v, z)
+    return ad.cross_entropy(v, z)
 
 
 def ce_loss(o: Tensor, labels) -> Tensor:
@@ -125,16 +119,19 @@ def ce_loss(o: Tensor, labels) -> Tensor:
     o = ad.as_tensor(o)
     if o.ndim != 2:
         raise ContractError(f"ce_loss takes the aggregate o [B,C], got shape {o.shape}")
-    return _cross_entropy(o, _one_hot(labels, *o.shape))
+    return ad.cross_entropy(o, _one_hot(labels, *o.shape))
 
 
 def final_loss(l_ce: Tensor, l_tks: Tensor, alpha: float, tau: float) -> Tensor:
-    """Affine mix (1-alpha)*l_ce + alpha*tau^2*l_tks of two scalar loss tensors."""
+    """Affine mix (1-alpha)*l_ce + alpha*tau^2*l_tks of two scalar losses, one tape node."""
     if not 0.0 <= alpha <= 1.0:
         raise ParameterError(f"alpha must be in [0,1], got {alpha}")
     if tau <= 0:
         raise ParameterError(f"temperature must be positive, got {tau}")
-    return ad.add(ad.scale(l_ce, 1.0 - alpha), ad.scale(l_tks, alpha * tau * tau))
+    c_ce, c_tks = DTYPE(1.0 - alpha), DTYPE(alpha * tau * tau)
+    out = Tensor(l_ce.data * c_ce + l_tks.data * c_tks)
+    ad._record(out, (l_ce, l_tks), lambda g: (g * c_ce, g * c_tks))
+    return out
 
 
 def alpha_at(epoch: int, sched: AlphaSchedule) -> float:
@@ -154,9 +151,9 @@ def baseline_loss(mode: str, out, labels, epsilon: float = 0.0) -> Tensor:
     b, c = out.o.shape
     onehot = _one_hot(labels, b, c)
     if mode == "label_smoothing":
-        return _cross_entropy(out.o, onehot * (1.0 - epsilon) + epsilon / c)
+        return ad.cross_entropy(out.o, onehot * (1.0 - epsilon) + epsilon / c)
     if mode == "per_timestep_labels":
-        return _cross_entropy(out.v, onehot)
+        return ad.cross_entropy(out.v, onehot)
     raise ConfigError(f"unknown baseline mode {mode!r}")
 
 

@@ -50,9 +50,9 @@ def test_backward_sum_is_ones():
 def test_backward_square_analytic():
     w = Tensor([1.0, 2.0], requires_grad=True)
     with GradTape() as tape:
-        loss = ad.sum_last(ad.mul(w, w))
+        loss = ad.mean(ad.mul(w, w))  # d/dw of (w0² + w1²) / 2 is w
     backward(loss, tape)
-    assert np.array_equal(w.grad, [2.0, 4.0])
+    assert np.array_equal(w.grad, [1.0, 2.0])
 
 
 def test_backward_matmul_chain_matches_finite_differences():
@@ -108,7 +108,7 @@ def test_matmul_and_mul_compute_no_gradient_for_an_input_without_a_grad_path():
     target = Tensor(rng.normal(size=(3, 2)))
     with GradTape() as tape:
         y = ad.matmul(x, w)  # a first Linear: the network input has no grad path
-        ad.mul(target, y)  # a cross-entropy: the constant target comes first
+        ad.mul(target, y)  # the constant operand first
         ad.matmul(Tensor(x.data.T), y)
         ad.mul(y, target)
     g = rng.normal(size=(3, 2)).astype(np.float32)
@@ -121,6 +121,98 @@ def test_matmul_and_mul_compute_no_gradient_for_an_input_without_a_grad_path():
     assert d_const is None and np.array_equal(dy, x.data @ g2)
     dy, d_target = tape._nodes[3].bwd(g)
     assert d_target is None and np.array_equal(dy, g * target.data)
+
+
+# ---------------------------------------------------------------------------
+# fused ops against the op chains they replace: the same float32 ops in the
+# same order, so the bytes of every value and gradient match, signs of zero too
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype == np.float32 and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("with_bias", [False, True])
+def test_matmul_matches_the_product_and_bias_add_it_fuses_bit_for_bit(with_bias):
+    rng = np.random.default_rng(5)
+    x, w, b = (Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+               for shape in ((6, 4), (4, 3), (3,)))
+    g = rng.normal(size=(6, 3)).astype(np.float32)
+    g[:, 0] = -0.0  # a sum of negative zeros: its sign depends on how the sum starts
+    with GradTape() as tape:
+        fused = ad.matmul(x, w, b if with_bias else None)
+        product = ad.matmul(x, w)
+        chain = ad.add(product, b) if with_bias else product
+    grads = tape._nodes[0].bwd(g)
+    if with_bias:
+        g_product, g_bias = tape._nodes[2].bwd(g)
+        want = tape._nodes[1].bwd(g_product) + (g_bias,)
+    else:  # against plain numpy
+        chain = Tensor(x.data @ w.data)
+        want = (g @ w.data.T, x.data.T @ g)
+    assert same_bytes(fused.data, chain.data)
+    assert len(grads) == len(want)
+    for got, ref in zip(grads, want):
+        assert same_bytes(got, ref)
+
+
+def old_cross_entropy_chain(p, target, g):
+    """Loss and d loss / d p of mean(sum_last(mul(-target, log(p)))), the op chain
+    `cross_entropy` replaces, in plain numpy: each forward, then each backward
+    in reverse tape order, with the broadcast copies those ops made."""
+    f32 = np.float32
+    neg = -target.astype(f32)
+    clamped = np.maximum(p, f32(ad.LOG_FLOOR))
+    prod = neg * np.log(clamped)
+    per_row = np.sum(prod, axis=-1)
+    loss = np.mean(per_row)
+    g_rows = np.broadcast_to(g / f32(per_row.size), per_row.shape).astype(f32)  # mean
+    g_prod = np.broadcast_to(np.expand_dims(g_rows, -1), prod.shape).astype(f32)  # sum_last
+    g_log = g_prod * neg  # mul: the constant target takes no gradient
+    return loss, g_log * (p >= ad.LOG_FLOOR).astype(f32) / clamped  # the floored log
+
+
+@pytest.mark.parametrize("lead", [(), (5,)], ids=["[B,C]", "[T,B,C] over a [B,C] target"])
+@pytest.mark.parametrize("upstream", [1.0, 0.35])
+def test_cross_entropy_matches_the_op_chain_it_fuses_bit_for_bit(lead, upstream):
+    rng = np.random.default_rng(9)
+    b, c = 4, 6
+    p = rng.dirichlet(np.ones(c), size=lead + (b,)).astype(np.float32)
+    # probabilities at, just under and far under the floor, and exact zeros
+    floor = np.float32(ad.LOG_FLOOR)
+    p[..., 0, :4] = [floor, np.nextafter(floor, np.float32(0)), np.float32(1e-30), 0.0]
+    target = rng.dirichlet(np.ones(c), size=b).astype(np.float32)
+    target[1] = np.eye(c, dtype=np.float32)[2]  # a one-hot row: zeros in the target
+    target[0, 3] = 0.0  # a zero weight on a clamped probability
+    leaf = Tensor(p, requires_grad=True)
+    with GradTape() as tape:
+        out = ad.cross_entropy(leaf, target)
+    g = np.float32(upstream) if upstream != 1.0 else np.ones((), dtype=np.float32)
+    (grad,) = tape._nodes[0].bwd(g)
+    loss_ref, grad_ref = old_cross_entropy_chain(p, target, g)
+    assert same_bytes(out.data, loss_ref)
+    assert same_bytes(grad, grad_ref)
+    assert (np.signbit(grad_ref) & (grad_ref == 0)).any()  # negative zeros, where target is 0
+    assert (grad_ref[..., 0, 1:4] == 0).all()  # no gradient where p was clamped
+
+
+def test_cross_entropy_backward_makes_no_broadcast_copy_of_the_target():
+    rng = np.random.default_rng(2)
+    p = Tensor(rng.dirichlet(np.ones(100), size=(10, 32)).astype(np.float32), requires_grad=True)
+    target = rng.dirichlet(np.ones(100), size=32).astype(np.float32)
+    with GradTape() as tape:
+        ad.cross_entropy(p, target)
+    tracemalloc.start()
+    try:
+        tape._nodes[0].bwd(np.ones((), dtype=np.float32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one [T,B,C] buffer, the mask that becomes the gradient, besides the
+    # boolean mask and numpy's fixed-size iterator buffer; the op chain it
+    # replaces made five
+    assert peak < 2 * p.data.nbytes
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -212,10 +304,14 @@ def test_surrogate_spec_validation():
         SurrogateSpec(width="abc")
 
 
-def test_log_clamp_matches_documented_floor():
-    out = ad.log(Tensor([0.0, 1.0]))
-    assert np.allclose(out.data[0], np.log(1e-12), rtol=1e-5)
-    assert out.data[1] == 0.0
+def test_cross_entropy_clamp_matches_documented_floor():
+    p = Tensor([[0.0, 1.0]], requires_grad=True)
+    with GradTape() as tape:
+        out = ad.cross_entropy(p, [[0.5, 0.5]])
+    backward(out, tape)
+    # 0.5 * -log(1e-12) + 0.5 * -log(1); no gradient flows through the clamp
+    assert np.allclose(out.data, -0.5 * np.log(1e-12), rtol=1e-5)
+    assert np.array_equal(p.grad, [[0.0, -0.5]])
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +420,13 @@ def test_avgpool_backward_matches_broadcast_oracle(window):
             g = np.random.default_rng(window).standard_normal((b, c, oh, ow)).astype(np.float32)
             leaf = Tensor(data, requires_grad=True)
             with GradTape() as tape:
-                y = ad.avgpool2d(leaf, window)
-                # d loss / d y is exactly g
-                loss = ad.sum_last(ad.reshape(ad.mul(y, Tensor(g)), (1, -1)))
-            backward(loss, tape)
+                ad.avgpool2d(leaf, window)
+            (gx,) = tape._nodes[0].bwd(g)
             n = np.float32(window * window)
             oracle = np.broadcast_to(g[:, :, :, None, :, None] / n,
                                      (b, c, oh, window, ow, window)).reshape(b, c, h, w)
-            assert leaf.grad.dtype == np.float32
-            assert np.array_equal(leaf.grad, oracle)
+            assert gx.dtype == np.float32
+            assert np.array_equal(gx, oracle)
 
 
 # conv2d: a copy of the keep-the-patches algorithm, the bit-exact oracle for
@@ -429,10 +523,8 @@ def conv2d_and_grads(x, wt, bias, g, stride, padding):
     xt, wtt, bt = (Tensor(a, requires_grad=True) for a in (x, wt, bias))
     with GradTape() as tape:
         y = ad.conv2d(xt, wtt, bt, stride=stride, padding=padding)
-        # d loss / d y is exactly g
-        loss = ad.sum_last(ad.reshape(ad.mul(y, Tensor(g)), (1, -1)))
-    backward(loss, tape)
-    return y.data, wtt.grad, bt.grad, xt.grad
+    dx, dw, db = tape._nodes[0].bwd(g)
+    return y.data, dw, db, dx
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
@@ -483,9 +575,9 @@ def test_split_kernels_on_zero_samples_return_empty_values_and_zero_parameter_gr
     leaf = Tensor(y, requires_grad=True)
     with GradTape() as tape:
         pooled = ad.avgpool2d(leaf, 2)
-        spikes = lif_sequence(ad.reshape(pooled, (3, 0, 4, 4, 4)), LifConfig(), SurrogateSpec())
-    assert pooled.shape == (0, 4, 4, 4) and spikes.shape == (3, 0, 4, 4, 4)
-    pool_node, _, lif_node = tape._nodes
+        spikes = lif_sequence(pooled, 3, LifConfig(), SurrogateSpec())
+    assert pooled.shape == (0, 4, 4, 4) and spikes.shape == (0, 4, 4, 4)
+    pool_node, lif_node = tape._nodes
     (g_lif,) = lif_node.bwd(np.zeros(spikes.shape, dtype=np.float32))
     (g_pool,) = pool_node.bwd(np.zeros(pooled.shape, dtype=np.float32))
     assert g_lif.shape == spikes.shape and g_pool.shape == y.shape
@@ -642,7 +734,7 @@ x, w, bias = (ad.Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
 with ad.GradTape() as tape:
     loss = ad.mean(ad.conv2d(x, w, bias, 1, 1))
 ad.backward(loss, tape)
-lif_sequence(ad.Tensor(np.ones((10, 8, 65536), dtype=np.float32)), LifConfig(), ad.SurrogateSpec())
+lif_sequence(ad.Tensor(np.ones((80, 65536), dtype=np.float32)), 10, LifConfig(), ad.SurrogateSpec())
 """
 
 

@@ -44,3 +44,6 @@ def test_traced_tks_step_reaches_every_loss_the_benchmark_times():
         tracer.uninstall()
     for name in ("tks.ce_loss", "tks.tks_loss", "tks.final_loss"):
         assert tracer.calls[tracer.names.index(name)] >= 1, name
+    # autodiff.matmul_ms times the Linear layers: the hidden one and the readout
+    # each record their product and bias as one autodiff.matmul
+    assert tracer.calls[tracer.names.index("autodiff.matmul")] == 2

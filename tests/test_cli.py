@@ -312,6 +312,14 @@ def test_gradcheck_command_passes(capsys):
     assert "max relative error" in out
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2", "two"])
+def test_gradcheck_with_fewer_than_one_seed_exits_1_naming_the_value(capsys, seeds):
+    assert run(["gradcheck", "--seeds", seeds]) == 1
+    err = capsys.readouterr().err
+    assert f"argument --seeds: '{seeds}' is not an integer of at least 1" in err
+    assert "Traceback" not in err
+
+
 def test_module_form_runs_the_cli(tmp_path):
     src = os.path.dirname(os.path.dirname(tksnn.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -60,6 +60,7 @@ def test_kernel_profile_demo_runs(monkeypatch, capsys):
     # layer's backward within the backward
     mlp = out.split("mlp-small TKS step, T=10, B=32:", 1)[1].split("allocation peak", 1)[0]
     step = float(re.match(r" ([0-9.]+) ms", mlp).group(1))
+    assert mlp.splitlines()[0].endswith("(sum of the medians of its parts), 9 tape nodes")
     parts = {name.strip(): (float(m), float(share)) for name, m, share in
              re.findall(r"^ {2}(.+?) +([0-9.]+) ms +([0-9.]+)%$", mlp, re.M)}
     assert list(parts) == ["forward+loss", "backward", "lif_sequence", "AdamW.step"]

@@ -119,36 +119,37 @@ def test_fused_sequence_matches_per_step_chain(cfg, kind):
 
 
 def test_fused_sequence_keeps_trailing_shape_and_needs_time_axis():
-    currents = Tensor(np.full((3, 2, 4, 5, 5), 1.0, dtype=np.float32))
-    spikes = lif_sequence(currents, LifConfig(), SUR)
+    currents = Tensor(np.full((3 * 2, 4, 5, 5), 1.0, dtype=np.float32))  # T=3, B=2
+    spikes = lif_sequence(currents, 3, LifConfig(), SUR)
     assert spikes.shape == currents.shape
-    assert np.array_equal(spikes.data[:, 0, 0, 0, 0], [1.0, 1.0, 1.0])
-    with pytest.raises(DimensionError):
-        lif_sequence(Tensor(np.ones(4)), LifConfig(), SUR)
+    assert np.array_equal(spikes.data[::2, 0, 0, 0], [1.0, 1.0, 1.0])  # sample 0, t = 0..2
+    for rows, t_len in (((), 1), ((5, 2), 2), ((4, 2), 0)):
+        with pytest.raises(DimensionError):
+            lif_sequence(Tensor(np.ones(rows)), t_len, LifConfig(), SUR)
 
 
 def test_fused_sequence_computes_no_surrogate_without_tape(monkeypatch):
     calls = []
     monkeypatch.setattr(SurrogateSpec, "derivative", lambda self, x: calls.append(1))
-    lif_sequence(Tensor(np.ones((4, 2, 3)), requires_grad=True), LifConfig(), SUR)
+    lif_sequence(Tensor(np.ones((4 * 2, 3)), requires_grad=True), 4, LifConfig(), SUR)
     assert calls == []
 
 
 @pytest.mark.parametrize("cfg", NEURONS, ids=NEURON_IDS)
 def test_untaped_sequence_gives_the_taped_spikes(cfg):
     rng = np.random.default_rng(3)
-    currents = Tensor(rng.uniform(-0.5, 2.0, size=(9, 4, 3, 5)).astype(np.float32),
+    currents = Tensor(rng.uniform(-0.5, 2.0, size=(9 * 4, 3, 5)).astype(np.float32),
                       requires_grad=True)
-    untaped = lif_sequence(currents, cfg, SUR)
+    untaped = lif_sequence(currents, 9, cfg, SUR)
     with GradTape() as tape:
-        taped = lif_sequence(currents, cfg, SUR)
+        taped = lif_sequence(currents, 9, cfg, SUR)
     assert len(tape) == 1  # recorded, so this run kept its potentials
     assert 0 < taped.data.sum() < taped.size
     assert np.array_equal(untaped.data, taped.data)
 
 
 def test_untaped_sequence_keeps_no_potential_sequence():
-    currents = Tensor(np.random.default_rng(4).uniform(-0.5, 2.0, size=(10, 8, 256))
+    currents = Tensor(np.random.default_rng(4).uniform(-0.5, 2.0, size=(10 * 8, 256))
                       .astype(np.float32), requires_grad=True)
 
     def peak(taped: bool) -> int:
@@ -156,9 +157,9 @@ def test_untaped_sequence_keeps_no_potential_sequence():
         try:
             if taped:
                 with GradTape():
-                    lif_sequence(currents, LifConfig(), SUR)
+                    lif_sequence(currents, 10, LifConfig(), SUR)
             else:
-                lif_sequence(currents, LifConfig(), SUR)
+                lif_sequence(currents, 10, LifConfig(), SUR)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -222,16 +223,22 @@ def test_tiled_sequence_matches_the_untiled_loop_bit_for_bit(monkeypatch, t_len,
     g = rng.normal(size=i_seq.shape).astype(np.float32)
     surrogate = SurrogateSpec(kind, 0.7)
     s_ref, grad_ref = untiled_lif(i_seq, g, cfg, surrogate)
-    currents = Tensor(i_seq, requires_grad=True)
-    with GradTape() as tape:
-        spikes = lif_sequence(currents, cfg, surrogate)
-    (grad,) = tape._nodes[0].bwd(g)
     assert 0 < s_ref.sum() < s_ref.size
-    assert same_bits(spikes.data, s_ref)
-    assert same_bits(lif_sequence(currents, cfg, surrogate).data, s_ref)  # untaped
-    assert spikes.data.strides == np.empty_like(i_seq).strides  # the currents' memory order
-    assert same_bits(grad, grad_ref)
-    assert grad.strides == np.empty_like(i_seq).strides
+    # the op takes the [T·B, ...] rows a network holds: views of the
+    # [T, B, ...] sequence the oracle steps through, channels-last and not
+    for seq in (i_seq, np.ascontiguousarray(i_seq)):
+        rows = seq.reshape((-1,) + seq.shape[2:])
+        assert np.shares_memory(rows, seq)
+        currents = Tensor(rows, requires_grad=True)
+        with GradTape() as tape:
+            spikes = lif_sequence(currents, t_len, cfg, surrogate)
+        (grad,) = tape._nodes[0].bwd(g.reshape(rows.shape))
+        assert same_bits(spikes.data, s_ref.reshape(rows.shape))
+        untaped = lif_sequence(currents, t_len, cfg, surrogate)
+        assert same_bits(untaped.data, s_ref.reshape(rows.shape))
+        assert spikes.data.strides == np.empty_like(rows).strides  # the currents' memory order
+        assert same_bits(grad, grad_ref.reshape(rows.shape))
+        assert grad.strides == np.empty_like(rows).strides
 
 
 def test_an_mlp_small_step_runs_on_the_calling_thread(monkeypatch):

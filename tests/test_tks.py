@@ -310,6 +310,24 @@ def test_final_loss_affine_identity_on_graph_tensors():
         assert graph == pytest.approx((1 - alpha) * l_ce + alpha * tau * tau * l_tks, rel=1e-6)
 
 
+@pytest.mark.parametrize("upstream", [1.0, 0.6])
+def test_final_loss_matches_the_scale_scale_add_chain_it_fuses_bit_for_bit(upstream):
+    rng = np.random.default_rng(8)
+    for l_ce, l_tks, alpha, tau in [(1.3, 0.02, 0.35, 3.0), (0.0, -0.0, 0.5, 2.0),
+                                    *rng.uniform(0, 3, size=(8, 4)).astype(np.float32)]:
+        alpha, tau = float(alpha) % 1.0, float(tau) + 0.5
+        leaves = [Tensor(np.float32(l), requires_grad=True) for l in (l_ce, l_tks)]
+        with GradTape() as tape:
+            fused = final_loss(*leaves, alpha, tau)
+            chain = ad.add(ad.scale(leaves[0], 1.0 - alpha), ad.scale(leaves[1], alpha * tau * tau))
+        g = np.float32(upstream)
+        grads = tape._nodes[0].bwd(g)
+        g_ce_scaled, g_tks_scaled = tape._nodes[3].bwd(g)
+        want = tape._nodes[1].bwd(g_ce_scaled) + tape._nodes[2].bwd(g_tks_scaled)
+        assert len(tape) == 4 and fused.data.tobytes() == chain.data.tobytes()
+        assert [np.asarray(x).tobytes() for x in grads] == [np.asarray(x).tobytes() for x in want]
+
+
 def test_final_loss_rejects_alpha_outside_unit_interval():
     with pytest.raises(ParameterError):
         final_loss(Tensor(1.0), Tensor(1.0), 1.5, 1.0)
@@ -331,14 +349,25 @@ def objective_tape(cfg, alpha):
 
 
 def test_objective_tape_nodes_per_mode():
-    # the unroll records 10 nodes; each cross-entropy adds log, mul, sum_last
-    # and mean; the tks mix adds two scales and an add
-    assert objective_tape(TeacherConfig(mode="none"), 0.0)[0] == 14
+    # the unroll records 6 nodes: the hidden Linear, the LIF layer, the
+    # readout, its reshape to [T,B,C], the softmax and the mean over time;
+    # each cross-entropy adds one, and so does the tks mix
+    assert objective_tape(TeacherConfig(mode="none"), 0.0)[0] == 7
     # at alpha=0 the tks graph is exactly the plain CE graph
-    assert objective_tape(TeacherConfig(mode="tks"), 0.0)[0] == 14
-    assert objective_tape(TeacherConfig(mode="tks"), 0.5)[0] == 21
-    assert objective_tape(TeacherConfig(mode="label_smoothing"), 0.0)[0] == 14
-    assert objective_tape(TeacherConfig(mode="per_timestep_labels"), 0.0)[0] == 14
+    assert objective_tape(TeacherConfig(mode="tks"), 0.0)[0] == 7
+    assert objective_tape(TeacherConfig(mode="tks"), 0.5)[0] == 9
+    assert objective_tape(TeacherConfig(mode="label_smoothing"), 0.0)[0] == 7
+    assert objective_tape(TeacherConfig(mode="per_timestep_labels"), 0.0)[0] == 7
+
+
+def test_cnn_small_tks_step_tape_nodes():
+    # two conv, LIF, pool triples, the flatten, the readout, its reshape, the
+    # softmax and the mean over time: 11 nodes, however long T; and 3 for the loss
+    model = build_model("cnn-small", (2, 8, 8), 4, LifConfig(), SurrogateSpec(), 0)
+    x = np.random.default_rng(0).poisson(0.6, size=(5, 3, 2, 8, 8)).astype(np.float32)
+    with GradTape() as tape:
+        objective(unroll(model, x), np.array([0, 1, 3]), TeacherConfig(mode="tks"), 0.5)
+    assert len(tape) == 14
 
 
 def test_objective_tks_is_final_loss_of_ce_and_tks():

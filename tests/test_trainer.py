@@ -528,8 +528,8 @@ def test_training_reduces_loss(tmp_path):
 
 
 def test_tks_step_records_constant_tape_nodes(tmp_path, monkeypatch):
-    # one mlp-small TKS step at B=32, T=10: each layer is a few tape nodes over
-    # all T steps; per-timestep recording would take about 110
+    # one mlp-small TKS step at B=32, T=10: each layer and each loss term is
+    # one tape node over all T steps; per-timestep recording would take about 110
     cfg = tiny_cfg(tmp_path, t_train=10, batch_size=32,
                    data=DataConfig(n_per_class=8, t_native=10, classes=4))
     data = build_dataset(cfg.data, split="train")
@@ -541,7 +541,7 @@ def test_tks_step_records_constant_tape_nodes(tmp_path, monkeypatch):
                         lambda loss, tape: nodes.append(len(tape)) or real_backward(loss, tape))
     train_epoch(model, data, cfg, 0, opt, alpha=0.5)
     assert len(nodes) == 1
-    assert nodes[0] == 21
+    assert nodes[0] == 9
 
 
 def test_empty_training_set_is_data_error(tmp_path):
