@@ -7,7 +7,17 @@ counts minor page faults (`getrusage` `ru_minflt`) per step and per
 unroll. The LIF, conv and pooling kernels split their work over the CPUs of
 the process's affinity set (at most four), read once when `tksnn` is
 imported: it prints that worker count, and every table has one column, for
-that count. For one worker's figures, run it under `taskset -c 0`. It
+that count. For one worker's figures, run it under `taskset -c 0`.
+
+An untaped unroll runs the layers before the readout through their private
+kernels (each layer's `infer` and `lif._lif_sequence`), in groups of whole
+samples that `network._untaped_features` deals out to the workers: one
+group, on the calling thread, at T=1, and one per worker at T=10. Its table
+times those kernels, the readout, and the whole `_untaped_features` call
+(the row "split", from the hand-off to the join). A kernel row adds the
+time and the faults (`RUSAGE_THREAD`) of every group on the thread that ran
+it, so with two groups at once the kernel rows can add up to more than the
+split's wall time. It
 also prints the process's peak resident set size after training
 (`ru_maxrss`) and, last of all, the allocation peak of one traced training
 step (`tracemalloc`). A fresh 4 KB page costs a fault, so the count shows
@@ -38,6 +48,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import contextlib  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
+import threading  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
 
@@ -53,10 +64,12 @@ SHAPE = (2, 32, 32)
 CLASSES = 4
 REPEATS = 20
 MLP_FEATURES = 40
+THREAD = getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF)  # Linux has it
+_SPENT_LOCK = threading.Lock()  # kernels in groups add to one dict from two threads
 
 
-def faults() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def faults(who=resource.RUSAGE_SELF) -> int:
+    return resource.getrusage(who).ru_minflt
 
 
 def peak_rss_mb() -> float:
@@ -69,14 +82,15 @@ def frames(rng, t_len: int, batch: int) -> np.ndarray:
     return rng.poisson(0.15, size=(t_len, batch) + SHAPE).astype(np.float32)
 
 
-def timed(name, fn, spent):
-    """fn, adding the (ms, faults) of each call to spent[name]."""
+def timed(name, fn, spent, who=resource.RUSAGE_SELF):
+    """fn, adding the (ms, faults of `who`) of each call to spent[name]."""
     def inner(*args):
-        f0, t0 = faults(), time.perf_counter()
+        f0, t0 = faults(who), time.perf_counter()
         result = fn(*args)
-        t1, f1 = time.perf_counter(), faults()
-        ms, flt = spent.get(name, (0.0, 0))
-        spent[name] = (ms + (t1 - t0) * 1e3, flt + f1 - f0)
+        t1, f1 = time.perf_counter(), faults(who)
+        with _SPENT_LOCK:
+            ms, flt = spent.get(name, (0.0, 0))
+            spent[name] = (ms + (t1 - t0) * 1e3, flt + f1 - f0)
         return result
     return inner
 
@@ -114,6 +128,28 @@ def timed_layers(model, recorded=None):
         network.lif_sequence = lif_sequence
 
 
+@contextlib.contextmanager
+def timed_kernels(model):
+    """Wrap what an untaped unroll calls: each layer's `infer`,
+    `network._lif_sequence`, the readout's forward and
+    `network._untaped_features`, the split (row "split"). Yields a dict that
+    each call adds its (ms, faults) to; the network functions are put back
+    on exit."""
+    spent = {}
+    for i, layer in enumerate(model.layers):
+        if layer.kind != "lif":
+            layer.infer = timed(f"{i}:{layer.kind}", layer.infer, spent, THREAD)
+    model.readout.forward = timed("readout", model.readout.forward, spent)
+    lif_count = sum(layer.kind == "lif" for layer in model.layers)
+    kernels = network._lif_sequence, network._untaped_features
+    network._lif_sequence = timed(f"lif x{lif_count}", kernels[0], spent, THREAD)
+    network._untaped_features = timed("split", kernels[1], spent)
+    try:
+        yield spent
+    finally:
+        network._lif_sequence, network._untaped_features = kernels
+
+
 def timed_backward(recorded, spent):
     """Wrap the backward of each (tape node, name) in `recorded`, so that
     backward adds its (ms, faults) to spent[name]."""
@@ -129,7 +165,8 @@ def column_label() -> str:
 
 def profile_unroll(model, rng, t_len: int, batch: int = 8):
     per_layer, totals, flts = {}, [], []
-    with timed_layers(model) as spent:
+    groups = len(autodiff._sample_runs(batch, t_len * model.step_work)) - 1
+    with timed_kernels(model) as spent:
         for r in range(REPEATS + 2):
             x = frames(rng, t_len, batch)
             spent.clear()
@@ -145,9 +182,11 @@ def profile_unroll(model, rng, t_len: int, batch: int = 8):
     label = column_label()
     print(f"untaped unroll, T={t_len}, B={batch}: {statistics.median(totals) * 1e3:.2f} ms "
           f"({label}), minor faults median {statistics.median(flts):.0f}, "
-          f"mean {statistics.fmean(flts):.0f}")
+          f"mean {statistics.fmean(flts):.0f}; {groups} group" + "s" * (groups != 1))
     print(f"  {'layer':14s}{label:>14s}    faults")
-    for name, spent_by_repeat in per_layer.items():
+    last = ["readout", "split"]  # after the layers, which groups reach in model order
+    for name in [n for n in per_layer if n not in last] + last:
+        spent_by_repeat = per_layer[name]
         ms = statistics.median(v[0] for v in spent_by_repeat)
         flt = statistics.median(v[1] for v in spent_by_repeat)
         print(f"  {name:14s}{ms:11.3f} ms{flt:10.0f}")

@@ -159,8 +159,9 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 _MAX_WORKERS = 4  # threads a split uses at most, the calling thread included
 # float32 elements a run of blocks must touch to pay for its hand-off to a pool thread
-# (about 45 us, more to wake an idle CPU): 8-sample cnn-small evaluation calls
-# at T <= 3 measured slower split, so they, and all of mlp-small, run inline
+# (about 45 us, more to wake an idle CPU): with network.Model.step_work, an 8-sample
+# cnn-small unroll stays whole at T=1, where its groups measured slower, and splits
+# from T=2, where they measured faster
 _MIN_RANGE_WORK = 1 << 19
 
 
@@ -185,6 +186,31 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 
+class _Dealt(threading.local):
+    """True on a thread while it runs blocks that _split dealt out to workers."""
+
+    inside = False
+
+
+_DEALT = _Dealt()
+
+
+def _runs(blocks: int, work: int) -> int:
+    """The runs _split deals `blocks` blocks out to, for `work` float32 elements
+    in all: one inside a dealt-out run, else one per worker up to one per block,
+    each run touching at least _MIN_RANGE_WORK elements."""
+    if _DEALT.inside:
+        return 1
+    return max(1, min(_WORKERS, blocks, work // _MIN_RANGE_WORK))
+
+
+def _sample_runs(b: int, work: int) -> list[int]:
+    """Bounds of one block of whole samples per run _split makes of b samples
+    of `work` float32 elements each; a single block when it would run inline."""
+    parts = _runs(b, b * work)
+    return [b * k // parts for k in range(parts + 1)]
+
+
 def _split(bounds: list[int], fn, work: int) -> None:
     """Call fn(lo, hi) once per block [lo, hi) of the grid `bounds`, the
     blocks dealt out to the workers in one contiguous run each.
@@ -193,9 +219,10 @@ def _split(bounds: list[int], fn, work: int) -> None:
     (samples, neurons, jobs) and `work` is the float32 elements one unit
     touches. The calling thread runs the first run of blocks and _pool
     the others; a pool thread runs where the OS schedules it, within the CPU
-    set of the thread whose split started it. With one worker, one block, or
-    under _MIN_RANGE_WORK elements per run, every block runs inline, in
-    order, and no thread is woken.
+    set of the thread whose split started it. With one worker, one block,
+    under _MIN_RANGE_WORK elements per run, or when started inside a run that
+    a split dealt out (see _runs), every block runs inline, in order, and no
+    thread is woken.
     Every run has finished when this returns, also when one raises; the first
     error in run order is then raised as itself.
 
@@ -203,10 +230,14 @@ def _split(bounds: list[int], fn, work: int) -> None:
     thread it is, so the results cannot depend on the worker count. A kernel
     whose bits depend on where it is cut, such as conv2d's matmuls, must
     pass a grid that depends on the shape alone. fn must write a disjoint
-    part of the output for each block and must not record a tape op, call a
+    part of the output for each block and must not record a tape op or call a
     public function of this package (tracing wraps those and assumes one
-    thread) or call _split. Buffers belong in the caller, so that threads
-    allocate nothing large.
+    thread). It may call a private kernel that calls _split: that nested
+    split runs inline on fn's thread, so a dealt-out run never waits on the
+    pool. A kernel's buffers belong in its caller, so that threads allocate
+    nothing large; the one exception is network.unroll's untaped stack, whose
+    groups of samples allocate their own layers' buffers on the thread that
+    runs them and write only into the caller's feature buffer.
     """
     blocks = len(bounds) - 1
 
@@ -214,16 +245,24 @@ def _split(bounds: list[int], fn, work: int) -> None:
         for k in range(first, last):
             fn(bounds[k], bounds[k + 1])
 
-    runs = min(_WORKERS, blocks, work * bounds[-1] // _MIN_RANGE_WORK)
+    runs = _runs(blocks, work * bounds[-1])
     if runs < 2:
         run(0, blocks)
         return
+
+    def dealt(first, last):
+        _DEALT.inside = True
+        try:
+            run(first, last)
+        finally:
+            _DEALT.inside = False
+
     cuts = [blocks * k // runs for k in range(runs + 1)]
     futures = []
     try:
         for first, last in zip(cuts[1:-1], cuts[2:]):
-            futures.append(_pool.submit(run, first, last))
-        run(cuts[0], cuts[1])
+            futures.append(_pool.submit(dealt, first, last))
+        dealt(cuts[0], cuts[1])
     finally:
         wait(futures)
     for f in futures:
@@ -260,6 +299,12 @@ def scale(a: Tensor, c: float) -> Tensor:
     return out
 
 
+def _matmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
+    """matmul's forward: a @ b, the bias row then added in place to every row."""
+    y = a @ b
+    return y if bias is None else np.add(y, bias, out=y)
+
+
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """a @ b, plus the bias row added to every row if given, as one tape node."""
     a, b = as_tensor(a), as_tensor(b)
@@ -267,8 +312,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise DimensionError(f"matmul expects rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise DimensionError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    y = a.data @ b.data
-    out = Tensor(y if bias is None else y + bias.data)
+    out = Tensor(_matmul(a.data, b.data, None if bias is None else bias.data))
     inputs = (a, b) if bias is None else (a, b, bias)
 
     def bwd(g):  # one gradient per input; the bias's is the column sums of g
@@ -470,6 +514,34 @@ def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding):
     return xp[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2), scatter
 
 
+def _kernel_rows(w: np.ndarray) -> np.ndarray:
+    """The kernel w [O,C,kh,kw] as [O, kh·kw·C] rows, in the layout of _im2col's patches."""
+    return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
+
+
+def _conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int,
+            padding: int) -> np.ndarray:
+    """conv2d's forward on arrays: y [B,O,oh,ow] in channels-last memory."""
+    b, _, h, wd = x.shape
+    co, ci, kh, kw = w.shape
+    oh, ow = _conv_geometry(h, wd, kh, kw, stride, padding)
+    rows, width = oh * ow, kh * kw * ci  # patch rows per sample, floats per row
+    wmat = _kernel_rows(w)
+    cols, copy = _im2col(x, kh, kw, stride, padding)
+    y = np.empty((b * rows, co), dtype=DTYPE)
+    per_sample = y.reshape(b, rows * co)
+    tiled = np.tile(bias, rows)
+
+    def forward(lo, hi):
+        copy(lo, hi)
+        np.dot(cols[lo * rows : hi * rows], wmat.T, out=y[lo * rows : hi * rows])
+        # the same elementwise adds as y += bias, over rows of whole samples
+        np.add(per_sample[lo:hi], tiled, out=per_sample[lo:hi])
+
+    _split(_sample_blocks(b, rows), forward, rows * (width + co))
+    return y.reshape(b, oh, ow, co).transpose(0, 3, 1, 2)
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation of x [B,C,H,W] with w [O,C,kh,kw], plus bias [O].
 
@@ -504,27 +576,13 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         raise DimensionError(f"conv2d expects [B,C,H,W] and [O,C,kh,kw], got {x.shape}, {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
-    b, _, h, wd = x.shape
+    x_data = x.data
+    out = Tensor(_conv2d(x_data, w.data, bias.data, stride, padding))
+    b, _, oh, ow = out.shape
     co, ci, kh, kw = w.shape
-    oh, ow = _conv_geometry(h, wd, kh, kw, stride, padding)
     rows, width = oh * ow, kh * kw * ci  # patch rows per sample, floats per row
     bounds = _sample_blocks(b, rows)
-    x_data = x.data
-    wmat = w.data.transpose(0, 2, 3, 1).reshape(co, width)  # rows match cols' layout
-    cols, copy = _im2col(x_data, kh, kw, stride, padding)
-    y = np.empty((b * rows, co), dtype=DTYPE)
-    per_sample = y.reshape(b, rows * co)
-    tiled = np.tile(bias.data, rows)
-
-    def forward(lo, hi):
-        copy(lo, hi)
-        np.dot(cols[lo * rows : hi * rows], wmat.T, out=y[lo * rows : hi * rows])
-        # the same elementwise adds as y += bias, over rows of whole samples
-        np.add(per_sample[lo:hi], tiled, out=per_sample[lo:hi])
-
-    _split(bounds, forward, rows * (width + co))
-    del cols, copy
-    out = Tensor(y.reshape(b, oh, ow, co).transpose(0, 3, 1, 2))
+    wmat = _kernel_rows(w.data)
 
     def bwd(g):
         g2 = g.transpose(0, 2, 3, 1).reshape(b * rows, co)
@@ -552,6 +610,28 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     return out
 
 
+def _avgpool2d(x: np.ndarray, k: int) -> np.ndarray:
+    """avgpool2d's forward on an array whose window k divides its height and width."""
+    b, c, h, w = x.shape
+    offsets = [(i, j) for i in range(k) for j in range(k)]
+    n = DTYPE(k * k)
+    acc = np.empty_like(x[:, :, ::k, ::k])  # the order np.add gives the views' sum
+
+    def pool(lo, hi):
+        part, out = x[lo:hi], acc[lo:hi]
+        views = [part[:, :, i::k, j::k] for i, j in offsets]
+        if k > 1:
+            np.add(views[0], views[1], out=out)
+        else:
+            np.copyto(out, views[0])
+        for view in views[2:]:
+            np.add(out, view, out=out)
+        np.divide(out, n, out=out)
+
+    _split(_sample_runs(b, c * h * w), pool, c * h * w)
+    return acc
+
+
 def avgpool2d(x: Tensor, window: int) -> Tensor:
     """Mean over non-overlapping window x window blocks of x [B,C,H,W].
 
@@ -559,8 +639,9 @@ def avgpool2d(x: Tensor, window: int) -> Tensor:
     buffer in row-major (i, j) order, then divides by window²; the backward
     writes g / window² into the same views of one gradient buffer. Both
     buffers take x's memory order. Both passes run over a grid of one block
-    of samples per worker (see _split for why the bits do not depend on it):
-    a sample's pooled values and gradients come from that sample alone.
+    of samples per worker, or one block when the pass runs inline (see
+    _split for why the bits do not depend on it): a sample's pooled values
+    and gradients come from that sample alone.
     """
     check_int("avgpool2d window", window, 1, ParameterError)
     if x.ndim != 4:
@@ -572,23 +653,8 @@ def avgpool2d(x: Tensor, window: int) -> Tensor:
     offsets = [(i, j) for i in range(k) for j in range(k)]
     n = DTYPE(k * k)
     data = x.data
-    acc = np.empty_like(data[:, :, ::k, ::k])  # the order np.add gives the views' sum
-
-    def pool(lo, hi):
-        part, out = data[lo:hi], acc[lo:hi]
-        views = [part[:, :, i::k, j::k] for i, j in offsets]
-        if k > 1:
-            np.add(views[0], views[1], out=out)
-        else:
-            np.copyto(out, views[0])
-        for view in views[2:]:
-            np.add(out, view, out=out)
-        np.divide(out, n, out=out)
-
-    parts = max(1, min(_WORKERS, b))  # one block per worker
-    bounds = [b * k // parts for k in range(parts + 1)]
-    _split(bounds, pool, c * h * w)
-    out = Tensor(acc)
+    out = Tensor(_avgpool2d(data, k))
+    bounds = _sample_runs(b, c * h * w)
 
     def bwd(g):
         gx = np.empty_like(data)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, prepare_sequence
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, check_int
 from .network import Model, unroll
 
 # float32 elements one unroll call may hold in its widest activation: an
@@ -43,9 +43,23 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
+def _checked_labels(labels, rows: int, class_count: int) -> np.ndarray:
+    """labels as an array; DataError unless they are `rows` integers in [0, class_count)."""
+    labels = np.asarray(labels)
+    if labels.shape != (rows,) or labels.dtype.kind not in "iu":
+        raise DataError(f"need {rows} integer labels, one per row, got {labels.dtype} "
+                        f"labels of shape {labels.shape}")
+    if rows and (labels.min() < 0 or labels.max() >= class_count):
+        raise DataError(f"labels {labels.min()}..{labels.max()} outside the "
+                        f"{class_count} classes [0, {class_count})")
+    return labels
+
+
 def top1_accuracy(o: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of samples whose argmax (ties toward smaller index) is the label."""
-    return float((o.argmax(axis=1) == np.asarray(labels)).mean())
+    """Fraction of samples whose argmax (ties toward smaller index) is the label;
+    DataError unless there is one label in [0, C) per row of o [B, C]."""
+    labels = _checked_labels(labels, o.shape[0], o.shape[1])
+    return float((o.argmax(axis=1) == labels).mean())
 
 
 def aurc(confidence: np.ndarray, correct: np.ndarray) -> float:
@@ -64,8 +78,9 @@ def aurc(confidence: np.ndarray, correct: np.ndarray) -> float:
 
 
 def per_class_accuracy(o: np.ndarray, labels: np.ndarray, class_count: int):
-    """Per-class conditional accuracy (NaN flags an absent class) and confusion counts."""
-    labels = np.asarray(labels)
+    """Per-class conditional accuracy (NaN flags an absent class) and confusion counts;
+    DataError unless there is one label in [0, class_count) per row of o."""
+    labels = _checked_labels(labels, o.shape[0], class_count)
     pred = o.argmax(axis=1)
     confusion = np.zeros((class_count, class_count), dtype=np.int64)
     np.add.at(confusion, (labels, pred), 1)
@@ -82,10 +97,10 @@ def evaluate(model: Model, data: Dataset, t_test: int) -> EvalReport:
     Each unroll call holds all t_test steps of its samples at once, so it takes
     max(1, min(BATCH, BUDGET // (t_test * model.widest_activation)))
     samples: the whole batch for small models, fewer for wide or long ones.
-    The data set must be nonempty and its labels must name the model's classes.
+    The data set must be nonempty and its labels must name the model's
+    classes; t_test must be an integer >= 1 (ParameterError; a bool is not).
     """
-    if t_test < 1:
-        raise ParameterError("t_test must be >= 1")
+    check_int("t_test", t_test, 1, ParameterError)
     labels = data.labels
     if not len(labels):
         raise DataError("the evaluation set is empty")
@@ -118,11 +133,12 @@ def evaluate(model: Model, data: Dataset, t_test: int) -> EvalReport:
 
 
 def timestep_sweep(model: Model, data: Dataset, t_values) -> dict[int, EvalReport]:
-    """Re-evaluate the same frozen model at each requested test length."""
-    out = {}
+    """Re-evaluate the same frozen model at each requested test length; every
+    length is checked, as in `evaluate`, before any is evaluated."""
+    t_values = list(t_values)
     for t_test in t_values:
-        out[int(t_test)] = evaluate(model, data, int(t_test))
-    return out
+        check_int("t_test", t_test, 1, ParameterError)
+    return {int(t_test): evaluate(model, data, int(t_test)) for t_test in t_values}
 
 
 def write_sweep_csv(path: str, sweep: dict[int, EvalReport]) -> None:

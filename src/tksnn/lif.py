@@ -9,8 +9,9 @@ s_{-1} = 0:
 The reset factor (1 - s_{t-1}) is differentiated like any other term.
 
 `lif_sequence` runs a whole current sequence, the [T·B, ...] rows a network
-holds, as one tape op (no reshape around it is recorded). Its forward
-repeats the update above op for op, so spikes and potentials equal
+holds, as one tape op (no reshape around it is recorded). Its forward,
+`_lif_rows`, is also what an untaped network runs, through `_lif_sequence`.
+It repeats the update above op for op, so spikes and potentials equal
 those of `lif_step` chained over T bit for bit. It steps through time in a
 few per-step buffers that each op writes in place (`out=`); every op still
 takes the same operands in the same order, so writing in place changes no
@@ -100,32 +101,40 @@ def _memory_order(a: np.ndarray) -> tuple[int, ...]:
     return (0,) + tuple(sorted(range(1, a.ndim), key=lambda k: -a.strides[k]))
 
 
-def lif_sequence(currents: Tensor, t_len: int, cfg: LifConfig,
-                 surrogate: SurrogateSpec) -> Tensor:
-    """Spikes [T·B,...] for input currents [T·B,...] (row t·B + b holds step t of
-    sample b) from a fresh state, as one tape op."""
-    rows_in = currents.data
+def _time_rows(rows_in: np.ndarray, t_len: int):
+    """(rows, back) for currents [T·B,...]: rows(x) views an array of their
+    shape as [T, N] in the currents' memory order, back(r) views such an
+    [T, N] array in their shape again.
+
+    Both loops run on these views (channels-last after a conv), views and not
+    copies of dense currents: every pass reads memory in order, and the
+    spikes keep that order for the next layer.
+    """
     if rows_in.ndim < 1 or t_len < 1 or rows_in.shape[0] % t_len:
         raise DimensionError(f"lif_sequence needs [T·B,...] currents, T={t_len}: {rows_in.shape}")
-    i_seq = rows_in.reshape((t_len, rows_in.shape[0] // t_len) + rows_in.shape[1:])
-    leak = DTYPE(1.0 - 1.0 / cfg.tau_m)
-    gain = DTYPE(1.0 / cfg.tau_m)
-    v_th = DTYPE(cfg.v_th)
-    # both loops run on [T, N] views in the currents' memory order (channels-
-    # last after a conv), views and not copies of dense currents: every pass
-    # reads memory in order, and the spikes keep that order for the next layer
-    order = _memory_order(i_seq)
-    shape = tuple(i_seq.shape[k] for k in order)
+    seq_shape = (t_len, rows_in.shape[0] // t_len) + rows_in.shape[1:]
+    order = _memory_order(rows_in.reshape(seq_shape))
+    shape = tuple(seq_shape[k] for k in order)
     inverse = tuple(sorted(range(len(order)), key=order.__getitem__))
 
     def rows(x):
-        return x.transpose(order).reshape(t_len, -1)
+        return x.reshape(seq_shape).transpose(order).reshape(t_len, -1)
 
-    i_rows = rows(i_seq)
+    def back(r):
+        return r.reshape(shape).transpose(inverse).reshape(rows_in.shape)
+
+    return rows, back
+
+
+def _lif_rows(i_rows: np.ndarray, t_len: int, cfg: LifConfig, keep_v: bool = False):
+    """lif_sequence's forward on the [T, N] view of its currents (see _time_rows):
+    the spikes and, if keep_v, the potentials (else None), both [T, N]."""
+    leak = DTYPE(1.0 - 1.0 / cfg.tau_m)
+    gain = DTYPE(1.0 / cfg.tau_m)
+    v_th = DTYPE(cfg.v_th)
     n = i_rows.shape[1]
     s_rows = np.empty_like(i_rows)
-    # only a recorded op's backward reads the potentials
-    v_rows = np.empty_like(i_rows) if ad._active_tape() is not None and currents._needs else None
+    v_rows = np.empty_like(i_rows) if keep_v else None
     # per-step scratch: each tile runs in its own slice
     v_step, s_step = np.zeros(n, dtype=DTYPE), np.zeros(n, dtype=DTYPE)
     a_step, carry_step = np.empty(n, dtype=DTYPE), np.empty(n, dtype=DTYPE)
@@ -146,12 +155,33 @@ def lif_sequence(currents: Tensor, t_len: int, cfg: LifConfig,
             np.add(carry, s, out=v)
             np.greater_equal(v, v_th, out=s)
 
-    tiles = list(range(0, n, TILE)) + [n]
-    ad._split(tiles, forward_tile, t_len)
-    out = Tensor(s_rows.reshape(shape).transpose(inverse).reshape(rows_in.shape))
+    ad._split(list(range(0, n, TILE)) + [n], forward_tile, t_len)
+    return s_rows, v_rows
+
+
+def _lif_sequence(rows_in: np.ndarray, t_len: int, cfg: LifConfig) -> np.ndarray:
+    """The untaped lif_sequence: spikes for currents [T·B,...], in their shape and memory order."""
+    rows, back = _time_rows(rows_in, t_len)
+    return back(_lif_rows(rows(rows_in), t_len, cfg)[0])
+
+
+def lif_sequence(currents: Tensor, t_len: int, cfg: LifConfig,
+                 surrogate: SurrogateSpec) -> Tensor:
+    """Spikes [T·B,...] for input currents [T·B,...] (row t·B + b holds step t of
+    sample b) from a fresh state, as one tape op."""
+    rows_in = currents.data
+    rows, back = _time_rows(rows_in, t_len)
+    # only a recorded op's backward reads the potentials
+    keep_v = ad._active_tape() is not None and currents._needs
+    s_rows, v_rows = _lif_rows(rows(rows_in), t_len, cfg, keep_v)
+    out = Tensor(back(s_rows))
+    leak = DTYPE(1.0 - 1.0 / cfg.tau_m)
+    gain = DTYPE(1.0 / cfg.tau_m)
+    v_th = DTYPE(cfg.v_th)
+    n = s_rows.shape[1]
 
     def bwd(g):
-        g_rows = rows(g.reshape(i_seq.shape))  # a view when g has the currents' memory order
+        g_rows = rows(g)  # a view when g has the currents' memory order
         grad = np.empty_like(s_rows)
         c_step, ds_step, a_step = (np.empty(n, dtype=DTYPE) for _ in range(3))
 
@@ -172,8 +202,8 @@ def lif_sequence(currents: Tensor, t_len: int, cfg: LifConfig,
                 np.add(c, ds, out=grad_tile[t])
             np.multiply(grad_tile, gain, out=grad_tile)
 
-        ad._split(tiles, backward_tile, t_len)
-        return (grad.reshape(shape).transpose(inverse).reshape(rows_in.shape),)
+        ad._split(list(range(0, n, TILE)) + [n], backward_tile, t_len)
+        return (back(grad),)
 
     ad._record(out, (currents,), bwd)
     return out

@@ -15,6 +15,11 @@ Layout: `unroll` views a C-contiguous input (as `data.prepare_sequence` makes
 it) as [T·B, ...] without a copy. A conv writes its output channels-last, and
 the LIF and pooling layers after it keep that memory order, so each reads its
 input in order. Without a tape, no LIF layer keeps its potentials.
+
+Without a tape, the layers before the readout run through the private
+kernels the public ops call (each layer's `infer`, `lif._lif_sequence`), in
+groups of whole samples dealt out to the workers in one split (see
+`_untaped_features`); the readout and the rest run once on the joined rows.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DTYPE, SurrogateSpec, Tensor
 from .errors import DimensionError, FormatError, ParameterError, TksnnError
-from .lif import LifConfig, lif_sequence
+from .lif import LifConfig, _lif_sequence, lif_sequence
 
 
 def _init_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -51,6 +56,9 @@ class Linear:
     def forward(self, x: Tensor) -> Tensor:
         return ad.matmul(x, self.w, self.b)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return ad._matmul(x, self.w.data, self.b.data)
+
     def params(self):
         return [("w", self.w), ("b", self.b)]
 
@@ -58,6 +66,9 @@ class Linear:
         if in_shape != (self.in_features,):
             raise DimensionError(f"linear expects ({self.in_features},), got {in_shape}")
         return (self.out_features,)
+
+    def step_work(self, in_shape) -> int:
+        return 0  # its product holds the interpreter lock (np.matmul)
 
 
 class Conv2d:
@@ -73,6 +84,9 @@ class Conv2d:
     def forward(self, x: Tensor) -> Tensor:
         return ad.conv2d(x, self.w, self.b, stride=self.stride, padding=self.padding)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return ad._conv2d(x, self.w.data, self.b.data, self.stride, self.padding)
+
     def params(self):
         return [("w", self.w), ("b", self.b)]
 
@@ -82,6 +96,11 @@ class Conv2d:
             raise DimensionError(f"conv2d expects {self.in_ch} channels, got {c}")
         oh, ow = ad._conv_geometry(h, w, self.kernel, self.kernel, self.stride, self.padding)
         return (self.out_ch, oh, ow)
+
+    def step_work(self, in_shape) -> int:
+        # conv2d's figure for _split: each output position's patch row and output row
+        _, oh, ow = self.out_shape(in_shape)
+        return oh * ow * (self.kernel * self.kernel * self.in_ch + self.out_ch)
 
 
 class AvgPool2d:
@@ -93,6 +112,9 @@ class AvgPool2d:
     def forward(self, x: Tensor) -> Tensor:
         return ad.avgpool2d(x, self.window)
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return ad._avgpool2d(x, self.window)
+
     def params(self):
         return []
 
@@ -102,6 +124,9 @@ class AvgPool2d:
             raise DimensionError(f"pool window {self.window} does not divide {in_shape}")
         return (c, h // self.window, w // self.window)
 
+    def step_work(self, in_shape) -> int:
+        return int(np.prod(in_shape))  # avgpool2d's figure for _split
+
 
 class Flatten:
     kind = "flatten"
@@ -109,11 +134,17 @@ class Flatten:
     def forward(self, x: Tensor) -> Tensor:
         return ad.reshape(x, (x.shape[0], -1))
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        return x.reshape(x.shape[0], -1)
+
     def params(self):
         return []
 
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
+
+    def step_work(self, in_shape) -> int:
+        return 0
 
 
 class Lif:
@@ -126,6 +157,11 @@ class Lif:
 
     def out_shape(self, in_shape):
         return in_shape
+
+    def step_work(self, in_shape) -> int:
+        # each call covers one time step: at mlp-small's 128 neurons per sample, a
+        # 256-sample unroll split in two ran slower at every T measured, 10 to 40
+        return 0
 
 
 @dataclass
@@ -151,12 +187,19 @@ class Model:
         # shape inference also validates layer compatibility
         shape = self.input_shape
         widest = int(np.prod(shape))
+        work = 0
         for layer in layers:
+            work += layer.step_work(shape)
             shape = layer.out_shape(shape)
             widest = max(widest, int(np.prod(shape)))
         self.readout.out_shape(shape)
         # float32 elements one sample-step needs in the largest activation
         self.widest_activation = max(widest, readout.out_features)
+        # float32 elements one sample-step takes through the calls that run over
+        # all T·b rows of a group at once and overlap on two threads, conv2d's
+        # and avgpool2d's (their figures for autodiff._split); the gate of
+        # unroll's untaped split. mlp-small's is 0 (see each layer's step_work)
+        self.step_work = work
 
     def parameters(self):
         out = []
@@ -196,6 +239,46 @@ def build_model(preset: str, input_shape, class_count: int, lif_cfg: LifConfig,
                  class_count=class_count, lif_cfg=lif_cfg, seed=seed)
 
 
+def _infer_stack(model: Model, rows: np.ndarray, t_len: int) -> np.ndarray:
+    """The layers before the readout on rows [T·b,...], untaped: each layer's
+    private kernel, the forward its tape op records."""
+    for layer in model.layers:
+        if layer.kind == "lif":
+            rows = _lif_sequence(rows, t_len, model.lif_cfg)
+        else:
+            rows = layer.infer(rows)
+    return rows
+
+
+def _untaped_features(model: Model, data: np.ndarray) -> np.ndarray:
+    """The readout's input rows [T·B, F] for inputs data [T,B,...], in groups
+    of whole samples, one per worker.
+
+    The groups are _split's blocks over the samples, gated by its work rule
+    on t_len · model.step_work per sample. Each group runs _infer_stack on
+    its own samples, so its kernels' own splits run inline on its thread, and
+    writes its rows of one [T, B, F] buffer. A sample's features come from
+    that sample alone, so they do not depend on the cut. One group runs on
+    the calling thread without a split, so its kernels split as they would
+    in the taped path.
+    """
+    t_len, batch = data.shape[:2]
+
+    def rows(lo, hi):  # [T·b,...]: a view of a whole C-contiguous batch, else a copy
+        return data[:, lo:hi].reshape((t_len * (hi - lo),) + data.shape[2:])
+
+    bounds = ad._sample_runs(batch, t_len * model.step_work)
+    if len(bounds) == 2:
+        return _infer_stack(model, rows(0, batch), t_len)
+    features = np.empty((t_len, batch, model.readout.in_features), dtype=DTYPE)
+
+    def group(lo, hi):
+        features[:, lo:hi] = _infer_stack(model, rows(lo, hi), t_len).reshape(t_len, hi - lo, -1)
+
+    ad._split(bounds, group, t_len * model.step_work)
+    return features.reshape(t_len * batch, -1)
+
+
 def unroll(model: Model, inputs) -> TemporalOutput:
     """Run the full sequence [T,B,...] from fresh states; gradients flow end to end.
 
@@ -210,12 +293,15 @@ def unroll(model: Model, inputs) -> TemporalOutput:
     t_len, batch = data.shape[:2]
     if t_len < 1 or batch < 1:
         raise ParameterError(f"unroll needs one timestep and one sample, got T={t_len}, B={batch}")
-    h = Tensor(data.reshape((t_len * batch,) + data.shape[2:]))
-    for layer in model.layers:
-        if layer.kind == "lif":
-            h = lif_sequence(h, t_len, model.lif_cfg, model.surrogate)
-        else:
-            h = layer.forward(h)
+    if ad._active_tape() is None:
+        h = Tensor(_untaped_features(model, data))
+    else:
+        h = Tensor(data.reshape((t_len * batch,) + data.shape[2:]))
+        for layer in model.layers:
+            if layer.kind == "lif":
+                h = lif_sequence(h, t_len, model.lif_cfg, model.surrogate)
+            else:
+                h = layer.forward(h)
     q = ad.reshape(model.readout.forward(h), (t_len, batch, -1))
     v = ad.softmax_temperature(q, 1.0)
     o = ad.mean(v, axis=0)

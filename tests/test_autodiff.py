@@ -661,21 +661,28 @@ def test_split_raises_the_error_itself_after_every_run_has_finished(monkeypatch,
 
 def test_pool_submissions_of_each_split_call_of_cnn_small(monkeypatch):
     """Pool submissions per _split call with two workers, pinned: every call
-    of a cnn-small training step (B=16, T=10) splits once, and an untaped
-    8-sample unroll splits its big early kernels only from T=4 on."""
+    of a cnn-small training step (B=16, T=10) splits once. An untaped
+    8-sample unroll hands off once, its groups of whole samples, from T=2 on,
+    and every kernel split inside a group runs inline on the group's thread;
+    at T=1 it runs on the calling thread, with no hand-off."""
     from tksnn import TeacherConfig, build_model, objective, unroll
     from tksnn.lif import LifConfig
 
     monkeypatch.setattr(ad, "_WORKERS", 2)
-    calls = []
+    calls, current = [], threading.local()
     split, submit = ad._split, ad._pool.submit
 
     def counting_split(bounds, fn, work):
-        calls.append([fn.__qualname__.split(".")[0], 0])
-        split(bounds, fn, work)
+        outer = getattr(current, "call", None)
+        current.call = [fn.__qualname__.split(".")[0], threading.get_ident(), 0]
+        calls.append(current.call)
+        try:
+            split(bounds, fn, work)
+        finally:
+            current.call = outer
 
     def counting_submit(*args):
-        calls[-1][1] += 1
+        current.call[2] += 1
         return submit(*args)
 
     monkeypatch.setattr(ad, "_split", counting_split)
@@ -686,14 +693,22 @@ def test_pool_submissions_of_each_split_call_of_cnn_small(monkeypatch):
     with GradTape() as tape:
         loss, _, _ = objective(unroll(model, x), np.arange(16) % 10, TeacherConfig(), 0.5)
     backward(loss, tape)
-    assert [count for _, count in calls] == [1] * 15
-    layers = ["conv2d", "lif_sequence", "avgpool2d"] * 2
-    submitted = {1: [0] * 6, 2: [0] * 6, 4: [1, 0, 0, 1, 0, 0], 6: [1, 0, 0, 1, 0, 0],
-                 8: [1, 1, 1, 1, 0, 0], 10: [1, 1, 1, 1, 0, 0]}
-    for t_len, counts in submitted.items():
+    assert [count for _, _, count in calls] == [1] * 15
+    caller = threading.get_ident()
+    kernels = ["_conv2d", "_lif_rows", "_avgpool2d"] * 2
+    for t_len in (1, 2, 4, 6, 8, 10):
         calls.clear()
         unroll(model, rng.uniform(0, 3, size=(t_len, 8, 2, 32, 32)).astype(np.float32))
-        assert calls == [list(call) for call in zip(layers, counts)], t_len
+        if t_len == 1:
+            assert calls == [[name, caller, 0] for name in kernels]
+            continue
+        assert calls[0] == ["_untaped_features", caller, 1], t_len
+        by_thread = {}
+        for name, thread, count in calls[1:]:
+            assert count == 0, (t_len, name)
+            by_thread.setdefault(thread, []).append(name)
+        assert caller in by_thread and len(by_thread) == 2, t_len
+        assert all(names == kernels for names in by_thread.values()), t_len
 
 
 def test_a_tape_records_nothing_from_ops_on_another_thread():

@@ -63,6 +63,32 @@ def test_per_class_accuracy_absent_class_is_nan():
     assert acc[0] == 1.0 and acc[1] == 1.0 and np.isnan(acc[2])
 
 
+@pytest.mark.parametrize("labels", [
+    [0, 1],  # two labels for three rows
+    [0, 1, 1, 0],  # four
+    [1],  # one label, which would broadcast over the rows
+    [[0, 1, 1]],  # not one-dimensional
+    [-1, 0, 1],  # below class 0
+    [0, 1, 2],  # class C of C=2
+    [0.0, 1.0, 1.0],  # not integers
+    [True, False, True],
+], ids=["short", "long", "one", "2-d", "negative", "class C", "float", "bool"])
+def test_metric_helpers_reject_labels_that_do_not_name_one_class_per_row(labels):
+    o = np.array([[0.5, 0.5], [0.2, 0.8], [0.9, 0.1]])
+    with pytest.raises(DataError):
+        top1_accuracy(o, labels)
+    with pytest.raises(DataError):
+        per_class_accuracy(o, labels, 2)
+
+
+def test_per_class_accuracy_checks_labels_against_its_class_count():
+    o = np.eye(3)[[0, 1]]
+    acc, confusion = per_class_accuracy(o, [0, 2], 3)  # class 2 of 3: counted
+    assert confusion[2, 1] == 1 and acc[2] == 0.0
+    with pytest.raises(DataError):
+        per_class_accuracy(o, [0, 3], 3)
+
+
 def test_per_timestep_acc_matches_whole_set_unroll_oracle(monkeypatch):
     monkeypatch.setattr(evaluation, "BATCH", 5)
     data = small_dataset()
@@ -235,6 +261,38 @@ def test_evaluate_rejects_bad_t_test():
                         LifConfig(), SurrogateSpec(), seed=0)
     with pytest.raises(ParameterError):
         evaluate(model, data, t_test=0)
+
+
+BAD_T = [2.5, 0, -1, True, "3", None, np.float64(2.0)]
+
+
+@pytest.mark.parametrize("t_test", BAD_T, ids=repr)
+def test_evaluate_and_sweep_take_only_integer_timestep_counts(t_test):
+    data = small_dataset()
+    model = build_model("mlp-small", data.sample_shape, data.class_count,
+                        LifConfig(), SurrogateSpec(), seed=0)
+    with pytest.raises(ParameterError, match="t_test"):
+        evaluate(model, data, t_test)
+    with pytest.raises(ParameterError, match="t_test"):
+        timestep_sweep(model, data, [t_test])
+
+
+def test_sweep_checks_every_timestep_count_before_evaluating_any(monkeypatch):
+    data = small_dataset()
+    model = build_model("mlp-small", data.sample_shape, data.class_count,
+                        LifConfig(), SurrogateSpec(), seed=0)
+    monkeypatch.setattr(evaluation, "evaluate", lambda *a: pytest.fail("evaluated"))
+    with pytest.raises(ParameterError, match="2.5"):
+        timestep_sweep(model, data, [1, 2, 2.5])
+
+
+def test_sweep_takes_numpy_integer_timestep_counts_under_int_keys():
+    data = small_dataset()
+    model = build_model("mlp-small", data.sample_shape, data.class_count,
+                        LifConfig(), SurrogateSpec(), seed=0)
+    sweep = timestep_sweep(model, data, np.array([2, 1]))
+    assert list(sweep) == [2, 1] and all(type(t) is int for t in sweep)
+    assert sweep[2].top1 == evaluate(model, data, 2).top1
 
 
 def test_report_serialization_round_trip():

@@ -49,13 +49,23 @@ def test_kernel_profile_demo_runs(monkeypatch, capsys):
                         "6:flatten", "readout"]
     assert all(len(v) == 2 for v in ms.values())
     assert ms["3:conv2d"][1] > 0  # its backward ran
-    # each unroll's table: one ms column and the layer's faults
+    # each unroll's table: one ms column and the layer's faults, for each
+    # layer's kernel, the readout and the whole split call, which holds the
+    # kernels (they run inside it, in one group at T=1)
     for t_len in (1, 10):
         unrolled = out.split(f"untaped unroll, T={t_len}, B=8:", 1)[1].splitlines()
         assert f"ms ({label}), minor faults" in unrolled[0]
+        groups = demo.autodiff._sample_runs(8, t_len * demo.new_model().step_work)
+        assert unrolled[0].endswith(f"; {len(groups) - 1} group" + "s" * (len(groups) > 2))
         assert unrolled[1].split() == ["layer", *label.split(), "faults"]
-        assert [line.split()[0] for line in unrolled[2:9]] == list(ms)
-        assert all(len(re.findall(r"[0-9.]+ ms", line)) == 1 for line in unrolled[2:9])
+        assert [line.split()[0] for line in unrolled[2:10]] == list(ms) + ["split"]
+        assert all(len(re.findall(r"[0-9.]+ ms", line)) == 1 for line in unrolled[2:10])
+        took = {line.split()[0]: float(re.search(r"([0-9.]+) ms", line).group(1))
+                for line in unrolled[2:10]}
+        assert all(took[name] > 0 for name in took if name != "6:flatten")
+        if len(groups) == 2:  # one group, on the calling thread: the split holds its kernels
+            kernels = sum(took[name] for name in ms if name != "readout")
+            assert 0 < kernels <= took["split"] + 0.01  # rows print to 1 us
     # the mlp-small step: three parts that add up to the step, and the LIF
     # layer's backward within the backward
     mlp = out.split("mlp-small TKS step, T=10, B=32:", 1)[1].split("allocation peak", 1)[0]

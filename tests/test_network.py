@@ -251,3 +251,167 @@ def test_cnn_unroll_untaped_equals_taped(cfg):
 def test_unknown_preset_rejected():
     with pytest.raises(ParameterError):
         build_model("resnet-19", (8,), 3, LIF, SUR, 0)
+
+
+# ---------------------------------------------------------------------------
+# the untaped unroll in groups of whole samples, one per worker
+
+
+def poisson_frames(seed, t_len, batch, shape=(2, 32, 32)):
+    """[T,B,2,32,32] sparse event counts, as `data.bin_events` makes them."""
+    return np.random.default_rng(seed).poisson(0.15, size=(t_len, batch) + shape).astype(np.float32)
+
+
+def event_model():
+    return build_model("cnn-small", (2, 32, 32), 4, LIF, SUR, 0)
+
+
+def one_worker(monkeypatch, fn, *args):
+    """fn(*args) with every split run inline, then the caller's worker count back."""
+    count = ad._WORKERS
+    monkeypatch.setattr(ad, "_WORKERS", 1)
+    try:
+        return fn(*args)
+    finally:
+        monkeypatch.setattr(ad, "_WORKERS", count)
+
+
+def assert_same_bits(a, b):
+    for name in ("q", "v", "o"):
+        assert getattr(a, name).data.tobytes() == getattr(b, name).data.tobytes(), name
+
+
+def test_the_work_gate_keeps_small_unrolls_whole(monkeypatch):
+    # measured on two vCPUs: an 8-sample cnn-small unroll ran slower split at
+    # T=1 and faster from T=2 on; mlp-small ran slower split at evaluate's
+    # 256-sample chunks at every T measured, 10 to 40
+    monkeypatch.setattr(ad, "_WORKERS", 2)
+    cnn, mlp = event_model(), build_model("mlp-small", (40,), 4, LIF, SUR, 0)
+    assert [len(ad._sample_runs(8, t * cnn.step_work)) - 1 for t in range(1, 11)] == [1] + [2] * 9
+    assert mlp.step_work == 0
+    assert all(len(ad._sample_runs(256, t * mlp.step_work)) == 2 for t in (1, 10, 40, 1000))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+@pytest.mark.parametrize("t_len", [1, 2, 4, 10])
+@pytest.mark.parametrize("batch", [1, 2, 3, 5, 8])
+def test_split_cnn_unroll_equals_one_worker_bit_for_bit(workers, t_len, batch, monkeypatch):
+    model = event_model()
+    x = poisson_frames(t_len * 10 + batch, t_len, batch)
+    split = unroll(model, x)
+    assert len(ad._sample_runs(batch, t_len * model.step_work)) - 1 == min(workers, batch)
+    assert_same_bits(split, one_worker(monkeypatch, unroll, model, x))
+    with ad.GradTape():  # the public per-layer ops, the training path
+        assert_same_bits(split, unroll(model, x))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+def test_split_mlp_unroll_at_an_evaluate_chunk_equals_one_worker_bit_for_bit(workers,
+                                                                            monkeypatch):
+    model = build_model("mlp-small", (40,), 4, LIF, SUR, 0)
+    model.step_work = 1  # mlp-small's is 0, which never splits
+    x = np.random.default_rng(7).uniform(size=(10, 256, 40)).astype(np.float32)
+    split = unroll(model, x)
+    assert len(ad._sample_runs(256, 10 * model.step_work)) - 1 == workers
+    assert_same_bits(split, one_worker(monkeypatch, unroll, model, x))
+    with ad.GradTape():
+        assert_same_bits(split, unroll(model, x))
+
+
+def reports_json(sweep):
+    import json
+
+    return json.dumps({t: r.to_dict() for t, r in sweep.items()}, sort_keys=True)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3], indirect=True)
+def test_split_sweeps_give_one_workers_reports_bit_for_bit(workers, monkeypatch):
+    from tksnn.data import Dataset, build_dataset
+    from tksnn.evaluation import timestep_sweep
+    from tksnn.trainer import DataConfig
+
+    rng = np.random.default_rng(3)
+    frames = rng.poisson(0.15, size=(13, 10, 2, 32, 32)).astype(np.float32)
+    events = Dataset(frames, rng.integers(0, 4, size=13), 4, temporal=True)
+    synth = build_dataset(DataConfig(n_per_class=70, t_native=10, classes=4, seed=1), "test")
+    mlp = build_model("mlp-small", synth.sample_shape, 4, LIF, SUR, 0)
+    mlp.step_work = 1  # mlp-small's is 0, which never splits
+    for model, data in ((event_model(), events), (mlp, synth)):
+        split = timestep_sweep(model, data, (1, 2, 4, 10))
+        whole = one_worker(monkeypatch, timestep_sweep, model, data, (1, 2, 4, 10))
+        assert reports_json(split) == reports_json(whole)
+
+
+def public_functions():
+    """(namespace, name, function) of every public function of autodiff, lif
+    and network, in every tksnn module that holds it."""
+    import inspect
+    import sys
+
+    import tksnn
+
+    modules = [m for name, m in sys.modules.items()
+               if (name == "tksnn" or name.startswith("tksnn.")) and m is not None]
+    out = []
+    for owner in (tksnn.autodiff, tksnn.lif, tksnn.network):
+        for name, fn in vars(owner).items():
+            if inspect.isfunction(fn) and fn.__module__ == owner.__name__ and name[0] != "_":
+                out += [(m, name, fn) for m in modules if getattr(m, name, None) is fn]
+    return out
+
+
+@pytest.mark.parametrize("workers", [2, 3], indirect=True)
+def test_a_split_untaped_unroll_calls_public_functions_on_the_calling_thread_only(
+        workers, monkeypatch):
+    import threading
+
+    import tksnn.network as network
+
+    threads = {"public": set(), "groups": set()}
+
+    def on_thread(key, fn):
+        def inner(*args, **kwargs):
+            threads[key].add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return inner
+
+    wrapped = public_functions()
+    assert {name for _, name, _ in wrapped} >= {"conv2d", "avgpool2d", "matmul", "reshape",
+                                                "lif_sequence", "unroll", "softmax_temperature"}
+    for namespace, name, fn in wrapped:
+        monkeypatch.setattr(namespace, name, on_thread("public", fn))
+    # the groups' stack, to see that they ran off the calling thread too
+    monkeypatch.setattr(network, "_infer_stack", on_thread("groups", network._infer_stack))
+    from tksnn import unroll as public_unroll
+
+    public_unroll(event_model(), poisson_frames(0, 4, 5))
+    caller = threading.get_ident()
+    assert threads["public"] == {caller}
+    assert caller in threads["groups"] and len(threads["groups"]) > 1
+
+
+@pytest.mark.parametrize("workers", [4], indirect=True)
+def test_split_unrolls_under_frequent_thread_switches_keep_every_group_s_rows(workers,
+                                                                             monkeypatch):
+    # more groups than CPUs and a thread switch every microsecond: a group
+    # row lost, or a kernel split inside a group that waited on the pool,
+    # would show as other bits or as a thread still running at the timeout
+    import sys
+    import threading
+
+    model = event_model()
+    inputs = [poisson_frames(seed, 3, 7) for seed in range(12)]
+    expected = [one_worker(monkeypatch, unroll, model, x) for x in inputs]
+    got = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        thread = threading.Thread(target=lambda: got.extend(unroll(model, x) for x in inputs))
+        thread.start()
+        thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+    assert len(got) == len(inputs)
+    for split, whole in zip(got, expected):
+        assert_same_bits(split, whole)
