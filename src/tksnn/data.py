@@ -17,12 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import DTYPE
-from .errors import ConfigError, DataError, FormatError, ParameterError
+from .errors import ConfigError, DataError, FormatError, ParameterError, check_int, check_labels
 
 
 @dataclass
 class Dataset:
-    """Inputs are static [N, ...] or temporal [N, T, ...]; labels are class ids."""
+    """Inputs are static [N, ...] or temporal [N, T, ...]; labels are N class ids in
+    [0, class_count) (`check_labels`: DataError otherwise)."""
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -30,13 +31,7 @@ class Dataset:
     temporal: bool
 
     def __post_init__(self):
-        if len(self.labels) != self.inputs.shape[0]:
-            raise DataError(f"{self.inputs.shape[0]} inputs but {len(self.labels)} labels")
-        dtype = np.asarray(self.labels).dtype
-        if not np.issubdtype(dtype, np.integer):
-            raise DataError(f"labels must be integer class ids, got dtype {dtype}")
-        if len(self.labels) and (self.labels.min() < 0 or self.labels.max() >= self.class_count):
-            raise DataError(f"labels outside [0,{self.class_count})")
+        check_labels(self.labels, self.inputs.shape[0], self.class_count)
 
     @property
     def sample_shape(self):
@@ -52,8 +47,7 @@ def prepare_sequence(batch: np.ndarray, temporal: bool, t_len: int) -> np.ndarra
     result is C-contiguous, so `unroll` views it as [T·B, ...] without another
     copy.
     """
-    if t_len < 1:
-        raise ParameterError("sequence length must be >= 1")
+    check_int("sequence length", t_len, 1, ParameterError)
     if not temporal:
         return np.repeat(np.asarray(batch, dtype=DTYPE)[None], t_len, axis=0)
     kept = min(t_len, batch.shape[1])
@@ -78,10 +72,8 @@ def class_schedules(classes: int, t_len: int) -> np.ndarray:
     depend only on (classes, t_len), so independently seeded train and test
     sets share the same class definitions.
     """
-    if t_len < 2:
-        raise ParameterError("order-encoded patterns need T >= 2")
-    if classes < 1:
-        raise ParameterError(f"order-encoded patterns need at least one class, got {classes}")
+    check_int("order-encoded T", t_len, 2, ParameterError)
+    check_int("order-encoded classes", classes, 1, ParameterError)
     limit = math.factorial(min(t_len, 20))
     if classes > limit:
         raise ParameterError(f"only {limit} distinct schedules exist for T={t_len}")
@@ -140,7 +132,10 @@ def _read_idx(path: str, magic: int, what: str) -> np.ndarray:
     if len(data) - head != expected:
         raise FormatError(f"{path}: expected {expected} {what} bytes, "
                           f"got {len(data) - head} (offset {head})")
-    return np.frombuffer(data, dtype=np.uint8, offset=head).reshape(dims)
+    try:
+        return np.frombuffer(data, dtype=np.uint8, offset=head).reshape(dims)
+    except ValueError as exc:  # an empty array whose other dims overflow numpy's size
+        raise FormatError(f"{path}: dims {dims} describe no array: {exc}") from exc
 
 
 def load_idx(images_path: str, labels_path: str, classes: int) -> Dataset:
@@ -268,8 +263,8 @@ def bin_events(stream: EventStream, t_len: int, width: int, height: int) -> np.n
     final window is closed so the last event is kept. Counts are exact up to
     2^24 events per cell, where float32 stops counting by ones.
     """
-    if t_len < 1:
-        raise ParameterError("bin_events needs T >= 1")
+    for name, count in (("T", t_len), ("width", width), ("height", height)):
+        check_int(f"bin_events {name}", count, 1, ParameterError)
     shape = (t_len, 2, height, width)
     ev = stream.events
     if len(ev) == 0:

@@ -1,7 +1,10 @@
-"""Exception hierarchy shared across the library, and the number checks of its configs."""
+"""Exception hierarchy shared across the library, and its argument checks: counts,
+finite numbers and label arrays."""
 
 import math
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class TksnnError(Exception):
@@ -56,3 +59,16 @@ def check_float(name: str, value, error=ConfigError) -> None:
         finite = False
     if not finite:
         raise error(f"{name} must be a finite number, got {value!r}")
+
+
+def check_labels(labels, n: int, classes: int) -> np.ndarray:
+    """labels, a numpy array; DataError unless it holds n integer class ids in
+    [0, classes), shape (n,) (a bool array is not integer, nor is a list)."""
+    array = isinstance(labels, np.ndarray)
+    ids = array and labels.shape == (n,) and labels.dtype.kind in "iu"
+    if ids and (n == 0 or (labels.min() >= 0 and labels.max() < classes)):
+        return labels
+    got = f"{labels.dtype} labels of shape {labels.shape}" if array else f"a {type(labels).__name__}"
+    if ids:  # n > 0 of them, some outside the classes
+        got += f", values {labels.min()}..{labels.max()}"
+    raise DataError(f"need {n} integer class ids in [0,{classes}), one per sample, got {got}")

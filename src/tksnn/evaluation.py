@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, prepare_sequence
-from .errors import DataError, ParameterError, check_int
+from .errors import DataError, ParameterError, check_int, check_labels
 from .network import Model, unroll
 
 # float32 elements one unroll call may hold in its widest activation: an
@@ -43,32 +43,24 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _checked_labels(labels, rows: int, class_count: int) -> np.ndarray:
-    """labels as an array; DataError unless they are `rows` integers in [0, class_count)."""
-    labels = np.asarray(labels)
-    if labels.shape != (rows,) or labels.dtype.kind not in "iu":
-        raise DataError(f"need {rows} integer labels, one per row, got {labels.dtype} "
-                        f"labels of shape {labels.shape}")
-    if rows and (labels.min() < 0 or labels.max() >= class_count):
-        raise DataError(f"labels {labels.min()}..{labels.max()} outside the "
-                        f"{class_count} classes [0, {class_count})")
-    return labels
-
-
 def top1_accuracy(o: np.ndarray, labels: np.ndarray) -> float:
     """Fraction of samples whose argmax (ties toward smaller index) is the label;
     DataError unless there is one label in [0, C) per row of o [B, C]."""
-    labels = _checked_labels(labels, o.shape[0], o.shape[1])
+    labels = check_labels(labels, o.shape[0], o.shape[1])
     return float((o.argmax(axis=1) == labels).mean())
 
 
 def aurc(confidence: np.ndarray, correct: np.ndarray) -> float:
     """Mean selective risk over all coverage prefixes, confidence descending.
 
-    Ties are broken by sample index. Returns the raw area in [0, 1].
+    Ties are broken by sample index. Returns the raw area in [0, 1]. ParameterError
+    unless confidence and correct are 1-D, of one nonzero length.
     """
     confidence = np.asarray(confidence)
     correct = np.asarray(correct)
+    if confidence.ndim != 1 or correct.shape != confidence.shape:
+        raise ParameterError(f"aurc needs 1-D confidence and correct of one length, got shapes "
+                             f"{confidence.shape} and {correct.shape}")
     if len(confidence) < 1:
         raise ParameterError("aurc needs at least one sample")
     order = np.argsort(-confidence, kind="stable")
@@ -80,7 +72,7 @@ def aurc(confidence: np.ndarray, correct: np.ndarray) -> float:
 def per_class_accuracy(o: np.ndarray, labels: np.ndarray, class_count: int):
     """Per-class conditional accuracy (NaN flags an absent class) and confusion counts;
     DataError unless there is one label in [0, class_count) per row of o."""
-    labels = _checked_labels(labels, o.shape[0], class_count)
+    labels = check_labels(labels, o.shape[0], class_count)
     pred = o.argmax(axis=1)
     confusion = np.zeros((class_count, class_count), dtype=np.int64)
     np.add.at(confusion, (labels, pred), 1)
@@ -101,12 +93,10 @@ def evaluate(model: Model, data: Dataset, t_test: int) -> EvalReport:
     classes; t_test must be an integer >= 1 (ParameterError; a bool is not).
     """
     check_int("t_test", t_test, 1, ParameterError)
-    labels = data.labels
-    if not len(labels):
-        raise DataError("the evaluation set is empty")
-    if labels.max() >= model.class_count:
-        raise DataError(f"label {labels.max()} outside the model's {model.class_count} classes")
     n = data.inputs.shape[0]
+    if not n:
+        raise DataError("the evaluation set is empty")
+    labels = check_labels(data.labels, n, model.class_count)
     per_call = max(1, min(BATCH, BUDGET // (t_test * model.widest_activation)))
     o_all = np.empty((n, model.class_count), dtype=np.float64)
     v_sum_correct = np.zeros(t_test)  # per-timestep correct counts

@@ -386,7 +386,7 @@ def load_checkpoint(path):
         epoch = header["epoch"]  # save_checkpoint always writes it; resuming reads it
         if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
             raise ValueError(f"epoch {epoch!r} is not a non-negative integer")
-    except (KeyError, TypeError, ValueError, TksnnError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, MemoryError, TksnnError) as exc:
         raise FormatError(f"{path}: header does not describe a model: {exc!r}") from exc
     off = 12 + hlen
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DTYPE, Tensor
 from .errors import (
-    ConfigError, ContractError, DataError, ParameterError, check_float, check_int,
+    ConfigError, ContractError, DataError, ParameterError, check_float, check_int, check_labels,
 )
 
 TEACHER_MODES = ("tks", "none", "label_smoothing", "per_timestep_labels")
@@ -54,25 +54,23 @@ class AlphaSchedule:
             check_float("alpha bound", a, ParameterError)
             if not 0.0 <= a <= 1.0:
                 raise ParameterError(f"alpha bounds must lie in [0,1], got {a}")
-        if self.total_epochs < 1:
-            raise ParameterError("schedule needs at least one epoch")
+        check_int("total_epochs", self.total_epochs, 1, ParameterError)
 
 
 def _as_array(v) -> np.ndarray:
     return v.data if isinstance(v, Tensor) else np.asarray(v, dtype=DTYPE)
 
 
-def _one_hot(labels, b: int, c: int) -> np.ndarray:
-    """Labels [b] as float32 one-hot rows [b, c]; DataError unless b > 0 and there
-    are b of them, each an integer in [0, c)."""
+def _batch_labels(labels, b: int, c: int) -> np.ndarray:
+    """labels; DataError unless b > 0 and they pass `check_labels` for b samples of c classes."""
     if b == 0:
         raise DataError("an empty batch (B=0) has no labels to score")
-    labels = np.asarray(labels)
-    if labels.shape != (b,):
-        raise DataError(f"{b} samples need {b} labels, got an array of shape {labels.shape}")
-    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= c:
-        raise DataError(f"labels must be integers in [0,{c})")
-    return (labels[:, None] == np.arange(c)).astype(DTYPE)
+    return check_labels(labels, b, c)
+
+
+def _one_hot(labels, b: int, c: int) -> np.ndarray:
+    """Labels [b] as float32 one-hot rows [b, c], checked as `_batch_labels` does."""
+    return (_batch_labels(labels, b, c)[:, None] == np.arange(c)).astype(DTYPE)
 
 
 def select_teachers(v, labels, k: int) -> np.ndarray:
@@ -81,11 +79,12 @@ def select_teachers(v, labels, k: int) -> np.ndarray:
     Ties break toward smaller t (stable sort). Returns int indices [B, k].
     """
     va = _as_array(v)
-    t_len = va.shape[0]
-    onehot = _one_hot(labels, va.shape[1], va.shape[-1])
-    if not 1 <= k <= t_len:
+    t_len, b = va.shape[:2]
+    labels = _batch_labels(labels, b, va.shape[-1])
+    check_int("teacher count k", k, 1, ParameterError)
+    if k > t_len:
         raise ParameterError(f"teacher count k={k} must be in [1, T={t_len}]")
-    true_prob = (va * onehot).sum(axis=-1)  # [T, B]
+    true_prob = va[:, np.arange(b), labels]  # [T, B]
     order = np.argsort(-true_prob, axis=0, kind="stable")  # descending, smaller t first
     return np.sort(order[:k], axis=0).T.astype(np.int64)
 
@@ -136,7 +135,8 @@ def final_loss(l_ce: Tensor, l_tks: Tensor, alpha: float, tau: float) -> Tensor:
 
 def alpha_at(epoch: int, sched: AlphaSchedule) -> float:
     """Linear ramp from alpha_start to alpha_end over the run."""
-    if not 0 <= epoch < sched.total_epochs:
+    check_int("epoch", epoch, 0, ParameterError)
+    if epoch >= sched.total_epochs:
         raise ParameterError(f"epoch {epoch} outside [0,{sched.total_epochs})")
     if sched.total_epochs == 1:
         return sched.alpha_end

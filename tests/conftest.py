@@ -14,6 +14,8 @@ HEADER_DEFECTS = {
     "tau_m below 1": lambda h: h["lif"].update(tau_m=0.5),
     "no epoch": lambda h: h.pop("epoch"),
     "fractional epoch": lambda h: h.update(epoch=1.5),
+    "infinite input size": lambda h: h.update(input_shape=[float("inf")]),
+    "more classes than memory holds": lambda h: h.update(class_count=10**12),
 }
 
 

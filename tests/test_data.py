@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import re
 import struct
@@ -23,7 +24,7 @@ from tksnn.data import (
     save_idx,
     synth_temporal,
 )
-from tksnn.errors import DataError, FormatError, ParameterError
+from tksnn.errors import DataError, FormatError, ParameterError, TksnnError
 from tksnn.trainer import DataConfig
 
 
@@ -94,7 +95,7 @@ def test_schedules_rejects_impossible_requests():
     with pytest.raises(ParameterError):
         class_schedules(3, 2)  # only 2 permutations of length 2
     for classes in (0, -1):
-        with pytest.raises(ParameterError, match="at least one class"):
+        with pytest.raises(ParameterError, match="classes must be >= 1"):
             class_schedules(classes, 4)
 
 
@@ -603,6 +604,41 @@ def test_load_events_fuzz_arbitrary_bytes(data):
     assert_same_as_ref(data)
 
 
+def idx_file(magic: int, rank: int):
+    """IDX bytes near a valid file: this magic or the other kind's, small dims (or
+    one beyond any body), and a body of their product's length (at most 27 bytes)
+    give or take a byte."""
+    other = tksnn.data.IDX_IMAGES_MAGIC ^ tksnn.data.IDX_LABELS_MAGIC ^ magic
+
+    def with_body(head):
+        found, dims, extra = head
+        n = max(0, min(math.prod(dims), 27) + extra)
+        return st.binary(min_size=n, max_size=n).map(
+            lambda body: struct.pack(f">{1 + rank}I", found, *dims) + body)
+
+    dims = st.lists(st.integers(0, 3) | st.just(2**32 - 1), min_size=rank, max_size=rank)
+    return st.tuples(st.sampled_from([magic, other]), dims,
+                     st.sampled_from([0, 0, -1, 1])).flatmap(with_body)
+
+
+@FUZZ
+@given(images=idx_file(tksnn.data.IDX_IMAGES_MAGIC, 3) | st.binary(max_size=40),
+       labels=idx_file(tksnn.data.IDX_LABELS_MAGIC, 1) | st.binary(max_size=12),
+       classes=st.integers(1, 300))
+def test_load_idx_fuzz_lets_only_library_errors_escape(images, labels, classes):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = os.path.join(tmp, "im.idx"), os.path.join(tmp, "lb.idx")
+        for path, data in zip(paths, (images, labels)):
+            with open(path, "wb") as f:
+                f.write(data)
+        try:
+            ds = load_idx(*paths, classes)
+        except TksnnError:
+            return
+    assert ds.inputs.shape[0] == len(ds.labels)
+    assert ds.labels.max(initial=0) < classes
+
+
 def test_dataset_rejects_out_of_range_labels():
     with pytest.raises(DataError):
         Dataset(inputs=np.zeros((2, 3), dtype=np.float32),
@@ -619,7 +655,7 @@ def test_dataset_rejects_labels_that_are_not_integers(labels):
 
 
 def test_dataset_rejects_labels_of_another_length():
-    with pytest.raises(DataError, match="10 inputs but 6 labels"):
+    with pytest.raises(DataError, match="need 10 integer class ids.*shape \\(6,\\)"):
         Dataset(inputs=np.zeros((10, 3), dtype=np.float32),
                 labels=np.zeros(6, dtype=np.int64), class_count=2, temporal=False)
 

@@ -83,10 +83,10 @@ def test_metric_helpers_reject_labels_that_do_not_name_one_class_per_row(labels)
 
 def test_per_class_accuracy_checks_labels_against_its_class_count():
     o = np.eye(3)[[0, 1]]
-    acc, confusion = per_class_accuracy(o, [0, 2], 3)  # class 2 of 3: counted
+    acc, confusion = per_class_accuracy(o, np.array([0, 2]), 3)  # class 2 of 3: counted
     assert confusion[2, 1] == 1 and acc[2] == 0.0
     with pytest.raises(DataError):
-        per_class_accuracy(o, [0, 3], 3)
+        per_class_accuracy(o, np.array([0, 3]), 3)
 
 
 def test_per_timestep_acc_matches_whole_set_unroll_oracle(monkeypatch):
@@ -148,6 +148,18 @@ def test_aurc_invariant_under_monotone_confidence_transform():
 def test_aurc_empty_input_rejected():
     with pytest.raises(ParameterError):
         aurc(np.array([]), np.array([]))
+
+
+@pytest.mark.parametrize("n_confidence,n_correct", [(3, 2), (2, 3)])
+def test_aurc_rejects_confidence_and_correct_of_other_lengths(n_confidence, n_correct):
+    # unchecked, a shorter `correct` raises IndexError and a longer one scores a prefix
+    with pytest.raises(ParameterError, match="of one length"):
+        aurc(np.linspace(1, 0, n_confidence), np.ones(n_correct))
+
+
+def test_aurc_rejects_confidence_that_is_not_one_dimensional():
+    with pytest.raises(ParameterError, match="1-D"):
+        aurc(np.ones((2, 2)), np.ones((2, 2)))
 
 
 def test_aurc_exhaustive_small_cases():

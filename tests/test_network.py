@@ -1,12 +1,16 @@
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tksnn.autodiff as ad
 from tksnn.autodiff import SurrogateSpec
 from tksnn.data import prepare_sequence
-from tksnn.errors import DimensionError, FormatError, ParameterError
+from tksnn.errors import DimensionError, FormatError, ParameterError, TksnnError
 from tksnn.lif import LifConfig
 from tksnn.network import (
     Flatten,
@@ -226,6 +230,45 @@ def test_header_not_describing_a_model_is_format_error(tmp_path, bad_header_copi
     for defect, bad in bad_header_copies(path).items():
         with pytest.raises(FormatError, match="header does not describe a model"):
             load_checkpoint(bad)
+
+
+def checkpoint_bytes() -> bytes:
+    """A small mlp checkpoint with optimizer moments, as save_checkpoint writes it."""
+    model = tiny_model()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        save_checkpoint(path, model, epoch=1, optimizer=AdamW(model.parameters(), lr=0.01))
+        with open(path, "rb") as f:
+            return f.read()
+
+
+CHECKPOINT = checkpoint_bytes()
+# byte edits, most of them in the fixed and JSON headers (about the first 400 bytes);
+# at most three, so a header's sizes grow at most a thousandfold
+ckpt_edit = st.tuples(st.sampled_from(["insert", "replace", "delete", "truncate"]),
+                      st.integers(0, 400) | st.integers(0, len(CHECKPOINT)),
+                      st.binary(min_size=1, max_size=1))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(edits=st.lists(ckpt_edit, max_size=3), tail=st.binary(max_size=8))
+def test_load_checkpoint_fuzz_lets_only_library_errors_escape(edits, tail):
+    data = bytearray(CHECKPOINT)
+    for op, i, byte in edits:
+        if op == "insert":
+            data[i:i] = byte
+        elif op == "truncate":
+            del data[i:]
+        elif i < len(data):
+            data[i : i + 1] = byte if op == "replace" else b""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.ckpt")
+        with open(path, "wb") as f:
+            f.write(bytes(data) + tail)
+        try:
+            load_checkpoint(path)
+        except TksnnError:
+            assert edits, "trailing bytes alone must still load"
 
 
 def test_cnn_preset_builds_and_runs():

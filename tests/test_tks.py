@@ -121,6 +121,21 @@ def test_select_invariant_to_per_timestep_logit_shift():
     assert np.array_equal(select_teachers(v, labels, 2), select_teachers(v2, labels, 2))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_select_reads_the_same_true_class_probability_as_a_one_hot_product(seed):
+    # oracle: the true-class probability as a one-hot product, which on finite
+    # input equals the indexed read, so the picks must match
+    rng = np.random.default_rng(seed)
+    v = softmax(rng.normal(size=(7, 16, 4))).astype(np.float32)
+    v[:, ::3] = v[0, ::3]  # whole runs of tied timesteps
+    labels = rng.integers(0, 4, size=16)
+    true_prob = (v * (labels[:, None] == np.arange(4)).astype(np.float32)).sum(axis=-1)
+    order = np.argsort(-true_prob, axis=0, kind="stable")
+    for k in (1, 3, 7):
+        expected = np.sort(order[:k], axis=0).T
+        assert np.array_equal(select_teachers(v, labels, k), expected)
+
+
 def test_teacher_single_selection_is_softmax_of_that_row():
     q = np.array([[[2.0, 0.0, 1.0]], [[0.0, 5.0, 0.0]]], dtype=np.float32)
     z = teacher_signal(q, np.array([[1]]), 1.0)
@@ -242,12 +257,12 @@ def test_every_loss_rejects_out_of_range_labels():
     out = temporal(v)
     for bad in (-1, 2, 0.5):  # a fractional label would select no class at all
         labels = np.array([0, bad])
-        with pytest.raises(DataError, match=r"labels must be integers in \[0,2\)"):
+        with pytest.raises(DataError, match=r"need 2 integer class ids in \[0,2\)"):
             ce_loss(out.o, labels)
         for mode in ("none", "label_smoothing", "per_timestep_labels"):
-            with pytest.raises(DataError, match=r"labels must be integers in \[0,2\)"):
+            with pytest.raises(DataError, match=r"need 2 integer class ids in \[0,2\)"):
                 baseline_loss(mode, out, labels, 0.1)
-        with pytest.raises(DataError, match=r"labels must be integers in \[0,2\)"):
+        with pytest.raises(DataError, match=r"need 2 integer class ids in \[0,2\)"):
             select_teachers(v, labels, 1)
 
 
@@ -265,7 +280,7 @@ def test_every_loss_rejects_a_label_count_other_than_the_batch(loss, labels):
     # B=3: a single label must not broadcast over the whole batch
     rng = np.random.default_rng(0)
     out = temporal(softmax(rng.normal(size=(4, 3, 3))).astype(np.float32))
-    with pytest.raises(DataError, match="3 samples need 3 labels"):
+    with pytest.raises(DataError, match=r"need 3 integer class ids in \[0,3\)"):
         LOSSES_OF_LABELS[loss](out, np.array(labels))
     LOSSES_OF_LABELS[loss](out, np.array([2, 0, 1]))
 
