@@ -292,13 +292,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    c = DTYPE(c)
-    out = Tensor(a.data * c)
-    _record(out, (a,), lambda g: (g * c,))
-    return out
-
-
 def _matmul(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
     """matmul's forward: a @ b, the bias row then added in place to every row."""
     y = a @ b

@@ -22,8 +22,8 @@ from .errors import ConfigError, DataError, FormatError, ParameterError, check_i
 
 @dataclass
 class Dataset:
-    """Inputs are static [N, ...] or temporal [N, T, ...]; labels are N class ids in
-    [0, class_count) (`check_labels`: DataError otherwise)."""
+    """Inputs are a numpy array, static [N, ...] or temporal [N, T, ...]; labels are N class
+    ids in [0, class_count) (both DataError otherwise); class_count >= 1 (ParameterError)."""
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -31,6 +31,10 @@ class Dataset:
     temporal: bool
 
     def __post_init__(self):
+        check_int("class_count", self.class_count, 1, ParameterError)
+        if not isinstance(self.inputs, np.ndarray) or self.inputs.ndim < 1 + self.temporal:
+            raise DataError("inputs must be a numpy array [N, ...], [N, T, ...] if temporal, "
+                            f"got {getattr(self.inputs, 'shape', type(self.inputs).__name__)}")
         check_labels(self.labels, self.inputs.shape[0], self.class_count)
 
     @property

@@ -106,15 +106,12 @@ def evaluate(model: Model, data: Dataset, t_test: int) -> EvalReport:
         x_seq = prepare_sequence(batch, data.temporal, t_test)
         out = unroll(model, x_seq)  # no tape active: inference only
         o_all[lo : lo + len(batch)] = out.o.data
-        pred_t = out.v.data.argmax(axis=2)  # [T, b]
-        v_sum_correct += (pred_t == y[None, :]).sum(axis=1)
-    top1 = top1_accuracy(o_all, labels)
-    confidence = o_all.max(axis=1)
+        v_sum_correct += (out.v.data.argmax(axis=2) == y).sum(axis=1)  # [T, b] hits
     correct = (o_all.argmax(axis=1) == labels).astype(np.float64)
     acc_c, confusion = per_class_accuracy(o_all, labels, model.class_count)
     return EvalReport(
-        top1=top1,
-        aurc=aurc(confidence, correct) * 1e3,
+        top1=float(correct.mean()),
+        aurc=aurc(o_all.max(axis=1), correct) * 1e3,
         per_timestep_acc=v_sum_correct / n,
         per_class_acc=acc_c,
         confusion=confusion,

@@ -83,11 +83,9 @@ def lif_step(
     differentiable through the surrogate."""
     if current.shape != v.shape:
         raise DimensionError(f"input current shape {current.shape} != state shape {v.shape}")
-    # 1 − s_prev written 1 + (−s_prev): IEEE defines them as the same operation
-    keep = ad.add(Tensor(np.ones_like(s_prev.data)), ad.scale(s_prev, -1.0))
-    carry = ad.mul(v, keep)
-    leak = 1.0 - 1.0 / cfg.tau_m
-    v_new = ad.add(ad.scale(carry, leak), ad.scale(current, 1.0 / cfg.tau_m))
+    # 1 − s_prev written 1 + (−1)·s_prev: IEEE defines them as the same operation
+    carry = ad.mul(v, ad.add(1.0, ad.mul(s_prev, -1.0)))
+    v_new = ad.add(ad.mul(carry, 1.0 - 1.0 / cfg.tau_m), ad.mul(current, 1.0 / cfg.tau_m))
     return v_new, ad.spike(v_new, cfg.v_th, surrogate)
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -287,7 +288,7 @@ def unroll(model: Model, inputs) -> TemporalOutput:
     its patches from it, a linear layer its weight gradient). So do not change
     inputs in place between this call and backward.
     """
-    data = inputs.data if isinstance(inputs, Tensor) else np.asarray(inputs, dtype=DTYPE)
+    data = ad.as_tensor(inputs).data
     if data.ndim < 2:
         raise DimensionError(f"unroll expects [T,B,...] inputs, got {data.shape}")
     t_len, batch = data.shape[:2]
@@ -363,6 +364,7 @@ def load_checkpoint(path):
 
     Returns (model, header_dict, optimizer_state or None) where optimizer_state
     is (step_count, [moment arrays in parameter order: m0, v0, m1, v1, ...]).
+    A file too short for the blobs its header names is refused before the build.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -377,7 +379,12 @@ def load_checkpoint(path):
         header = json.loads(raw[12 : 12 + hlen].decode("utf-8"))
     except ValueError as exc:  # also a header cut short by truncation
         raise FormatError(f"{path}: header at byte 12 is not valid JSON: {exc}") from exc
+    off = 12 + hlen
     try:  # a header that parses as JSON may still not describe a model
+        floats = sum(math.prod(map(int, shape)) for shape in header["layer_shapes"].values())
+        need = 8 + 12 * floats if header.get("has_optimizer") else 4 * floats
+        if off + need > len(raw):
+            raise FormatError(f"{path}: truncated at byte {len(raw)}, blobs need {need} from {off}")
         model = build_model(
             header["preset"], header["input_shape"], header["class_count"],
             LifConfig(**header["lif"]), SurrogateSpec(**header["surrogate"]), header["seed"],
@@ -386,9 +393,11 @@ def load_checkpoint(path):
         epoch = header["epoch"]  # save_checkpoint always writes it; resuming reads it
         if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
             raise ValueError(f"epoch {epoch!r} is not a non-negative integer")
-    except (KeyError, TypeError, ValueError, OverflowError, MemoryError, TksnnError) as exc:
+    except FormatError:
+        raise
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, MemoryError,
+            TksnnError) as exc:
         raise FormatError(f"{path}: header does not describe a model: {exc!r}") from exc
-    off = 12 + hlen
 
     def take(nbytes: int) -> bytes:
         nonlocal off

@@ -57,10 +57,6 @@ class AlphaSchedule:
         check_int("total_epochs", self.total_epochs, 1, ParameterError)
 
 
-def _as_array(v) -> np.ndarray:
-    return v.data if isinstance(v, Tensor) else np.asarray(v, dtype=DTYPE)
-
-
 def _batch_labels(labels, b: int, c: int) -> np.ndarray:
     """labels; DataError unless b > 0 and they pass `check_labels` for b samples of c classes."""
     if b == 0:
@@ -78,7 +74,7 @@ def select_teachers(v, labels, k: int) -> np.ndarray:
 
     Ties break toward smaller t (stable sort). Returns int indices [B, k].
     """
-    va = _as_array(v)
+    va = ad.as_tensor(v).data
     t_len, b = va.shape[:2]
     labels = _batch_labels(labels, b, va.shape[-1])
     check_int("teacher count k", k, 1, ParameterError)
@@ -92,7 +88,7 @@ def select_teachers(v, labels, k: int) -> np.ndarray:
 def teacher_signal(q, selected: np.ndarray, tau: float) -> np.ndarray:
     """Teacher z [B,C]: the mean of the selected sub-models' logits,
     temperature-softmaxed, as a plain (gradient-detached) array."""
-    qa = _as_array(q)
+    qa = ad.as_tensor(q).data
     selected = np.asarray(selected, dtype=np.int64)
     t_len, b = qa.shape[:2]
     if selected.ndim != 2 or selected.shape[0] != b or selected.shape[1] < 1:
@@ -107,9 +103,8 @@ def teacher_signal(q, selected: np.ndarray, tau: float) -> np.ndarray:
 def tks_loss(v: Tensor, z: np.ndarray) -> Tensor:
     """Mean over timesteps and batch of CE(teacher z [B,C] || sub-model)."""
     v = ad.as_tensor(v)
-    z = np.asarray(z, dtype=DTYPE)
-    if v.shape[-2:] != z.shape:
-        raise ContractError(f"teacher shape {z.shape} does not match outputs {v.shape}")
+    if v.shape[-2:] != np.shape(z):
+        raise ContractError(f"teacher shape {np.shape(z)} does not match outputs {v.shape}")
     return ad.cross_entropy(v, z)
 
 
@@ -161,15 +156,14 @@ def objective(out, labels, cfg: TeacherConfig, alpha: float):
     """The training loss of one step for the teacher mode in cfg.
 
     Returns (loss tensor, l_ce, l_tks). Comparison modes report their own loss
-    as l_ce and l_tks = 0. At alpha = 0 the tks loss is plain CE, with the same
-    graph as mode "none"; l_tks is still reported, computed off the tape.
+    as l_ce and l_tks = 0. Mode "tks" records one graph at every alpha: at
+    alpha = 0 its tks side sends -0.0 to v, and x + (-0.0) = x, so the weights
+    move exactly as under plain CE.
     """
     if cfg.mode != "tks":
         loss = baseline_loss(cfg.mode, out, labels, cfg.epsilon)
         return loss, loss.item(), 0.0
     l_ce = ce_loss(out.o, labels)
     z = teacher_signal(out.q.data, select_teachers(out.v.data, labels, cfg.k), cfg.tau)
-    if alpha == 0.0:
-        return l_ce, l_ce.item(), tks_loss(out.v.data, z).item()
     l_tks = tks_loss(out.v, z)
     return final_loss(l_ce, l_tks, alpha, cfg.tau), l_ce.item(), l_tks.item()

@@ -42,7 +42,7 @@ def test_matmul_shape_mismatch_names_both_shapes():
 def test_backward_sum_is_ones():
     w = Tensor([1.0, 2.0, 3.0], requires_grad=True)
     with GradTape() as tape:
-        loss = ad.mean(ad.scale(w, 3.0))
+        loss = ad.mean(ad.mul(w, Tensor(3.0)))
     backward(loss, tape)
     assert np.allclose(w.grad, 1.0)
 
@@ -96,7 +96,7 @@ def test_backward_missing_provenance():
 def test_reused_tensor_accumulates_both_contributions():
     w = Tensor([3.0], requires_grad=True)
     with GradTape() as tape:
-        loss = ad.mean(ad.add(ad.mul(w, w), ad.scale(w, 5.0)))  # w^2 + 5w
+        loss = ad.mean(ad.add(ad.mul(w, w), ad.mul(w, Tensor(5.0))))  # w^2 + 5w
     backward(loss, tape)
     assert np.allclose(w.grad, 2 * 3.0 + 5.0)
 
@@ -145,16 +145,18 @@ def test_matmul_matches_the_product_and_bias_add_it_fuses_bit_for_bit(with_bias)
         product = ad.matmul(x, w)
         chain = ad.add(product, b) if with_bias else product
     grads = tape._nodes[0].bwd(g)
+    # plain numpy in the chain's float32 order: the product, then the bias row
+    # added; backward sums g down the rows for the bias
+    want_out = x.data @ w.data
+    want = (g @ w.data.T, x.data.T @ g)
     if with_bias:
+        want_out = want_out + b.data
+        want += (g.sum(axis=0),)
         g_product, g_bias = tape._nodes[2].bwd(g)
-        want = tape._nodes[1].bwd(g_product) + (g_bias,)
-    else:  # against plain numpy
-        chain = Tensor(x.data @ w.data)
-        want = (g @ w.data.T, x.data.T @ g)
-    assert same_bytes(fused.data, chain.data)
+        assert all(map(same_bytes, tape._nodes[1].bwd(g_product) + (g_bias,), want))
+    assert same_bytes(fused.data, want_out) and same_bytes(chain.data, want_out)
     assert len(grads) == len(want)
-    for got, ref in zip(grads, want):
-        assert same_bytes(got, ref)
+    assert all(map(same_bytes, grads, want))
 
 
 def old_cross_entropy_chain(p, target, g):

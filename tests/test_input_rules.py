@@ -1,8 +1,9 @@
-"""The library's two input rules, each run through every public entry it guards.
+"""The library's input rules, each run through every public entry it guards.
 
 Labels: a numpy array of shape (n,), an integer dtype (bool refused) and values
 in [0, C), else DataError. Counts: an integer (bool refused) at or above the
-site's minimum, else ParameterError.
+site's minimum, else ParameterError. Dataset inputs: a numpy array [N, ...],
+with a time axis [N, T, ...] when temporal, else DataError.
 """
 
 import numpy as np
@@ -87,6 +88,9 @@ COUNT_SITES = {
     "AlphaSchedule total_epochs": lambda n: AlphaSchedule(0.0, 0.7, n),
     "select_teachers k": lambda n: select_teachers(temporal_output().v.data, np.arange(N), n),
     "alpha_at epoch": lambda n: alpha_at(n, AlphaSchedule(0.0, 0.7, 5)),
+    "Dataset class_count": lambda n: Dataset(inputs=np.zeros((N, 2), dtype=np.float32),
+                                             labels=np.zeros(N, dtype=np.int64),
+                                             class_count=n, temporal=False),
 }
 BAD_COUNTS = (2.5, True, 0, -1)
 
@@ -108,3 +112,25 @@ def test_every_count_site_takes_numpy_integers(site):
 def test_select_teachers_refuses_more_teachers_than_timesteps():
     with pytest.raises(ParameterError, match=r"k=5 must be in \[1, T=4\]"):
         select_teachers(temporal_output().v.data, np.arange(N), T + 1)
+
+
+BAD_INPUTS = {  # (inputs, temporal)
+    "list": ([[0.0, 0.0]] * N, False),
+    "0-d array": (np.array(0.0, dtype=np.float32), False),
+    "temporal without a time axis": (np.zeros(N, dtype=np.float32), True),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_dataset_refuses_inputs_that_are_not_an_array_with_its_axes(case):
+    inputs, temporal = BAD_INPUTS[case]
+    with pytest.raises(DataError, match=r"inputs must be a numpy array \[N, ...\]"):
+        Dataset(inputs=inputs, labels=np.zeros(N, dtype=np.int64), class_count=C,
+                temporal=temporal)
+
+
+@pytest.mark.parametrize("temporal", [False, True])
+def test_dataset_takes_inputs_of_the_least_rank(temporal):
+    shape = (N, T) if temporal else (N,)
+    assert Dataset(inputs=np.zeros(shape, dtype=np.float32), labels=np.zeros(N, dtype=np.int64),
+                   class_count=C, temporal=temporal).inputs.shape == shape

@@ -1,6 +1,8 @@
+import json
 import os
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,6 +232,28 @@ def test_header_not_describing_a_model_is_format_error(tmp_path, bad_header_copi
     for defect, bad in bad_header_copies(path).items():
         with pytest.raises(FormatError, match="header does not describe a model"):
             load_checkpoint(bad)
+
+
+def test_a_short_file_is_refused_before_the_model_its_header_names_is_built(tmp_path):
+    # the header's 100 000-class readout would take about 150 MB to build: 51 MB
+    # of float32 weights, drawn in float64; the file holds a 3-class one
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, tiny_model(), epoch=1)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + hlen])
+    header["class_count"] = 100_000
+    header["layer_shapes"].update({"readout.w": [128, 100_000], "readout.b": [100_000]})
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :])
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="truncated"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def checkpoint_bytes() -> bytes:

@@ -334,13 +334,20 @@ def test_final_loss_matches_the_scale_scale_add_chain_it_fuses_bit_for_bit(upstr
         leaves = [Tensor(np.float32(l), requires_grad=True) for l in (l_ce, l_tks)]
         with GradTape() as tape:
             fused = final_loss(*leaves, alpha, tau)
-            chain = ad.add(ad.scale(leaves[0], 1.0 - alpha), ad.scale(leaves[1], alpha * tau * tau))
+            chain = ad.add(ad.mul(leaves[0], Tensor(1.0 - alpha)),
+                           ad.mul(leaves[1], Tensor(alpha * tau * tau)))
         g = np.float32(upstream)
         grads = tape._nodes[0].bwd(g)
         g_ce_scaled, g_tks_scaled = tape._nodes[3].bwd(g)
-        want = tape._nodes[1].bwd(g_ce_scaled) + tape._nodes[2].bwd(g_tks_scaled)
-        assert len(tape) == 4 and fused.data.tobytes() == chain.data.tobytes()
-        assert [np.asarray(x).tobytes() for x in grads] == [np.asarray(x).tobytes() for x in want]
+        chain_grads = (tape._nodes[1].bwd(g_ce_scaled)[0], tape._nodes[2].bwd(g_tks_scaled)[0])
+        # plain numpy in the same float32 order: both products, then their sum
+        c_ce, c_tks = np.float32(1.0 - alpha), np.float32(alpha * tau * tau)
+        want = leaves[0].data * c_ce + leaves[1].data * c_tks
+        assert len(tape) == 4
+        assert fused.data.tobytes() == chain.data.tobytes() == want.tobytes()
+        want_grads = [(g * c).tobytes() for c in (c_ce, c_tks)]
+        for got in (grads, chain_grads):
+            assert [np.asarray(x).tobytes() for x in got] == want_grads
 
 
 def test_final_loss_rejects_alpha_outside_unit_interval():
@@ -368,8 +375,8 @@ def test_objective_tape_nodes_per_mode():
     # readout, its reshape to [T,B,C], the softmax and the mean over time;
     # each cross-entropy adds one, and so does the tks mix
     assert objective_tape(TeacherConfig(mode="none"), 0.0)[0] == 7
-    # at alpha=0 the tks graph is exactly the plain CE graph
-    assert objective_tape(TeacherConfig(mode="tks"), 0.0)[0] == 7
+    # the tks graph is one graph at every alpha, alpha=0 included
+    assert objective_tape(TeacherConfig(mode="tks"), 0.0)[0] == 9
     assert objective_tape(TeacherConfig(mode="tks"), 0.5)[0] == 9
     assert objective_tape(TeacherConfig(mode="label_smoothing"), 0.0)[0] == 7
     assert objective_tape(TeacherConfig(mode="per_timestep_labels"), 0.0)[0] == 7
