@@ -20,9 +20,10 @@ it, so with two groups at once the kernel rows can add up to more than the
 split's wall time. It
 also prints the process's peak resident set size after training
 (`ru_maxrss`) and, last of all, the allocation peak of one traced training
-step (`tracemalloc`). A fresh 4 KB page costs a fault, so the count shows
-how many new pages a kernel touches; it repeats exactly from run to run of
-the same code, where wall time on a shared host does not.
+step and what its tape holds after forward and loss (`tracemalloc`). A
+fresh 4 KB page costs a fault, so the count shows how many new pages a
+kernel touches; it repeats exactly from run to run of the same code, where
+wall time on a shared host does not.
 
 Before that trace it splits one mlp-small TKS training step (B=32, T=10,
 40 inputs, on the calling thread) into forward plus loss, backward, with
@@ -284,9 +285,11 @@ def profile_mlp_step(rng, t_len: int = 10, batch: int = 32):
 
 
 def trace_train_step(model, rng, t_len: int = 10, batch: int = 16):
-    """Allocation peak of one training step (numpy reports its buffers to
-    tracemalloc). It runs after every timed and counted pass, because
-    tracing is slow and changes the heap's layout."""
+    """Allocation peak of one training step, and what the step holds once
+    forward and loss have run: the arrays the tape's backward closures keep,
+    plus the few the caller holds (numpy reports its buffers to tracemalloc).
+    It runs after every timed and counted pass, because tracing is slow and
+    changes the heap's layout."""
     opt = AdamW(model.parameters(), lr=1e-3)
     teacher = TeacherConfig(mode="tks", k=2, tau=3.0)
     x = frames(rng, t_len, batch)
@@ -295,12 +298,14 @@ def trace_train_step(model, rng, t_len: int = 10, batch: int = 16):
     try:
         with GradTape() as tape:
             loss, _, _ = objective(unroll(model, x), y, teacher, 0.5)
+        held = tracemalloc.get_traced_memory()[0]
         backward(loss, tape)
         opt.step()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    print(f"training step, T={t_len}, B={batch}: allocation peak {peak / 2**20:.1f} MB (tracemalloc)")
+    print(f"training step, T={t_len}, B={batch}: allocation peak {peak / 2**20:.1f} MB, "
+          f"tape after forward and loss {held / 2**20:.1f} MB (tracemalloc)")
 
 
 def new_model():

@@ -8,6 +8,7 @@ reproduce bit-identically on one machine.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -25,10 +26,14 @@ DTYPE = np.float32
 LOG_FLOOR = 1e-12  # clamp applied inside cross_entropy's log; mirrored in test oracles
 
 
+# tape keys: one per tensor, never reused (an id() is, once its tensor is freed)
+_KEYS = itertools.count()
+
+
 class Tensor:
     """Dense n-d float32 array with an optional gradient slot."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_needs")
+    __slots__ = ("data", "grad", "requires_grad", "_needs", "_key")
 
     def __init__(self, data, requires_grad: bool = False):
         # note: ascontiguousarray would promote 0-d scalars to 1-d
@@ -36,6 +41,7 @@ class Tensor:
         self.grad = None
         self.requires_grad = requires_grad
         self._needs = requires_grad  # True if a grad path reaches a parameter
+        self._key = next(_KEYS)
 
     @property
     def shape(self):
@@ -57,6 +63,9 @@ class Tensor:
 
 
 class _Node:
+    """One recorded op: its output's key, (key, _needs, the tensor if a leaf
+    else None) per input, and the backward closure."""
+
     __slots__ = ("out", "inputs", "bwd")
 
     def __init__(self, out, inputs, bwd):
@@ -79,11 +88,13 @@ _TAPE_STACK = _TapeStack()
 
 
 class GradTape:
-    """Ordered record of operations; one backward traversal per tape."""
+    """Ordered record of operations; one backward traversal per tape. It keeps
+    keys, leaves and backward closures, not tensors: a tensor's data lives
+    while the caller or a closure holds it (see _Node)."""
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        self._outputs: set[int] = set()
+        self._outputs: set[int] = set()  # keys of the recorded outputs
         self._used = False
 
     def __enter__(self):
@@ -109,34 +120,36 @@ def _record(out: Tensor, inputs, bwd):
         return
     tape = _active_tape()
     if tape is not None:
-        tape._nodes.append(_Node(out, tuple(inputs), bwd))
-        tape._outputs.add(id(out))
+        slots = tuple((t._key, t._needs, t if t.requires_grad else None) for t in inputs)
+        tape._nodes.append(_Node(out._key, slots, bwd))
+        tape._outputs.add(out._key)
 
 
 def backward(loss: Tensor, tape: GradTape) -> None:
-    """Populate .grad of every requires_grad tensor reachable from loss."""
+    """Populate .grad of every requires_grad tensor reachable from loss; the
+    gradients in flight are keyed by tape key, each dropped once used."""
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     if tape._used:
         raise TapeError("backward already ran on this tape; build a fresh tape")
-    if id(loss) not in tape._outputs:
+    if loss._key not in tape._outputs:
         raise TapeError("loss was not produced under this tape (missing provenance)")
     tape._used = True
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[int, np.ndarray] = {loss._key: np.ones_like(loss.data)}
     for node in reversed(tape._nodes):
-        g = grads.pop(id(node.out), None)
+        g = grads.pop(node.out, None)
         if g is None:
             continue
-        for inp, ig in zip(node.inputs, node.bwd(g)):
-            if ig is None or not inp._needs:
+        for (key, needs, leaf), ig in zip(node.inputs, node.bwd(g)):
+            if ig is None or not needs:
                 continue
             ig = ig.astype(DTYPE, copy=False)
-            acc = grads.get(id(inp))
-            grads[id(inp)] = ig if acc is None else acc + ig
-            if inp.requires_grad:
+            acc = grads.get(key)
+            grads[key] = ig if acc is None else acc + ig
+            if leaf is not None:
                 # leaves keep their accumulated grad on the tensor itself
-                inp.grad = grads[id(inp)]
+                leaf.grad = grads[key]
 
 
 def as_tensor(x) -> Tensor:
@@ -235,9 +248,11 @@ def _split(bounds: list[int], fn, work: int) -> None:
     thread). It may call a private kernel that calls _split: that nested
     split runs inline on fn's thread, so a dealt-out run never waits on the
     pool. A kernel's buffers belong in its caller, so that threads allocate
-    nothing large; the one exception is network.unroll's untaped stack, whose
+    nothing large. There are two exceptions, and each writes its results
+    only into buffers the caller owns: network.unroll's untaped stack, whose
     groups of samples allocate their own layers' buffers on the thread that
-    runs them and write only into the caller's feature buffer.
+    runs them, and conv2d's backward, whose blocks each allocate their own
+    patch buffer.
     """
     blocks = len(bounds) - 1
 
@@ -458,13 +473,13 @@ def _sample_blocks(b: int, rows: int) -> list[int]:
 
 
 def _im2col(x: np.ndarray, kh, kw, stride, padding):
-    """The patches of x [B,C,H,W] as the matmul operand [B·oh·ow, kh·kw·C],
-    and copy(lo, hi), which fills the rows of samples lo:hi.
+    """copy(lo, hi, out), which writes the patches of samples lo:hi of x
+    [B,C,H,W] into out [(hi-lo)·oh·ow, kh·kw·C], rows of the matmul operand.
 
-    The buffer comes back unfilled. copy writes the samples' part of one
-    zero-padded channels-last copy of x, then copies its (kh, kw) window view
-    into their rows, channels fastest, as the matmul reads them. A copy is
-    exact, so the patches are the same bits however the samples are cut.
+    copy writes the samples' part of one zero-padded channels-last copy of x,
+    allocated here, then copies its (kh, kw) window view into out, channels
+    fastest, as the matmul reads them. A copy is exact, so the patches are
+    the same bits however the samples are cut.
     """
     b, c, h, w = x.shape
     oh, ow = _conv_geometry(h, w, kh, kw, stride, padding)
@@ -473,19 +488,18 @@ def _im2col(x: np.ndarray, kh, kw, stride, padding):
     channels_last = x.transpose(0, 2, 3, 1)
     windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
     windows = windows.transpose(0, 1, 2, 4, 5, 3)
-    cols = np.empty((b, oh, ow, kh, kw, c), dtype=DTYPE)
 
-    def copy(lo, hi):
+    def copy(lo, hi, out):
         inner[lo:hi] = channels_last[lo:hi]
-        cols[lo:hi] = windows[lo:hi]
+        out.reshape(hi - lo, oh, ow, kh, kw, c)[...] = windows[lo:hi]
 
-    return cols.reshape(b * oh * ow, kh * kw * c), copy
+    return copy
 
 
-def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding):
-    """Adjoint of _im2col: a zeroed gradient [B,C,H,W] and scatter(lo, hi),
-    which adds the rows of samples lo:hi of the patches `cols`
-    [B·oh·ow, kh·kw·C] into it.
+def _col2im(x_shape, kh, kw, stride, padding):
+    """Adjoint of _im2col: a zeroed gradient [B,C,H,W] and scatter(lo, hi, cols),
+    which adds the patch gradients `cols` [(hi-lo)·oh·ow, kh·kw·C] of samples
+    lo:hi into it.
 
     scatter adds each (i, j) entry of the samples' patches into a strided view
     of one zeroed padded buffer in row-major (i, j) order, the order of every
@@ -495,14 +509,12 @@ def _col2im(cols: np.ndarray, x_shape, kh, kw, stride, padding):
     """
     b, c, h, w = x_shape
     oh, ow = _conv_geometry(h, w, kh, kw, stride, padding)
-    patches = cols.reshape(b, oh, ow, kh, kw, c)
     xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=DTYPE)
-    pairs = [(xp[:, i : i + stride * oh : stride, j : j + stride * ow : stride],
-              patches[:, :, :, i, j]) for i, j in np.ndindex(kh, kw)]
 
-    def scatter(lo, hi):
-        for into, patch in pairs:
-            into[lo:hi] += patch[lo:hi]
+    def scatter(lo, hi, cols):
+        patches, into = cols.reshape(hi - lo, oh, ow, kh, kw, c), xp[lo:hi]
+        for i, j in np.ndindex(kh, kw):
+            into[:, i : i + stride * oh : stride, j : j + stride * ow : stride] += patches[:, :, :, i, j]
 
     return xp[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2), scatter
 
@@ -520,13 +532,14 @@ def _conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int,
     oh, ow = _conv_geometry(h, wd, kh, kw, stride, padding)
     rows, width = oh * ow, kh * kw * ci  # patch rows per sample, floats per row
     wmat = _kernel_rows(w)
-    cols, copy = _im2col(x, kh, kw, stride, padding)
+    copy = _im2col(x, kh, kw, stride, padding)
+    cols = np.empty((b * rows, width), dtype=DTYPE)
     y = np.empty((b * rows, co), dtype=DTYPE)
     per_sample = y.reshape(b, rows * co)
     tiled = np.tile(bias, rows)
 
     def forward(lo, hi):
-        copy(lo, hi)
+        copy(lo, hi, cols[lo * rows : hi * rows])
         np.dot(cols[lo * rows : hi * rows], wmat.T, out=y[lo * rows : hi * rows])
         # the same elementwise adds as y += bias, over rows of whole samples
         np.add(per_sample[lo:hi], tiled, out=per_sample[lo:hi])
@@ -551,25 +564,28 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     small-matrix path, whose bits differ, for a block and not for the whole
     (on 0.3.31 with AVX-512: the patch matmul up to M·N·K ≈ 1.7e5 at 144
     floats per row). No block of cnn-small's is that small (tested). The matmuls
-    are np.dot with out= buffers the caller allocates: np.dot gives the
-    bits of `@` and lets go of the interpreter lock while BLAS runs, which
-    np.matmul (numpy 2.4) does not, so two matmuls on two workers overlap.
+    are np.dot with out= buffers: np.dot gives the bits of `@` and lets go
+    of the interpreter lock while BLAS runs, which np.matmul (numpy 2.4)
+    does not, so two matmuls on two workers overlap.
 
-    The tape keeps x, not the patches: backward rebuilds them bit for bit
-    from x.data, so x.data must not change in place between this call and
-    backward. Backward then runs two jobs as a grid of two blocks: the weight
-    gradient, one matmul over all the rows, and the bias gradient, one row
-    sum. Neither is cut by rows, because a cut would change the order of
-    its sums. The rebuilt patches are freed before the input gradient, so
-    one patch matrix is alive at a time. That gradient's matmul and its
-    _col2im scatter run per block of the grid, in one _split; the network
-    input has no gradient path, so its layer skips them.
+    The tape keeps x, not the patches or the output: backward rebuilds the
+    patches bit for bit from x.data, so x.data must not change in place
+    between this call and backward. Backward is one _split over the same
+    grid, and no whole patch matrix is built. Each block rebuilds its own
+    patches in a buffer of its own, writes its partial weight gradient
+    g2ᵀ·cols and bias row sum into slot k of [blocks, ...] buffers and,
+    when x has a gradient path, writes g2·wmat into the same patch rows and
+    scatters them with _col2im into one padded input gradient. The calling
+    thread then adds the partials in grid order, so dw and db are sums of
+    grid partials whose bits depend on the shape alone, while dx gets the
+    bits of the single matmul's rows. The network input has no gradient
+    path, so its layer skips the input gradient.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects [B,C,H,W] and [O,C,kh,kw], got {x.shape}, {w.shape}")
     if x.shape[1] != w.shape[1]:
         raise DimensionError(f"conv2d channel mismatch: input {x.shape} vs kernel {w.shape}")
-    x_data = x.data
+    x_data, x_needs = x.data, x._needs
     out = Tensor(_conv2d(x_data, w.data, bias.data, stride, padding))
     b, _, oh, ow = out.shape
     co, ci, kh, kw = w.shape
@@ -579,24 +595,26 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
 
     def bwd(g):
         g2 = g.transpose(0, 2, 3, 1).reshape(b * rows, co)
-        cols, copy = _im2col(x_data, kh, kw, stride, padding)
-        _split(bounds, copy, rows * width)
-        del copy  # and with it the padded copy of x
-        dw = np.empty((co, width), dtype=DTYPE)
-        db = np.empty(co, dtype=DTYPE)
-        jobs = (lambda: np.dot(g2.T, cols, out=dw), lambda: np.sum(g2, axis=0, out=db))
-        _split([0, 1, 2], lambda k, _: jobs[k](), g2.size + cols.size)
-        del cols
-        dx = None
-        if x._needs:
-            dcols = np.empty((b * rows, width), dtype=DTYPE)
-            dx, scatter = _col2im(dcols, x.shape, kh, kw, stride, padding)
+        copy = _im2col(x_data, kh, kw, stride, padding)
+        dx, scatter = _col2im(x_data.shape, kh, kw, stride, padding) if x_needs else (None, None)
+        blocks = len(bounds) - 1
+        dw_parts = np.empty((blocks, co, width), dtype=DTYPE)
+        db_parts = np.empty((blocks, co), dtype=DTYPE)
 
-            def input_grad(lo, hi):
-                np.dot(g2[lo * rows : hi * rows], wmat, out=dcols[lo * rows : hi * rows])
-                scatter(lo, hi)
+        def block(lo, hi):
+            k, part = bounds.index(lo), g2[lo * rows : hi * rows]
+            cols = np.empty(((hi - lo) * rows, width), dtype=DTYPE)
+            copy(lo, hi, cols)
+            np.dot(part.T, cols, out=dw_parts[k])
+            np.sum(part, axis=0, out=db_parts[k])
+            if scatter is not None:
+                scatter(lo, hi, np.dot(part, wmat, out=cols))
 
-            _split(bounds, input_grad, rows * (co + 2 * width))
+        _split(bounds, block, rows * (co + 2 * width))
+        dw, db = dw_parts[0], db_parts[0]
+        for k in range(1, blocks):  # the partials in grid order
+            dw += dw_parts[k]
+            db += db_parts[k]
         return dx, dw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2), db
 
     _record(out, (x, w, bias), bwd)

@@ -110,7 +110,8 @@ def _time_rows(rows_in: np.ndarray, t_len: int):
     """
     if rows_in.ndim < 1 or t_len < 1 or rows_in.shape[0] % t_len:
         raise DimensionError(f"lif_sequence needs [T·B,...] currents, T={t_len}: {rows_in.shape}")
-    seq_shape = (t_len, rows_in.shape[0] // t_len) + rows_in.shape[1:]
+    in_shape = rows_in.shape  # all back reads of the currents, so a tape does not keep them
+    seq_shape = (t_len, in_shape[0] // t_len) + in_shape[1:]
     order = _memory_order(rows_in.reshape(seq_shape))
     shape = tuple(seq_shape[k] for k in order)
     inverse = tuple(sorted(range(len(order)), key=order.__getitem__))
@@ -119,7 +120,7 @@ def _time_rows(rows_in: np.ndarray, t_len: int):
         return x.reshape(seq_shape).transpose(order).reshape(t_len, -1)
 
     def back(r):
-        return r.reshape(shape).transpose(inverse).reshape(rows_in.shape)
+        return r.reshape(shape).transpose(inverse).reshape(in_shape)
 
     return rows, back
 

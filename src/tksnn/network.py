@@ -215,27 +215,44 @@ class Model:
 PRESETS = ("mlp-small", "cnn-small")
 
 
+def _plan(preset: str, input_shape, class_count: int) -> list[tuple]:
+    """The layers of a named architecture as (layer class, *sizes) tuples, the
+    readout's (Linear, in, out) last; it allocates nothing."""
+    if preset == "mlp-small":
+        return [(Flatten,), (Linear, math.prod(input_shape), 128), (Lif,),
+                (Linear, 128, class_count)]
+    if preset == "cnn-small":
+        if len(input_shape) != 3:
+            raise ParameterError(f"cnn-small needs [C,H,W] inputs, got {input_shape}")
+        c, h, w = input_shape
+        return [(Conv2d, c, 16, 3, 1, 1), (Lif,), (AvgPool2d, 2),
+                (Conv2d, 16, 32, 3, 1, 1), (Lif,), (AvgPool2d, 2), (Flatten,),
+                (Linear, 32 * (h // 4) * (w // 4), class_count)]
+    raise ParameterError(f"unknown preset {preset!r}; available: {PRESETS}")
+
+
+def parameter_shapes(preset: str, input_shape, class_count: int) -> dict[str, tuple[int, ...]]:
+    """The names and shapes of the parameters `build_model` gives a preset, in
+    `Model.parameters` order, worked out without allocating them."""
+    plan = _plan(preset, tuple(int(n) for n in input_shape), class_count)
+    shapes = {}
+    for i, (cls, *sizes) in enumerate(plan):
+        name = "readout" if i == len(plan) - 1 else f"layer{i}"
+        if cls is Linear:
+            shapes[f"{name}.w"], shapes[f"{name}.b"] = tuple(sizes), (sizes[1],)
+        elif cls is Conv2d:
+            ci, co, k = sizes[:3]
+            shapes[f"{name}.w"], shapes[f"{name}.b"] = (co, ci, k, k), (co,)
+    return shapes
+
+
 def build_model(preset: str, input_shape, class_count: int, lif_cfg: LifConfig,
                 surrogate: SurrogateSpec, seed: int) -> Model:
     """Construct a named desk-scale architecture with seeded initialization."""
     input_shape = tuple(int(n) for n in input_shape)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x1217])))
-    if preset == "mlp-small":
-        features = int(np.prod(input_shape))
-        layers = [Flatten(), Linear(features, 128, rng), Lif()]
-        readout = Linear(128, class_count, rng)
-    elif preset == "cnn-small":
-        if len(input_shape) != 3:
-            raise ParameterError(f"cnn-small needs [C,H,W] inputs, got {input_shape}")
-        c, h, w = input_shape
-        layers = [
-            Conv2d(c, 16, 3, 1, 1, rng), Lif(), AvgPool2d(2),
-            Conv2d(16, 32, 3, 1, 1, rng), Lif(), AvgPool2d(2),
-            Flatten(),
-        ]
-        readout = Linear(32 * (h // 4) * (w // 4), class_count, rng)
-    else:
-        raise ParameterError(f"unknown preset {preset!r}; available: {PRESETS}")
+    *layers, readout = [cls(*sizes, rng) if cls in (Linear, Conv2d) else cls(*sizes)
+                        for cls, *sizes in _plan(preset, input_shape, class_count)]
     return Model(layers, readout, surrogate, preset=preset, input_shape=input_shape,
                  class_count=class_count, lif_cfg=lif_cfg, seed=seed)
 
@@ -364,7 +381,9 @@ def load_checkpoint(path):
 
     Returns (model, header_dict, optimizer_state or None) where optimizer_state
     is (step_count, [moment arrays in parameter order: m0, v0, m1, v1, ...]).
-    A file too short for the blobs its header names is refused before the build.
+    A header whose parameter shapes differ from those its preset, input shape
+    and class count give, or a file too short for the blobs its header names,
+    is refused before the build.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -385,11 +404,15 @@ def load_checkpoint(path):
         need = 8 + 12 * floats if header.get("has_optimizer") else 4 * floats
         if off + need > len(raw):
             raise FormatError(f"{path}: truncated at byte {len(raw)}, blobs need {need} from {off}")
+        shapes = parameter_shapes(header["preset"], header["input_shape"], header["class_count"])
+        for name, shape in shapes.items():
+            stored = tuple(header["layer_shapes"][name])
+            if stored != shape:
+                raise ValueError(f"shape mismatch for {name}: {stored} vs {shape}")
         model = build_model(
             header["preset"], header["input_shape"], header["class_count"],
             LifConfig(**header["lif"]), SurrogateSpec(**header["surrogate"]), header["seed"],
         )
-        shapes = {name: tuple(header["layer_shapes"][name]) for name, _ in model.parameters()}
         epoch = header["epoch"]  # save_checkpoint always writes it; resuming reads it
         if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
             raise ValueError(f"epoch {epoch!r} is not a non-negative integer")
@@ -406,10 +429,7 @@ def load_checkpoint(path):
         off += nbytes
         return raw[off - nbytes : off]
 
-    for name, p in model.parameters():
-        shape = shapes[name]
-        if shape != p.shape:
-            raise FormatError(f"{path}: shape mismatch for {name}: {shape} vs {p.shape}")
+    for _, p in model.parameters():
         p.data = np.frombuffer(take(p.size * 4), dtype="<f4").reshape(p.shape).copy()
     opt_state = None
     if header.get("has_optimizer"):

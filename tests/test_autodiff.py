@@ -4,6 +4,8 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -456,8 +458,11 @@ def ref_col2im(cols, x_shape, kh, kw, stride, padding, oh, ow):
     return xp[:, padding : padding + h, padding : padding + w].transpose(0, 3, 1, 2)
 
 
-def ref_conv2d(x, w, bias, g, stride, padding):
-    """(y, dw, db, dx) of conv2d for d loss / d y = g, keeping the patches."""
+def ref_conv2d(x, w, bias, g, stride, padding, bounds=None):
+    """(y, dw, db, dx) of conv2d for d loss / d y = g, keeping the patches.
+
+    dw and db are the sums, in grid order, of one g2ᵀ·cols and one row sum
+    per block of whole samples [lo, hi) of `bounds` (all samples if None)."""
     b = x.shape[0]
     co, ci, kh, kw = w.shape
     cols, oh, ow = ref_im2col(x, kh, kw, stride, padding)
@@ -465,8 +470,13 @@ def ref_conv2d(x, w, bias, g, stride, padding):
     y = cols @ wmat.T
     y += bias
     g2 = g.transpose(0, 2, 3, 1).reshape(b * oh * ow, co)
-    dw = (g2.T @ cols).reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
-    db = g2.sum(axis=0)
+    rows = oh * ow
+    blocks = [slice(lo * rows, hi * rows) for lo, hi in pairwise(bounds or [0, b])]
+    dw, db = g2[blocks[0]].T @ cols[blocks[0]], g2[blocks[0]].sum(axis=0)
+    for rows_k in blocks[1:]:
+        dw = dw + g2[rows_k].T @ cols[rows_k]
+        db = db + g2[rows_k].sum(axis=0)
+    dw = dw.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2)
     dx = ref_col2im(g2 @ wmat, x.shape, kh, kw, stride, padding, oh, ow)
     return y.reshape(b, oh, ow, co).transpose(0, 3, 1, 2), dw, db, dx
 
@@ -555,12 +565,14 @@ def test_conv2d_bits_do_not_depend_on_the_worker_count_over_several_blocks(
 @pytest.mark.parametrize("ci, co, hw", [(2, 16, 32), (16, 32, 16)])
 def test_cnn_small_convs_on_the_grid_match_one_matmul_bit_for_bit(ci, co, hw, items):
     """cnn-small's two convs at B·T = 80, 160 and 250 run several grid blocks,
-    and every block's matmul gives the rows the single whole-input matmul of
-    the oracle gives them. A BLAS whose row results depend on the row count
-    fails here: the grid would then change cnn-small's bits."""
+    and every block's matmuls give y and dx the rows the single whole-input
+    matmul of the oracle gives them. A BLAS whose row results depend on the
+    row count fails here: the grid would then change cnn-small's bits. dw
+    and db are the oracle's per-block partials, added in grid order."""
     x, wt, bias, g = conv_case(1, 1, ci, channels_last=ci > 2, b=items, co=co, h=hw, w=hw)
-    assert len(ad._sample_blocks(items, hw * hw)) - 1 > 2
-    want = ref_conv2d(x, wt, bias, g, 1, 1)
+    bounds = ad._sample_blocks(items, hw * hw)
+    assert len(bounds) - 1 > 2
+    want = ref_conv2d(x, wt, bias, g, 1, 1, bounds)
     got = conv2d_and_grads(x, wt, bias, g, 1, 1)
     for name, a, b in zip(("y", "dw", "db", "dx"), got, want):
         assert same_bits(a, b), name
@@ -586,8 +598,9 @@ def test_split_kernels_on_zero_samples_return_empty_values_and_zero_parameter_gr
 
 
 def test_conv2d_tape_keeps_less_than_one_patch_matrix():
-    """Between forward and backward a taped conv2d keeps its output and the
-    weight matrix, not the [B·oh·ow, kh·kw·C] patches."""
+    """Between forward and backward a taped conv2d's output (held here) and
+    its tape keep less than the [B·oh·ow, kh·kw·C] patches: the tape adds
+    the weight matrix, not the patches."""
     rng = np.random.default_rng(0)
     b, ci, co, hw = 16, 16, 8, 16
     x = Tensor(rng.standard_normal((b, ci, hw, hw)).astype(np.float32), requires_grad=True)
@@ -695,7 +708,7 @@ def test_pool_submissions_of_each_split_call_of_cnn_small(monkeypatch):
     with GradTape() as tape:
         loss, _, _ = objective(unroll(model, x), np.arange(16) % 10, TeacherConfig(), 0.5)
     backward(loss, tape)
-    assert [count for _, _, count in calls] == [1] * 15
+    assert [count for _, _, count in calls] == [1] * 12
     caller = threading.get_ident()
     kernels = ["_conv2d", "_lif_rows", "_avgpool2d"] * 2
     for t_len in (1, 2, 4, 6, 8, 10):
@@ -711,6 +724,93 @@ def test_pool_submissions_of_each_split_call_of_cnn_small(monkeypatch):
             by_thread.setdefault(thread, []).append(name)
         assert caller in by_thread and len(by_thread) == 2, t_len
         assert all(names == kernels for names in by_thread.values()), t_len
+
+
+# ---------------------------------------------------------------------------
+# the tape's memory contract: it keeps tape keys, leaves and backward
+# closures, so a tensor's data lives only while the caller or a closure
+# holds it
+
+
+def memory_owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns a's memory: a itself, or the base it views."""
+    return a if a.base is None else a.base
+
+
+@pytest.mark.parametrize("preset, shape", [("mlp-small", (40,)), ("cnn-small", (2, 32, 32))])
+def test_lif_input_currents_are_freed_once_a_taped_unroll_returns(monkeypatch, preset, shape):
+    from tksnn import TeacherConfig, build_model, network, objective, unroll
+    from tksnn.lif import LifConfig
+
+    currents = []
+    lif_sequence = network.lif_sequence
+
+    def noting_the_currents(h, *args):
+        currents.append(weakref.ref(memory_owner(h.data)))
+        return lif_sequence(h, *args)
+
+    monkeypatch.setattr(network, "lif_sequence", noting_the_currents)
+    model = build_model(preset, shape, 4, LifConfig(), SurrogateSpec(), 0)
+    x = np.random.default_rng(0).uniform(0, 3, size=(4, 2) + shape).astype(np.float32)
+    with GradTape() as tape:
+        out = unroll(model, x)
+        assert len(currents) == sum(layer.kind == "lif" for layer in model.layers)
+        assert all(ref() is None for ref in currents)
+        loss, _, _ = objective(out, np.arange(2), TeacherConfig(), 0.5)
+    backward(loss, tape)
+    assert all(p.grad is not None and p.grad.shape == p.shape for _, p in model.parameters())
+
+
+def test_a_taped_cnn_small_forward_and_loss_hold_at_most_36_mb():
+    """B=16, T=10: the tape holds each LIF layer's spikes and potentials and
+    each pooled conv input, not the conv outputs (15.7 MB), which no backward
+    reads."""
+    from tksnn import TeacherConfig, build_model, objective, unroll
+    from tksnn.lif import LifConfig
+
+    model = build_model("cnn-small", (2, 32, 32), 4, LifConfig(), SurrogateSpec(), 0)
+    rng = np.random.default_rng(5)
+    x = rng.poisson(0.15, size=(10, 16, 2, 32, 32)).astype(np.float32)
+    y = rng.integers(0, 4, size=16)
+    tracemalloc.start()
+    try:
+        with GradTape():
+            objective(unroll(model, x), y, TeacherConfig(mode="tks", k=2, tau=3.0), 0.5)
+            held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 36 * 2**20
+
+
+def test_a_dropped_intermediate_does_not_change_the_gradients():
+    """The currents of a LIF op, dropped by the caller, are freed, and the
+    leaves made after them get the gradients of the graph that keeps them,
+    bit for bit. A key reused from a freed tensor, as id() is, would add a
+    new leaf's gradient into the dropped tensor's slot."""
+    from tksnn.lif import LifConfig, lif_sequence
+
+    rng = np.random.default_rng(0)
+    values = [rng.standard_normal(shape).astype(np.float32)
+              for shape in [(6, 4), (4, 4)] + [(6, 4)] * 8]
+
+    def grads(drop):
+        x, w = (Tensor(v, requires_grad=True) for v in values[:2])
+        with GradTape() as tape:
+            currents = ad.matmul(x, w)
+            freed = weakref.ref(memory_owner(currents.data))
+            h = lif_sequence(currents, 3, LifConfig(), SurrogateSpec("triangular", 4.0))
+            if drop:
+                del currents
+                assert freed() is None
+            leaves = [Tensor(v, requires_grad=True) for v in values[2:]]
+            for leaf in leaves:
+                h = ad.add(ad.mul(h, leaf), leaf)
+            loss = ad.mean(h)
+        backward(loss, tape)
+        return [t.grad for t in [x, w, *leaves]]
+
+    for got, want in zip(grads(drop=True), grads(drop=False)):
+        assert same_bits(got, want)
 
 
 def test_a_tape_records_nothing_from_ops_on_another_thread():

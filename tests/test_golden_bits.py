@@ -27,7 +27,7 @@ from tksnn.network import save_checkpoint
 DIGESTS = {
     ("2.4.6", "scipy-openblas 0.3.31.188.0", "x86_64", "Intel(R) Xeon(R) Processor"): {
         "mlp": "91a0546186761ecbd7441bf5db6bf78ceb7324abb47506d731a6f7cad0fcffee",
-        "cnn": "276c62507a06d32f9b6f62ad690afc593893186479c60e2c5edd3e5690be7059",
+        "cnn": "c736c93c477bb5fb8871fafcc2d48de6b953e2d6749fed05c1e55b2c8113abd6",
         "sweep": "7ae86bc9e37f5ce9116d72305f7eb5142847191a5eef8d435c502bc06bd447b3",
     },
 }

@@ -35,6 +35,10 @@ def test_kernel_profile_demo_runs(monkeypatch, capsys):
                  "untaped unroll, T=1, B=8:", "untaped unroll, T=10, B=8:", "process peak RSS after training"):
         assert line in out
     assert "0:conv2d" in out and "readout" in out
+    # the traced step: its allocation peak, and the tape it holds before backward
+    traced = re.search(r"allocation peak ([0-9.]+) MB, tape after forward and loss ([0-9.]+) MB "
+                       r"\(tracemalloc\)$", out, re.M)
+    assert traced and 0 < float(traced.group(2)) < float(traced.group(1))
     # every figure is taken at the process's own worker count, one column
     label = demo.column_label()
     assert "1 workers" not in out

@@ -21,6 +21,7 @@ from tksnn.network import (
     Model,
     build_model,
     load_checkpoint,
+    parameter_shapes,
     save_checkpoint,
     unroll,
 )
@@ -234,26 +235,60 @@ def test_header_not_describing_a_model_is_format_error(tmp_path, bad_header_copi
             load_checkpoint(bad)
 
 
+def rewrite_header(path, edit) -> None:
+    """Apply edit(header) to the JSON header of the checkpoint at path, in place."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + hlen])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :])
+
+
+def load_peak(path, match) -> int:
+    """The tracemalloc peak of a load_checkpoint(path) that raises FormatError matching `match`."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_a_short_file_is_refused_before_the_model_its_header_names_is_built(tmp_path):
     # the header's 100 000-class readout would take about 150 MB to build: 51 MB
     # of float32 weights, drawn in float64; the file holds a 3-class one
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, tiny_model(), epoch=1)
-    raw = path.read_bytes()
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12 : 12 + hlen])
-    header["class_count"] = 100_000
-    header["layer_shapes"].update({"readout.w": [128, 100_000], "readout.b": [100_000]})
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + hlen :])
-    tracemalloc.start()
-    try:
-        with pytest.raises(FormatError, match="truncated"):
-            load_checkpoint(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+
+    def edit(header):
+        header["class_count"] = 100_000
+        header["layer_shapes"].update({"readout.w": [128, 100_000], "readout.b": [100_000]})
+
+    rewrite_header(path, edit)
+    assert load_peak(path, "truncated") < 16 * 2**20
+
+
+@pytest.mark.parametrize("key, value", [("class_count", 100_000), ("input_shape", [100_000])])
+def test_a_header_whose_sizes_disagree_with_its_shapes_is_refused_before_the_build(
+        tmp_path, key, value):
+    # only the header's class count or input shape is edited; its layer shapes
+    # and blobs still describe the 3-class, 8-input model, so the file is long
+    # enough, and building what the edit names would take about 150 MB
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, tiny_model(), epoch=1)
+    rewrite_header(path, lambda header: header.update({key: value}))
+    assert load_peak(path, "shape mismatch") < 16 * 2**20
+
+
+@pytest.mark.parametrize("preset, input_shape", [("mlp-small", (8,)), ("mlp-small", (2, 3, 4)),
+                                                 ("cnn-small", (2, 32, 32)),
+                                                 ("cnn-small", (1, 8, 12))])
+def test_parameter_shapes_are_those_of_the_built_model(preset, input_shape):
+    model = build_model(preset, input_shape, 5, LIF, SUR, 0)
+    assert parameter_shapes(preset, input_shape, 5) == {n: p.shape for n, p in model.parameters()}
+    assert list(parameter_shapes(preset, input_shape, 5)) == [n for n, _ in model.parameters()]
 
 
 def checkpoint_bytes() -> bytes:
