@@ -6,8 +6,10 @@ by layer (B=8 samples of 2x32x32 event-like frames, T=1 and T=10). It
 counts minor page faults (`getrusage` `ru_minflt`) per step and per
 unroll. The LIF, conv and pooling kernels split their work over the CPUs of
 the process's affinity set (at most four), read once when `tksnn` is
-imported: it prints that worker count, and every table has one column, for
-that count. For one worker's figures, run it under `taskset -c 0`.
+imported: it prints that worker count, and every table has one time column
+per pass, for that count. For one worker's figures, run it under
+`taskset -c 0`. The training step's table also gives each layer's median
+minor faults in its forward and in its backward.
 
 An untaped unroll runs the layers before the readout through their private
 kernels (each layer's `infer` and `lif._lif_sequence`), in groups of whole
@@ -194,9 +196,9 @@ def profile_unroll(model, rng, t_len: int, batch: int = 8):
 
 
 def profile_train_step(model, rng, t_len: int = 10, batch: int = 16):
-    """Times whole steps, each layer's forward and the backward of the tape
-    ops each layer recorded (the loss's ops and the optimizer step are in
-    the step time only)."""
+    """Times whole steps, and times and counts the faults of each layer's
+    forward and the backward of the tape ops each layer recorded (the loss's
+    ops and the optimizer step are in the step's figures only)."""
     opt = AdamW(model.parameters(), lr=1e-3)
     teacher = TeacherConfig(mode="tks", k=2, tau=3.0)
     times, flts, per_layer = [], [], {}
@@ -220,15 +222,19 @@ def profile_train_step(model, rng, t_len: int = 10, batch: int = 16):
             flts.append(f1 - f0)
             for part, spent in (("fwd", fwds), ("bwd", backs)):
                 for name, s in spent.items():
-                    per_layer.setdefault(name, {}).setdefault(part, []).append(s[0])
-    label = column_label()
+                    per_layer.setdefault(name, {}).setdefault(part, []).append(s)
+    label, parts = column_label(), ("fwd", "bwd")
     print(f"training step, T={t_len}, B={batch}: {statistics.median(times) * 1e3:.1f} ms "
           f"({label}), minor faults median {statistics.median(flts):.0f}, "
           f"mean {statistics.fmean(flts):.0f}")
-    print(f"  {'layer':14s}" + "".join(f"{part + ' ' + label:>17s}" for part in ("fwd", "bwd")))
+    print(f"  {'layer':14s}" + "".join(f"{part + ' ' + label:>17s}" for part in parts)
+          + "".join(f"{part + ' faults':>12s}" for part in parts))
     for name, by_part in per_layer.items():
-        print(f"  {name:14s}" + "".join(f"{statistics.median(by_part[part]):14.3f} ms"
-                                          for part in ("fwd", "bwd")))
+        print(f"  {name:14s}"
+              + "".join(f"{statistics.median(v[0] for v in by_part[part]):14.3f} ms"
+                        for part in parts)
+              + "".join(f"{statistics.median(v[1] for v in by_part[part]):12.0f}"
+                        for part in parts))
 
 
 def profile_mlp_step(rng, t_len: int = 10, batch: int = 32):

@@ -127,7 +127,12 @@ def _record(out: Tensor, inputs, bwd):
 
 def backward(loss: Tensor, tape: GradTape) -> None:
     """Populate .grad of every requires_grad tensor reachable from loss; the
-    gradients in flight are keyed by tape key, each dropped once used."""
+    gradients in flight are keyed by tape key, each dropped once used.
+
+    Each node lets go of its backward closure (node.bwd becomes None) once
+    backward reaches it, so what the closure keeps, such as a LIF layer's
+    potentials or a conv input, is freed before the layers below run theirs.
+    The nodes stay, so len(tape) still counts them."""
     if loss.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
     if tape._used:
@@ -139,9 +144,10 @@ def backward(loss: Tensor, tape: GradTape) -> None:
     grads: dict[int, np.ndarray] = {loss._key: np.ones_like(loss.data)}
     for node in reversed(tape._nodes):
         g = grads.pop(node.out, None)
+        bwd, node.bwd = node.bwd, None
         if g is None:
             continue
-        for (key, needs, leaf), ig in zip(node.inputs, node.bwd(g)):
+        for (key, needs, leaf), ig in zip(node.inputs, bwd(g)):
             if ig is None or not needs:
                 continue
             ig = ig.astype(DTYPE, copy=False)
@@ -199,6 +205,23 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 
+# glibc's malloc maps every block at least its mmap threshold in size and
+# unmaps it on free, and trims its heap once more than twice that threshold
+# lies free at the top; freeing a mapped block larger than the threshold
+# raises the threshold to that block's size, up to 32 MiB (mallopt(3)).
+# Allocating and freeing one 26 MiB block here raises it once: a training
+# step's buffers (a cnn-small conv output or LIF layer is 10.5 MB) then come
+# from the heap, which keeps its pages from step to step instead of touching
+# thousands of fresh ones each step. The size also puts the trim point at
+# 52 MiB: above what one cnn-small step (B=16, T=10) frees at the heap's top
+# (at a 40 MiB point its steps still took 2k-8k faults each), below what a
+# finished training run frees (a 62 MiB point kept the trained heap resident
+# through the evaluation after it, which then peaked 20 MB higher). The
+# block is never touched, so it costs no resident memory; another allocator
+# just frees it.
+np.empty(26 << 20, dtype=np.uint8)
+
+
 class _Dealt(threading.local):
     """True on a thread while it runs blocks that _split dealt out to workers."""
 
@@ -208,20 +231,32 @@ class _Dealt(threading.local):
 _DEALT = _Dealt()
 
 
-def _runs(blocks: int, work: int) -> int:
-    """The runs _split deals `blocks` blocks out to, for `work` float32 elements
-    in all: one inside a dealt-out run, else one per worker up to one per block,
-    each run touching at least _MIN_RANGE_WORK elements."""
-    if _DEALT.inside:
-        return 1
-    return max(1, min(_WORKERS, blocks, work // _MIN_RANGE_WORK))
+def _cuts(blocks: int, work: int) -> list[int]:
+    """Where _split cuts `blocks` blocks of `work` float32 elements in all into
+    runs, as block indices from 0 to blocks: one run inside a dealt-out run,
+    else one per worker up to one per block, each run touching at least
+    _MIN_RANGE_WORK elements."""
+    runs = 1 if _DEALT.inside else max(1, min(_WORKERS, blocks, work // _MIN_RANGE_WORK))
+    return [blocks * k // runs for k in range(runs + 1)]
 
 
 def _sample_runs(b: int, work: int) -> list[int]:
     """Bounds of one block of whole samples per run _split makes of b samples
     of `work` float32 elements each; a single block when it would run inline."""
-    parts = _runs(b, b * work)
-    return [b * k // parts for k in range(parts + 1)]
+    return _cuts(b, b * work)
+
+
+def _run_buffers(bounds: list[int], work: int, make) -> dict:
+    """{lo: buffer} for each block [lo, hi) of the grid that _split(bounds, fn,
+    work) deals out: make(n) runs once per run of blocks, on the calling
+    thread, n the units of the run's largest block, and every block of the
+    run reuses that one buffer."""
+    buffers = {}
+    cuts = _cuts(len(bounds) - 1, work * bounds[-1])
+    for first, last in zip(cuts, cuts[1:]):
+        buf = make(max(bounds[k + 1] - bounds[k] for k in range(first, last)))
+        buffers.update((bounds[k], buf) for k in range(first, last))
+    return buffers
 
 
 def _split(bounds: list[int], fn, work: int) -> None:
@@ -234,7 +269,7 @@ def _split(bounds: list[int], fn, work: int) -> None:
     the others; a pool thread runs where the OS schedules it, within the CPU
     set of the thread whose split started it. With one worker, one block,
     under _MIN_RANGE_WORK elements per run, or when started inside a run that
-    a split dealt out (see _runs), every block runs inline, in order, and no
+    a split dealt out (see _cuts), every block runs inline, in order, and no
     thread is woken.
     Every run has finished when this returns, also when one raises; the first
     error in run order is then raised as itself.
@@ -248,11 +283,11 @@ def _split(bounds: list[int], fn, work: int) -> None:
     thread). It may call a private kernel that calls _split: that nested
     split runs inline on fn's thread, so a dealt-out run never waits on the
     pool. A kernel's buffers belong in its caller, so that threads allocate
-    nothing large. There are two exceptions, and each writes its results
-    only into buffers the caller owns: network.unroll's untaped stack, whose
-    groups of samples allocate their own layers' buffers on the thread that
-    runs them, and conv2d's backward, whose blocks each allocate their own
-    patch buffer.
+    nothing large; a block that needs scratch space, such as conv2d's
+    patches, reuses its run's buffer from _run_buffers. The one exception is
+    network.unroll's untaped stack, whose groups of samples allocate their
+    own layers' buffers on the thread that runs them and write their results
+    only into a buffer the caller owns.
     """
     blocks = len(bounds) - 1
 
@@ -260,8 +295,8 @@ def _split(bounds: list[int], fn, work: int) -> None:
         for k in range(first, last):
             fn(bounds[k], bounds[k + 1])
 
-    runs = _runs(blocks, work * bounds[-1])
-    if runs < 2:
+    cuts = _cuts(blocks, work * bounds[-1])
+    if len(cuts) < 3:
         run(0, blocks)
         return
 
@@ -272,7 +307,6 @@ def _split(bounds: list[int], fn, work: int) -> None:
         finally:
             _DEALT.inside = False
 
-    cuts = [blocks * k // runs for k in range(runs + 1)]
     futures = []
     try:
         for first, last in zip(cuts[1:-1], cuts[2:]):
@@ -533,18 +567,20 @@ def _conv2d(x: np.ndarray, w: np.ndarray, bias: np.ndarray, stride: int,
     rows, width = oh * ow, kh * kw * ci  # patch rows per sample, floats per row
     wmat = _kernel_rows(w)
     copy = _im2col(x, kh, kw, stride, padding)
-    cols = np.empty((b * rows, width), dtype=DTYPE)
     y = np.empty((b * rows, co), dtype=DTYPE)
     per_sample = y.reshape(b, rows * co)
     tiled = np.tile(bias, rows)
+    bounds, work = _sample_blocks(b, rows), rows * (width + co)
+    patches = _run_buffers(bounds, work, lambda n: np.empty((n * rows, width), dtype=DTYPE))
 
     def forward(lo, hi):
-        copy(lo, hi, cols[lo * rows : hi * rows])
-        np.dot(cols[lo * rows : hi * rows], wmat.T, out=y[lo * rows : hi * rows])
+        cols = patches[lo][: (hi - lo) * rows]
+        copy(lo, hi, cols)
+        np.dot(cols, wmat.T, out=y[lo * rows : hi * rows])
         # the same elementwise adds as y += bias, over rows of whole samples
         np.add(per_sample[lo:hi], tiled, out=per_sample[lo:hi])
 
-    _split(_sample_blocks(b, rows), forward, rows * (width + co))
+    _split(bounds, forward, work)
     return y.reshape(b, oh, ow, co).transpose(0, 3, 1, 2)
 
 
@@ -559,8 +595,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     A matmul's bits depend on where its rows are cut, so by _split's bit
     rule the grid depends on the input's shape alone; an input smaller than
     one block is one block. The forward runs each block's patch copy, patch
-    matmul and bias add as one _split block. The bits
-    equal the single whole-input matmul's unless OpenBLAS takes its
+    matmul and bias add as one _split block, and neither pass builds a whole
+    patch matrix: for each run of blocks that _split deals out, the calling
+    thread allocates one patch buffer the size of the run's largest block,
+    and each block of the run copies its patches into it (_run_buffers).
+    The bits equal the single whole-input matmul's unless OpenBLAS takes its
     small-matrix path, whose bits differ, for a block and not for the whole
     (on 0.3.31 with AVX-512: the patch matmul up to M·N·K ≈ 1.7e5 at 144
     floats per row). No block of cnn-small's is that small (tested). The matmuls
@@ -571,15 +610,15 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
     The tape keeps x, not the patches or the output: backward rebuilds the
     patches bit for bit from x.data, so x.data must not change in place
     between this call and backward. Backward is one _split over the same
-    grid, and no whole patch matrix is built. Each block rebuilds its own
-    patches in a buffer of its own, writes its partial weight gradient
-    g2ᵀ·cols and bias row sum into slot k of [blocks, ...] buffers and,
-    when x has a gradient path, writes g2·wmat into the same patch rows and
-    scatters them with _col2im into one padded input gradient. The calling
-    thread then adds the partials in grid order, so dw and db are sums of
-    grid partials whose bits depend on the shape alone, while dx gets the
-    bits of the single matmul's rows. The network input has no gradient
-    path, so its layer skips the input gradient.
+    grid. Each block rebuilds its patches in its run's buffer, writes its
+    partial weight gradient g2ᵀ·cols and bias row sum into slot k of
+    [blocks, ...] buffers and, when x has a gradient path, writes g2·wmat
+    into the same patch rows and scatters them with _col2im into one padded
+    input gradient. The calling thread then adds the partials in grid
+    order, so dw and db are sums of grid partials whose bits depend on the
+    shape alone, while dx gets the bits of the single matmul's rows. The
+    network input has no gradient path, so its layer skips the input
+    gradient.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise DimensionError(f"conv2d expects [B,C,H,W] and [O,C,kh,kw], got {x.shape}, {w.shape}")
@@ -597,20 +636,21 @@ def conv2d(x: Tensor, w: Tensor, bias: Tensor, stride: int = 1, padding: int = 0
         g2 = g.transpose(0, 2, 3, 1).reshape(b * rows, co)
         copy = _im2col(x_data, kh, kw, stride, padding)
         dx, scatter = _col2im(x_data.shape, kh, kw, stride, padding) if x_needs else (None, None)
-        blocks = len(bounds) - 1
+        blocks, work = len(bounds) - 1, rows * (co + 2 * width)
         dw_parts = np.empty((blocks, co, width), dtype=DTYPE)
         db_parts = np.empty((blocks, co), dtype=DTYPE)
+        patches = _run_buffers(bounds, work, lambda n: np.empty((n * rows, width), dtype=DTYPE))
 
         def block(lo, hi):
             k, part = bounds.index(lo), g2[lo * rows : hi * rows]
-            cols = np.empty(((hi - lo) * rows, width), dtype=DTYPE)
+            cols = patches[lo][: (hi - lo) * rows]
             copy(lo, hi, cols)
             np.dot(part.T, cols, out=dw_parts[k])
             np.sum(part, axis=0, out=db_parts[k])
             if scatter is not None:
                 scatter(lo, hi, np.dot(part, wmat, out=cols))
 
-        _split(bounds, block, rows * (co + 2 * width))
+        _split(bounds, block, work)
         dw, db = dw_parts[0], db_parts[0]
         for k in range(1, blocks):  # the partials in grid order
             dw += dw_parts[k]
@@ -663,12 +703,14 @@ def avgpool2d(x: Tensor, window: int) -> Tensor:
     k = window
     offsets = [(i, j) for i in range(k) for j in range(k)]
     n = DTYPE(k * k)
-    data = x.data
-    out = Tensor(_avgpool2d(data, k))
+    # backward keeps x's shape and memory order, not x
+    order = sorted(range(4), key=lambda axis: -x.data.strides[axis])
+    in_memory, back = [x.shape[axis] for axis in order], np.argsort(order)
+    out = Tensor(_avgpool2d(x.data, k))
     bounds = _sample_runs(b, c * h * w)
 
     def bwd(g):
-        gx = np.empty_like(data)
+        gx = np.empty(in_memory, dtype=DTYPE).transpose(back)
         share = np.empty_like(g)
 
         def spread(lo, hi):

@@ -17,9 +17,13 @@ few per-step buffers that each op writes in place (`out=`); every op still
 takes the same operands in the same order, so writing in place changes no
 bit. Only backward reads the potentials, so the [T, B, ...] sequence of v_t
 is kept only when a tape records the op: inference keeps the spikes alone,
-and each v_t overwrites v_{t-1} in one buffer. The backward runs the
-recurrence in reverse time, with H' replaced by the surrogate derivative sg
-evaluated at the stored v_t:
+and each v_t overwrites v_{t-1} in one buffer. A recorded op keeps v and
+not the spikes, which are freed once the layer above has read them: the
+backward reads 1 - s_t as the comparison v_t < v_th, which equals
+1 - H(v_t - v_th) for every v_t that is not NaN (a NaN v_t spikes 0, and
+reads 0 where 1 - s_t is 1). The backward runs the recurrence in reverse
+time, with H' replaced by the surrogate derivative sg evaluated at the
+stored v_t:
 
     c_{t+1} = (1 - 1/tau_m) * dv_{t+1}                   (c_T = 0)
     ds_t    = gs_t - c_{t+1} * v_t
@@ -179,14 +183,14 @@ def lif_sequence(currents: Tensor, t_len: int, cfg: LifConfig,
     v_th = DTYPE(cfg.v_th)
     n = s_rows.shape[1]
 
-    def bwd(g):
+    def bwd(g):  # it keeps v_rows, not the spikes: 1 − s_t is read from v_t
         g_rows = rows(g)  # a view when g has the currents' memory order
-        grad = np.empty_like(s_rows)
+        grad = np.empty_like(v_rows)
         c_step, ds_step, a_step = (np.empty(n, dtype=DTYPE) for _ in range(3))
 
         def backward_tile(lo, hi):
             tile = slice(lo, hi)
-            v_tile, s_tile, g_tile, grad_tile = (x[:, tile] for x in (v_rows, s_rows, g_rows, grad))
+            v_tile, g_tile, grad_tile = (x[:, tile] for x in (v_rows, g_rows, grad))
             c, ds, a = (x[tile] for x in (c_step, ds_step, a_step))
             # grad_tile[t] holds sg_t, then dv_t once step t has run, then dI_t
             surrogate.derivative(np.subtract(v_tile, v_th, out=grad_tile), out=grad_tile)
@@ -197,7 +201,8 @@ def lif_sequence(currents: Tensor, t_len: int, cfg: LifConfig,
                 # as the same operation
                 np.subtract(g_tile[t], np.multiply(c, v_tile[t], out=ds), out=ds)
                 np.multiply(ds, grad_tile[t], out=ds)
-                np.multiply(c, np.subtract(1, s_tile[t], out=a), out=c)
+                # 1 − s_t is v_t < v_th, since s_t = (v_t >= v_th)
+                np.multiply(c, np.less(v_tile[t], v_th, out=a), out=c)
                 np.add(c, ds, out=grad_tile[t])
             np.multiply(grad_tile, gain, out=grad_tile)
 

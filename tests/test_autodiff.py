@@ -1,4 +1,5 @@
 import os
+import platform
 import subprocess
 import sys
 import threading
@@ -761,10 +762,10 @@ def test_lif_input_currents_are_freed_once_a_taped_unroll_returns(monkeypatch, p
     assert all(p.grad is not None and p.grad.shape == p.shape for _, p in model.parameters())
 
 
-def test_a_taped_cnn_small_forward_and_loss_hold_at_most_36_mb():
-    """B=16, T=10: the tape holds each LIF layer's spikes and potentials and
-    each pooled conv input, not the conv outputs (15.7 MB), which no backward
-    reads."""
+def test_a_taped_cnn_small_forward_and_loss_hold_at_most_21_mb():
+    """B=16, T=10: the tape holds each LIF layer's potentials and each conv
+    input, not the conv outputs (10.5 MB each) or the LIF spikes, which no
+    backward reads."""
     from tksnn import TeacherConfig, build_model, objective, unroll
     from tksnn.lif import LifConfig
 
@@ -779,7 +780,155 @@ def test_a_taped_cnn_small_forward_and_loss_hold_at_most_36_mb():
             held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held <= 36 * 2**20
+    assert held <= 21 * 2**20
+
+
+def cnn_small_case():
+    from tksnn import build_model
+    from tksnn.lif import LifConfig
+
+    model = build_model("cnn-small", (2, 32, 32), 4, LifConfig(), SurrogateSpec(), 0)
+    rng = np.random.default_rng(3)
+    return model, rng.poisson(0.15, size=(4, 2, 2, 32, 32)).astype(np.float32), np.arange(2)
+
+
+def test_a_lif_layers_spikes_are_freed_once_the_pooling_layer_after_it_returns(monkeypatch):
+    from tksnn import TeacherConfig, network, objective, unroll
+
+    model, x, y = cnn_small_case()
+    spikes, dead_on_entry = [], []
+    lif_sequence = network.lif_sequence
+
+    def noting_the_spikes(*args):
+        out = lif_sequence(*args)
+        spikes.append(weakref.ref(memory_owner(out.data)))
+        return out
+
+    def checking(i, forward):
+        def inner(h):
+            # the pooling layer after each LIF layer below layer i - 1 has returned
+            returned = sum(layer.kind == "lif" for layer in model.layers[: max(i - 1, 0)])
+            dead_on_entry.append([ref() is None for ref in spikes[:returned]])
+            return forward(h)
+        return inner
+
+    monkeypatch.setattr(network, "lif_sequence", noting_the_spikes)
+    for i, layer in enumerate(model.layers):
+        if layer.kind != "lif":
+            monkeypatch.setattr(layer, "forward", checking(i, layer.forward))
+    with GradTape() as tape:
+        out = unroll(model, x)
+        loss, _, _ = objective(out, y, TeacherConfig(), 0.5)
+    backward(loss, tape)
+    assert [layer.kind for layer in model.layers[:3]] == ["conv2d", "lif", "avgpool2d"]
+    # one entry per layer other than a LIF: conv, pool, conv, pool, flatten
+    assert dead_on_entry == [[], [], [True], [True], [True, True]]
+    assert all(p.grad is not None for _, p in model.parameters())
+
+
+def test_a_taped_avgpool2d_does_not_keep_its_input():
+    rng = np.random.default_rng(2)
+    leaf = Tensor(rng.standard_normal((4, 3, 8, 8)).astype(np.float32), requires_grad=True)
+    with GradTape() as tape:
+        x = ad.mul(leaf, 2.0)
+        kept = weakref.ref(memory_owner(x.data))
+        loss = ad.mean(ad.avgpool2d(x, 2))
+        del x
+        assert kept() is None
+    backward(loss, tape)
+    assert same_bits(leaf.grad, np.full(leaf.shape, np.float32(2 / 4) / np.float32(48 * 4)))
+
+
+def test_backward_frees_each_lif_layers_potentials_before_the_first_conv_runs(
+        monkeypatch):
+    from tksnn import TeacherConfig, lif, objective, unroll
+
+    model, x, y = cnn_small_case()
+    potentials, freed = [], []
+    lif_rows = lif._lif_rows
+
+    def noting_the_potentials(*args):
+        s_rows, v_rows = lif_rows(*args)
+        potentials.append(weakref.ref(v_rows))
+        return s_rows, v_rows
+
+    monkeypatch.setattr(lif, "_lif_rows", noting_the_potentials)
+    with GradTape() as tape:
+        loss, _, _ = objective(unroll(model, x), y, TeacherConfig(), 0.5)
+    first_conv = tape._nodes[0]
+    conv_backward = first_conv.bwd
+
+    def noting_what_is_freed(g):
+        freed.append([ref() is None for ref in potentials])
+        return conv_backward(g)
+
+    first_conv.bwd = noting_what_is_freed
+    assert [ref() is None for ref in potentials] == [False, False]
+    backward(loss, tape)
+    # both LIF layers' backward closures ran before the first conv's, and let go
+    assert freed == [[True, True]]
+    assert len(tape) > 0 and all(node.bwd is None for node in tape._nodes)
+
+
+@pytest.mark.parametrize("workers", [1, 2], indirect=True)
+def test_a_taped_conv2d_forward_peaks_below_one_patch_matrix(workers):
+    """64 samples of conv2's shape in cnn-small are 4 grid blocks; the forward
+    fills one block-sized patch buffer per run of blocks, not the whole matrix."""
+    rng = np.random.default_rng(0)
+    b, ci, co, hw = 64, 16, 8, 16
+    x = Tensor(rng.standard_normal((b, ci, hw, hw)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((co, ci, 3, 3)).astype(np.float32), requires_grad=True)
+    bias = Tensor(np.zeros(co, dtype=np.float32), requires_grad=True)
+    patch_bytes = b * hw * hw * 9 * ci * 4
+    assert len(ad._sample_blocks(b, hw * hw)) - 1 == 4
+    tracemalloc.start()
+    try:
+        with GradTape():
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            y = ad.conv2d(x, w, bias, stride=1, padding=1)
+            peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert y.data.nbytes < peak < patch_bytes
+
+
+TRAIN_STEPS = """
+import os
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+import resource
+import numpy as np
+# as in the benchmark: no huge-page advice, so each fresh 4 KB page is one fault
+(getattr(np, "_core", None) or np.core).multiarray._set_madvise_hugepage(False)
+from tksnn import (AdamW, GradTape, LifConfig, SurrogateSpec, TeacherConfig, backward,
+                   build_model, objective, unroll)
+model = build_model("cnn-small", (2, 32, 32), 4, LifConfig(), SurrogateSpec(), 0)
+opt = AdamW(model.parameters(), lr=1e-3)
+rng = np.random.default_rng(0)
+faults = []
+for _ in range(8):
+    x = rng.poisson(0.15, size=(10, 16, 2, 32, 32)).astype(np.float32)
+    y = rng.integers(0, 4, size=16)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with GradTape() as tape:
+        loss, _, _ = objective(unroll(model, x), y, TeacherConfig(mode="tks", k=2, tau=3.0), 0.5)
+    backward(loss, tape)
+    opt.step()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+                    reason="the heap's thresholds are glibc malloc's")
+def test_a_fresh_process_trains_cnn_small_on_the_pages_it_already_has():
+    """B=16, T=10: once the first steps have mapped the heap, a training
+    step touches no fresh pages; a heap trimmed at a step's end costs the
+    next step about 10k minor faults."""
+    done = run_python(TRAIN_STEPS)
+    assert done.returncode == 0, done.stderr
+    faults = [int(f) for f in done.stdout.split()]
+    assert len(faults) == 8 and all(f < 200 for f in faults[4:]), faults
 
 
 def test_a_dropped_intermediate_does_not_change_the_gradients():

@@ -42,17 +42,22 @@ def test_kernel_profile_demo_runs(monkeypatch, capsys):
     # every figure is taken at the process's own worker count, one column
     label = demo.column_label()
     assert "1 workers" not in out
-    # the training step's table: forward and backward ms per layer
+    # the training step's table: forward and backward ms per layer, then
+    # forward and backward minor faults
     step = out.split("training step, T=10, B=16:", 1)[1].split("process peak RSS", 1)[0]
     assert f"ms ({label}), minor faults" in step.splitlines()[0]
     header = step.splitlines()[1].split()
-    assert header[0] == "layer" and header.count("fwd") == 1 and header.count("bwd") == 1
+    assert header == ["layer", "fwd", *label.split(), "bwd", *label.split(),
+                      "fwd", "faults", "bwd", "faults"]
     ms = {line.split()[0]: [float(v) for v in re.findall(r"([0-9.]+) ms", line)]
           for line in step.splitlines()[2:]}
     assert list(ms) == ["0:conv2d", "lif", "2:avgpool2d", "3:conv2d", "5:avgpool2d",
                         "6:flatten", "readout"]
     assert all(len(v) == 2 for v in ms.values())
     assert ms["3:conv2d"][1] > 0  # its backward ran
+    for line in step.splitlines()[2:]:
+        *_, last_ms, fwd_faults, bwd_faults = line.split()
+        assert last_ms == "ms" and fwd_faults.isdigit() and bwd_faults.isdigit()
     # each unroll's table: one ms column and the layer's faults, for each
     # layer's kernel, the readout and the whole split call, which holds the
     # kernels (they run inside it, in one group at T=1)

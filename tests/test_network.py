@@ -303,14 +303,16 @@ def checkpoint_bytes() -> bytes:
 
 CHECKPOINT = checkpoint_bytes()
 # byte edits, most of them in the fixed and JSON headers (about the first 400 bytes);
-# at most three, so a header's sizes grow at most a thousandfold
+# up to eight, since load_checkpoint refuses a header whose shapes disagree with its
+# preset, or that names more floats than the file holds, before it builds a model, so
+# no edit of a header's sizes makes a load allocate for them
 ckpt_edit = st.tuples(st.sampled_from(["insert", "replace", "delete", "truncate"]),
                       st.integers(0, 400) | st.integers(0, len(CHECKPOINT)),
                       st.binary(min_size=1, max_size=1))
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(edits=st.lists(ckpt_edit, max_size=3), tail=st.binary(max_size=8))
+@given(edits=st.lists(ckpt_edit, max_size=8), tail=st.binary(max_size=8))
 def test_load_checkpoint_fuzz_lets_only_library_errors_escape(edits, tail):
     data = bytearray(CHECKPOINT)
     for op, i, byte in edits:
