@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DTYPE, SurrogateSpec, Tensor
-from .errors import DimensionError, FormatError, ParameterError, TksnnError
+from .errors import DimensionError, FormatError, ParameterError, TksnnError, check_int
 from .lif import LifConfig, _lif_sequence, lif_sequence
 
 
@@ -218,6 +218,10 @@ PRESETS = ("mlp-small", "cnn-small")
 def _plan(preset: str, input_shape, class_count: int) -> list[tuple]:
     """The layers of a named architecture as (layer class, *sizes) tuples, the
     readout's (Linear, in, out) last; it allocates nothing."""
+    # every size >= 1, so no sum of parameter counts can cancel out
+    check_int("class_count", class_count, 1, ParameterError)
+    if min(input_shape, default=0) < 1:
+        raise ParameterError(f"input_shape needs sizes >= 1, got {input_shape}")
     if preset == "mlp-small":
         return [(Flatten,), (Linear, math.prod(input_shape), 128), (Lif,),
                 (Linear, 128, class_count)]
@@ -342,7 +346,9 @@ def save_checkpoint(path, model: Model, *, epoch: int = 0, optimizer=None) -> No
     removes the temporary file; a killed process leaves it behind. The file
     is not fsynced, so this does not guard against an OS crash or power loss;
     and the rename replaces a symlink at path rather than writing through it.
+    An epoch load_checkpoint would refuse raises ParameterError before any write.
     """
+    check_int("epoch", epoch, 0, ParameterError)
     params = model.parameters()
     header = {
         "version": CKPT_VERSION,
@@ -381,9 +387,10 @@ def load_checkpoint(path):
 
     Returns (model, header_dict, optimizer_state or None) where optimizer_state
     is (step_count, [moment arrays in parameter order: m0, v0, m1, v1, ...]).
-    A header whose parameter shapes differ from those its preset, input shape
-    and class count give, or a file too short for the blobs its header names,
-    is refused before the build.
+    Blob sizes come from `parameter_shapes` of the header's preset, input shape
+    and class count alone: a header whose `layer_shapes` differ from that table,
+    or a file too short for its blobs, is refused before the build; bytes after
+    the blobs are ignored.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -400,41 +407,38 @@ def load_checkpoint(path):
         raise FormatError(f"{path}: header at byte 12 is not valid JSON: {exc}") from exc
     off = 12 + hlen
     try:  # a header that parses as JSON may still not describe a model
-        floats = sum(math.prod(map(int, shape)) for shape in header["layer_shapes"].values())
+        shapes = parameter_shapes(header["preset"], header["input_shape"], header["class_count"])
+        stored = {name: tuple(shape) for name, shape in header["layer_shapes"].items()}
+        if stored != shapes:
+            raise ValueError(f"shape mismatch: layer_shapes {stored}, the preset's {shapes}")
+        floats = sum(math.prod(shape) for shape in shapes.values())
         need = 8 + 12 * floats if header.get("has_optimizer") else 4 * floats
         if off + need > len(raw):
             raise FormatError(f"{path}: truncated at byte {len(raw)}, blobs need {need} from {off}")
-        shapes = parameter_shapes(header["preset"], header["input_shape"], header["class_count"])
-        for name, shape in shapes.items():
-            stored = tuple(header["layer_shapes"][name])
-            if stored != shape:
-                raise ValueError(f"shape mismatch for {name}: {stored} vs {shape}")
         model = build_model(
             header["preset"], header["input_shape"], header["class_count"],
             LifConfig(**header["lif"]), SurrogateSpec(**header["surrogate"]), header["seed"],
         )
-        epoch = header["epoch"]  # save_checkpoint always writes it; resuming reads it
-        if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
-            raise ValueError(f"epoch {epoch!r} is not a non-negative integer")
+        # save_checkpoint always writes it; resuming reads it
+        check_int("epoch", header["epoch"], 0, ParameterError)
     except FormatError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, MemoryError,
             TksnnError) as exc:
         raise FormatError(f"{path}: header does not describe a model: {exc!r}") from exc
 
-    def take(nbytes: int) -> bytes:
+    def take(shape) -> np.ndarray:  # the next blob; the size check above covers them all
         nonlocal off
-        if off + nbytes > len(raw):
-            raise FormatError(f"{path}: truncated at byte {len(raw)}, blob at {off} needs {nbytes}")
-        off += nbytes
-        return raw[off - nbytes : off]
+        blob = np.frombuffer(raw, dtype="<f4", count=math.prod(shape), offset=off)
+        off += blob.nbytes
+        return blob.reshape(shape).copy()
 
     for _, p in model.parameters():
-        p.data = np.frombuffer(take(p.size * 4), dtype="<f4").reshape(p.shape).copy()
+        p.data = take(p.shape)
     opt_state = None
     if header.get("has_optimizer"):
-        (step_count,) = struct.unpack("<Q", take(8))
-        moments = [np.frombuffer(take(p.size * 4), dtype="<f4").reshape(p.shape).copy()
-                   for _, p in model.parameters() for _ in range(2)]
+        (step_count,) = struct.unpack_from("<Q", raw, off)
+        off += 8
+        moments = [take(p.shape) for _, p in model.parameters() for _ in range(2)]
         opt_state = (step_count, moments)
     return model, header, opt_state

@@ -1,5 +1,8 @@
+import contextlib
 import json
+import math
 import os
+import pathlib
 import struct
 import tempfile
 import tracemalloc
@@ -282,6 +285,51 @@ def test_a_header_whose_sizes_disagree_with_its_shapes_is_refused_before_the_bui
     assert load_peak(path, "shape mismatch") < 16 * 2**20
 
 
+JUNK = -(128 * 200_000 + 200_000)
+NEGATIVE = -((90_000 * 128 + 128) // 129)
+
+
+@pytest.mark.parametrize("update, shapes, match", [
+    # a 200 000-class readout (about 290 MB to build: 103 MB of float32 weights,
+    # drawn in float64) and an extra entry whose negative size cancels it
+    ({"class_count": 200_000},
+     {"readout.w": [128, 200_000], "readout.b": [200_000], "junk": [JUNK]}, "shape mismatch"),
+    # consistent shapes: a 90 000-input first layer (about 130 MB to build) and a
+    # negative class count whose readout cancels it
+    ({"input_shape": [300, 300], "class_count": NEGATIVE},
+     {"layer1.w": [90_000, 128], "readout.w": [128, NEGATIVE], "readout.b": [NEGATIVE]},
+     "class_count must be >= 1"),
+    # consistent shapes for an empty input, which would divide by zero in the build
+    ({"input_shape": [0]}, {"layer1.w": [0, 128]}, "input_shape needs sizes >= 1"),
+])
+def test_bad_header_sizes_are_refused_before_the_build(tmp_path, update, shapes, match):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(path, tiny_model(), epoch=1)
+
+    def edit(header):
+        header.update(update)
+        header["layer_shapes"].update(shapes)
+
+    rewrite_header(path, edit)
+    assert load_peak(path, match) < 16 * 2**20
+
+
+@pytest.mark.parametrize("input_shape, class_count", [((8,), 0), ((8,), -3), ((8,), 2.5),
+                                                      ((0,), 3), ((-2, -4), 3), ((), 3)])
+def test_sizes_below_one_are_refused(input_shape, class_count):
+    with pytest.raises(ParameterError):
+        parameter_shapes("mlp-small", input_shape, class_count)
+    with pytest.raises(ParameterError):
+        build_model("mlp-small", input_shape, class_count, LIF, SUR, 0)
+
+
+@pytest.mark.parametrize("epoch", [-1, 1.5, True, "3"])
+def test_save_checkpoint_refuses_an_epoch_load_would_refuse_and_writes_nothing(tmp_path, epoch):
+    with pytest.raises(ParameterError, match="epoch"):
+        save_checkpoint(tmp_path / "m.ckpt", tiny_model(), epoch=epoch)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("preset, input_shape", [("mlp-small", (8,)), ("mlp-small", (2, 3, 4)),
                                                  ("cnn-small", (2, 32, 32)),
                                                  ("cnn-small", (1, 8, 12))])
@@ -330,6 +378,58 @@ def test_load_checkpoint_fuzz_lets_only_library_errors_escape(edits, tail):
             load_checkpoint(path)
         except TksnnError:
             assert edits, "trailing bytes alone must still load"
+
+
+# JSON-level header edits: add (or overwrite), drop or resize one layer_shapes entry by
+# any integer; scale class_count or input_shape by any integer with layer shapes to
+# match; flip has_optimizer. The file keeps the 3-class, 8-input model's blobs.
+NAMES = ["layer1.w", "layer1.b", "readout.w", "readout.b", "junk"]
+header_edit = st.one_of(
+    st.tuples(st.just("add"), st.sampled_from(NAMES) | st.text(max_size=8),
+              st.lists(st.integers(), max_size=3)),
+    st.tuples(st.just("drop"), st.sampled_from(NAMES)),
+    st.tuples(st.just("resize"), st.sampled_from(NAMES), st.integers(0, 1), st.integers()),
+    st.tuples(st.sampled_from(["class_count", "input_shape"]), st.integers()),
+    st.tuples(st.just("has_optimizer")),
+)
+
+
+def edit_header(header, op, *args) -> None:
+    shapes = header["layer_shapes"]
+    if op == "add":
+        shapes[args[0]] = args[1]
+    elif op == "drop":
+        shapes.pop(args[0], None)
+    elif op == "resize":
+        name, axis, by = args
+        if name in shapes and axis < len(shapes[name]):
+            shapes[name][axis] += by
+    elif op == "has_optimizer":
+        header[op] = not header[op]
+    else:
+        if op == "class_count":
+            header[op] *= args[0]
+        else:
+            header[op][0] *= args[0]
+        classes = header["class_count"]
+        shapes.update({"layer1.w": [math.prod(header["input_shape"]), 128],
+                       "readout.w": [128, classes], "readout.b": [classes]})
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(edits=st.lists(header_edit, min_size=1, max_size=3))
+def test_header_edit_fuzz_lets_only_library_errors_escape_and_allocates_little(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "m.ckpt"
+        path.write_bytes(CHECKPOINT)
+        rewrite_header(path, lambda header: [edit_header(header, *edit) for edit in edits])
+        tracemalloc.start()
+        try:
+            with contextlib.suppress(TksnnError):
+                load_checkpoint(path)
+            assert tracemalloc.get_traced_memory()[1] < 16 * 2**20
+        finally:
+            tracemalloc.stop()
 
 
 def test_cnn_preset_builds_and_runs():
