@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import DTYPE
-from .errors import ConfigError, DataError, FormatError, ParameterError, check_int, check_labels
+from .errors import (
+    ConfigError, DataError, FormatError, ParameterError, check_float, check_int, check_labels,
+)
 
 
 @dataclass
@@ -66,6 +68,7 @@ def prepare_sequence(batch: np.ndarray, temporal: bool, t_len: int) -> np.ndarra
 
 
 BLOCK_SIZE = 4  # features per activation block
+_NOISE_CHUNK = 1 << 16  # values per synth_temporal noise draw: 512 KB of float64
 
 
 def class_schedules(classes: int, t_len: int) -> np.ndarray:
@@ -100,7 +103,14 @@ def synth_temporal(n_per_class: int, t_len: int, classes: int,
 
     Each frame lights exactly one feature block, so per-frame value histograms
     are identical across classes; only the activation order carries the label.
+    Noise of std `noise_sigma` (>= 0) is drawn and added in place chunk by chunk,
+    so no whole-set float64 draw is made; `Generator.normal` gives the same values.
     """
+    check_int("n_per_class", n_per_class, 0, ParameterError)
+    check_int("seed", seed, 0, ParameterError)
+    check_float("noise_sigma", noise_sigma, ParameterError)
+    if noise_sigma < 0:
+        raise ParameterError(f"noise_sigma must be >= 0, got {noise_sigma}")
     scheds = class_schedules(classes, t_len)
     features = t_len * BLOCK_SIZE
     rng = np.random.default_rng([seed, 0xDA7A])
@@ -111,7 +121,8 @@ def synth_temporal(n_per_class: int, t_len: int, classes: int,
     inputs.reshape(n, t_len, t_len, BLOCK_SIZE)[
         np.arange(n)[:, None], np.arange(t_len), scheds[labels]] = 1.0
     if noise_sigma > 0:
-        inputs += rng.normal(0.0, noise_sigma, size=inputs.shape).astype(DTYPE)
+        for part in np.split(inputs.reshape(-1), range(_NOISE_CHUNK, inputs.size, _NOISE_CHUNK)):
+            part += rng.normal(0.0, noise_sigma, size=part.size).astype(DTYPE)
     return Dataset(inputs=inputs, labels=labels, class_count=classes, temporal=True)
 
 

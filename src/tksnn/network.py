@@ -220,8 +220,11 @@ def _plan(preset: str, input_shape, class_count: int) -> list[tuple]:
     readout's (Linear, in, out) last; it allocates nothing."""
     # every size >= 1, so no sum of parameter counts can cancel out
     check_int("class_count", class_count, 1, ParameterError)
+    for n in input_shape:
+        check_int("input_shape size", n, None, ParameterError)
     if min(input_shape, default=0) < 1:
         raise ParameterError(f"input_shape needs sizes >= 1, got {input_shape}")
+    input_shape = tuple(int(n) for n in input_shape)  # numpy integers too
     if preset == "mlp-small":
         return [(Flatten,), (Linear, math.prod(input_shape), 128), (Lif,),
                 (Linear, 128, class_count)]
@@ -238,7 +241,7 @@ def _plan(preset: str, input_shape, class_count: int) -> list[tuple]:
 def parameter_shapes(preset: str, input_shape, class_count: int) -> dict[str, tuple[int, ...]]:
     """The names and shapes of the parameters `build_model` gives a preset, in
     `Model.parameters` order, worked out without allocating them."""
-    plan = _plan(preset, tuple(int(n) for n in input_shape), class_count)
+    plan = _plan(preset, input_shape, class_count)
     shapes = {}
     for i, (cls, *sizes) in enumerate(plan):
         name = "readout" if i == len(plan) - 1 else f"layer{i}"
@@ -253,11 +256,12 @@ def parameter_shapes(preset: str, input_shape, class_count: int) -> dict[str, tu
 def build_model(preset: str, input_shape, class_count: int, lif_cfg: LifConfig,
                 surrogate: SurrogateSpec, seed: int) -> Model:
     """Construct a named desk-scale architecture with seeded initialization."""
-    input_shape = tuple(int(n) for n in input_shape)
+    plan = _plan(preset, input_shape, class_count)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0x1217])))
     *layers, readout = [cls(*sizes, rng) if cls in (Linear, Conv2d) else cls(*sizes)
-                        for cls, *sizes in _plan(preset, input_shape, class_count)]
-    return Model(layers, readout, surrogate, preset=preset, input_shape=input_shape,
+                        for cls, *sizes in plan]
+    return Model(layers, readout, surrogate, preset=preset,
+                 input_shape=tuple(int(n) for n in input_shape),
                  class_count=class_count, lif_cfg=lif_cfg, seed=seed)
 
 

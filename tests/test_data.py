@@ -4,6 +4,7 @@ import os
 import re
 import struct
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,12 +158,33 @@ def ref_synth_temporal(n_per_class, t_len, classes, noise_sigma, seed):
 
 @pytest.mark.parametrize("n_per_class,t_len,classes,sigma", [
     (1, 2, 2, 0.0), (3, 2, 1, 0.3), (5, 4, 3, 0.2), (7, 10, 4, 0.3), (2, 6, 9, 0.0), (0, 5, 3, 0.1),
+    # noise drawn in several 2^16-value chunks: 337 600 values, a ragged last
+    # chunk; then 131 072 values, exactly two chunks
+    (211, 10, 4, 0.3), (128, 8, 4, 0.2),
 ])
 def test_synth_matches_per_sample_reference(n_per_class, t_len, classes, sigma):
     ds = synth_temporal(n_per_class, t_len, classes, sigma, seed=4)
     ref = ref_synth_temporal(n_per_class, t_len, classes, sigma, seed=4)
     assert ds.inputs.dtype == ref.dtype and ds.inputs.shape == ref.shape
     assert ds.inputs.tobytes() == ref.tobytes()
+
+
+def test_synth_builds_its_inputs_in_place():
+    # 4000 samples of 10x40 floats (6.1 MiB); a one-shot float64 noise draw and
+    # its float32 copy would take 18.3 MiB more
+    tracemalloc.start()
+    try:
+        ds = synth_temporal(1000, 10, 4, 0.3, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - ds.inputs.nbytes - ds.labels.nbytes < 2 * 2**20
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.3, True, "0.3", None])
+def test_synth_refuses_a_noise_sigma_that_is_not_a_finite_number_at_least_0(sigma):
+    with pytest.raises(ParameterError, match="noise_sigma"):
+        synth_temporal(1, 2, 2, sigma, seed=0)
 
 
 def test_build_dataset_train_test_split_seeds():

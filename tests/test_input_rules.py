@@ -10,11 +10,13 @@ import numpy as np
 import pytest
 
 from tksnn.autodiff import SurrogateSpec, Tensor
-from tksnn.data import Dataset, EventStream, bin_events, class_schedules, prepare_sequence
+from tksnn.data import (
+    Dataset, EventStream, bin_events, class_schedules, prepare_sequence, synth_temporal,
+)
 from tksnn.errors import DataError, ParameterError
 from tksnn.evaluation import evaluate, per_class_accuracy, top1_accuracy
 from tksnn.lif import LifConfig
-from tksnn.network import TemporalOutput, build_model
+from tksnn.network import TemporalOutput, build_model, parameter_shapes
 from tksnn.tks import (
     AlphaSchedule, alpha_at, baseline_loss, ce_loss, select_teachers,
 )
@@ -91,13 +93,20 @@ COUNT_SITES = {
     "Dataset class_count": lambda n: Dataset(inputs=np.zeros((N, 2), dtype=np.float32),
                                              labels=np.zeros(N, dtype=np.int64),
                                              class_count=n, temporal=False),
+    "synth_temporal n_per_class": lambda n: synth_temporal(n, 2, 2, 0.1, seed=0),
+    "synth_temporal seed": lambda n: synth_temporal(1, 2, 2, 0.1, seed=n),
+    "build_model input size": lambda n: build_model("mlp-small", (n,), C, LifConfig(),
+                                                    SurrogateSpec(), 0),
+    "parameter_shapes input size": lambda n: parameter_shapes("mlp-small", (2, n), C),
 }
 BAD_COUNTS = (2.5, True, 0, -1)
+# epoch 0 is the first epoch; an empty set and seed 0 are valid too
+ZERO_SITES = ("alpha_at epoch", "synth_temporal n_per_class", "synth_temporal seed")
 
 
 @pytest.mark.parametrize("site,count", [
     (site, count) for site in COUNT_SITES for count in BAD_COUNTS
-    if not (site == "alpha_at epoch" and count == 0)  # epoch 0 is the first epoch
+    if not (site in ZERO_SITES and count == 0)
 ])
 def test_every_count_site_refuses_a_non_integer_or_one_below_its_minimum(site, count):
     with pytest.raises(ParameterError):

@@ -301,6 +301,10 @@ NEGATIVE = -((90_000 * 128 + 128) // 129)
      "class_count must be >= 1"),
     # consistent shapes for an empty input, which would divide by zero in the build
     ({"input_shape": [0]}, {"layer1.w": [0, 128]}, "input_shape needs sizes >= 1"),
+    # sizes that int() would turn into the stored model's 8 inputs, or 1 input
+    ({"input_shape": [8.9]}, {}, "input_shape size must be an integer"),
+    ({"input_shape": ["8"]}, {}, "input_shape size must be an integer"),
+    ({"input_shape": [True]}, {"layer1.w": [1, 128]}, "input_shape size must be an integer"),
 ])
 def test_bad_header_sizes_are_refused_before_the_build(tmp_path, update, shapes, match):
     path = tmp_path / "m.ckpt"
